@@ -708,9 +708,9 @@ func BenchmarkSIMDKernels(b *testing.B) {
 	}
 
 	// Vectorized strided and contiguous unrolled tiers: full j-rows of a
-	// strided stage stream as chunked fused interleaved passes (no
-	// gathers), and the straight-line contiguous codelets split into a
-	// scalar head pass plus vector butterfly passes.  StridedOnly forces
+	// strided stage stream as interleaved passes (no gathers), and the
+	// contiguous codelets run an in-register head plus whole vector
+	// butterfly passes.  StridedOnly forces
 	// every stage through the strided dispatch; ILMinS -1 leaves the
 	// stride-1 stage on the contiguous codelet with strided above it.
 	for _, cfg := range []struct {

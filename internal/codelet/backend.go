@@ -13,8 +13,8 @@ import (
 // exactly the shape a vector unit consumes, plus the vectorized
 // strided form (rows with S >= the vector width load contiguous runs
 // across the inner index, gather-free) and the vectorized contiguous
-// form (vector passes above the width, one fused scalar head pass
-// below it).  Only the block-tier strided/contiguous kernels stay
+// form (an in-register head for the levels below four vectors, whole
+// vector passes above).  Only the block-tier strided/contiguous kernels stay
 // scalar on every backend: their in-window cache-resident
 // decomposition is the point, and streaming them would forfeit it.
 // Because WHT butterflies are exact IEEE add/sub and vectorizing a

@@ -2,19 +2,41 @@
 
 package codelet
 
-// The shared vector kernel tier.  Every SIMD* function mirrors its
-// Generic* counterpart loop for loop; only the unit-stride inner
-// k-sweep is replaced by a vector run with a scalar tail.  The six
-// vec* butterfly primitives are per-ISA assembly (simd_amd64.s: AVX2
-// YMM, 4 float64s / 8 float32s per op; simd_arm64.s: NEON quadword,
-// 2 float64s / 4 float32s per op) behind one shared set of drivers;
-// simdWidth64/simdWidth32 in the per-arch Go files parameterize the
-// tail masks.  Vectorizing a unit-stride sweep partitions the
-// iteration space but never reorders any element's add/sub DAG, and
-// the assembly keeps the scalar operand order (lower+upper,
-// lower-upper), so the results are bitwise-identical to the scalar
-// tier — the equivalence tests in simd_test.go pin this over the full
-// size x stride x lane grid.
+import "math/bits"
+
+// The shared vector kernel tier: one set of Go drivers over per-ISA
+// butterfly primitives (simd_amd64.s: AVX2, 4 float64s / 8 float32s
+// per YMM op; simd_arm64.go + simd_arm64.s: NEON quadwords, 2 / 4 per
+// op).  simdWidth64/simdWidth32 in the per-arch Go files give the
+// widths.
+//
+// The contiguous and full-row interleaved kernels are whole-pass
+// programs (passes64/passes32).  A contiguous WHT(2^m) of at least one
+// vector starts with one head call (vecHead*), which runs every level
+// below four vectors — h = 1 .. 2*width — of each four-vector chunk in
+// registers (a one- or two-vector transform is all head).  Every
+// remaining level pairs unit-stride runs of h >= width elements, so it
+// runs as whole passes over the span, one call each: a radix-2 pass
+// (vecPass2*) first when the level count is odd, then radix-4 passes
+// (vecPass4*), the block loop inside the primitive.  An interleaved
+// row of s vectors is the same program started at h = s.  Levels whose
+// runs are not a whole number of vectors (narrow rows, sizes below one
+// vector) run in Go.
+//
+// The range, SoA and chunked strided kernels keep per-block calls of
+// the run primitives (vecAddSub*, vecBfly4x*, vecBfly8x*): a vector run
+// across the inner index with a scalar tail.
+//
+// Bitwise equality with the scalar tier.  Every butterfly keeps the
+// scalar operand order — lower+upper, lower-upper, the lower operand
+// the first source, including the blended lanes of the in-register
+// head levels — and levels run in increasing h, the order of the
+// Generic* loops.  Vectorizing therefore only regroups independent
+// butterflies; it never changes any element's add/sub DAG, so results
+// are bitwise-identical to the scalar tier, and on NaN inputs to the
+// Generic* loops' payloads too (x86 keeps the first source's payload
+// when both operands are NaN).  The equivalence tests in simd_test.go
+// pin this over the size x stride x lane grid and on NaN/Inf inputs.
 
 // SIMDWidth64 and SIMDWidth32 export the host vector width in elements
 // per type — the executor's eligibility gate for the vectorized
@@ -175,66 +197,75 @@ func bfly8Run32(p0, p1, p2, p3, p4, p5, p6, p7 []float32) {
 	}
 }
 
-// SIMDIL is the vector form of GenericIL: s interleaved in-place
-// WHT(2^m)s on x[base : base+s*2^m], one vector run per butterfly pair
-// per level.
-func SIMDIL(x []float64, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	for h := s; h < n*s; h <<= 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			addSubRun(v[blk:blk+h], v[blk+h:blk+2*h])
+// passes64 runs the butterfly levels h, 2h, ..., len(v)/2 of v in
+// increasing order, where len(v)/h is a power of two: h = 1 is a
+// contiguous WHT(len(v)), h = s a row of s interleaved transforms.
+func passes64(v []float64, h int) {
+	n := len(v)
+	if h == 1 && n >= simdWidth64 {
+		vecHead64(v)
+		h = min(n, 4*simdWidth64)
+	}
+	for ; h%simdWidth64 != 0 && h < n; h <<= 1 {
+		for blk := 0; blk < n; blk += h << 1 {
+			for j := blk; j < blk+h; j++ {
+				a, b := v[j], v[j+h]
+				v[j], v[j+h] = a+b, a-b
+			}
 		}
 	}
+	if h >= n {
+		return
+	}
+	if bits.TrailingZeros(uint(n/h))&1 == 1 {
+		vecPass2x64(v, h)
+		h <<= 1
+	}
+	for ; h < n; h <<= 2 {
+		vecPass4x64(v, h)
+	}
 }
+
+// passes32 is the float32 pass program.
+func passes32(v []float32, h int) {
+	n := len(v)
+	if h == 1 && n >= simdWidth32 {
+		vecHead32(v)
+		h = min(n, 4*simdWidth32)
+	}
+	for ; h%simdWidth32 != 0 && h < n; h <<= 1 {
+		for blk := 0; blk < n; blk += h << 1 {
+			for j := blk; j < blk+h; j++ {
+				a, b := v[j], v[j+h]
+				v[j], v[j+h] = a+b, a-b
+			}
+		}
+	}
+	if h >= n {
+		return
+	}
+	if bits.TrailingZeros(uint(n/h))&1 == 1 {
+		vecPass2x32(v, h)
+		h <<= 1
+	}
+	for ; h < n; h <<= 2 {
+		vecPass4x32(v, h)
+	}
+}
+
+// SIMDIL is the vector form of GenericIL: s interleaved in-place
+// WHT(2^m)s on x[base : base+s*2^m], run as whole passes from h = s.
+func SIMDIL(x []float64, base, s, m int) { passes64(x[base:base+s<<uint(m)], s) }
 
 // SIMDIL32 is the float32 vector interleaved kernel.
-func SIMDIL32(x []float32, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	for h := s; h < n*s; h <<= 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			addSubRun32(v[blk:blk+h], v[blk+h:blk+2*h])
-		}
-	}
-}
+func SIMDIL32(x []float32, base, s, m int) { passes32(x[base:base+s<<uint(m)], s) }
 
-// SIMDILFused is the vector form of GenericILFused: radix-4 fused
-// streaming passes (one radix-2 pass first when m is odd).
-func SIMDILFused(x []float64, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	h := s
-	if m&1 == 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			addSubRun(v[blk:blk+h], v[blk+h:blk+2*h])
-		}
-		h <<= 1
-	}
-	for ; h < n*s; h <<= 2 {
-		for blk := 0; blk < n*s; blk += h << 2 {
-			bfly4Run(v[blk:blk+h], v[blk+h:blk+2*h], v[blk+2*h:blk+3*h], v[blk+3*h:blk+4*h])
-		}
-	}
-}
+// SIMDILFused is the vector form of GenericILFused.  The pass program
+// already fuses level pairs into radix-4 passes, so it is SIMDIL.
+func SIMDILFused(x []float64, base, s, m int) { SIMDIL(x, base, s, m) }
 
 // SIMDILFused32 is the float32 vector fused interleaved kernel.
-func SIMDILFused32(x []float32, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	h := s
-	if m&1 == 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			addSubRun32(v[blk:blk+h], v[blk+h:blk+2*h])
-		}
-		h <<= 1
-	}
-	for ; h < n*s; h <<= 2 {
-		for blk := 0; blk < n*s; blk += h << 2 {
-			bfly4Run32(v[blk:blk+h], v[blk+h:blk+2*h], v[blk+2*h:blk+3*h], v[blk+3*h:blk+4*h])
-		}
-	}
-}
+func SIMDILFused32(x []float32, base, s, m int) { SIMDIL32(x, base, s, m) }
 
 // SIMDILRange is the vector form of GenericILRange: the [kLo, kHi)
 // vector sub-range of the s interleaved vectors.
@@ -379,126 +410,25 @@ func SIMDSoA32(x []float32, base, stride, lane, m int) {
 	}
 }
 
-// The vectorized contiguous tier.  A contiguous WHT(2^m) has no inner
-// k-loop to vectorize across, but its butterfly levels at h >= width
-// pair unit-stride runs the vector unit consumes directly; the levels
-// below the vector width are fused into one scalar pass of independent
-// WHT(width) transforms on consecutive width-sized chunks.  Both halves
-// only regroup the per-element add/sub DAG of GenericContig, so the
-// results stay bitwise-identical to the scalar kernel.
-
-// contigHead64 applies the first log2(simdWidth64) butterfly levels of
-// a contiguous WHT in one pass: an independent WHT(simdWidth64) on each
-// consecutive width-sized chunk.  len(v) must be a multiple of the
-// width.  The switch is on an arch constant, so the dead arm compiles
-// away.
-func contigHead64(v []float64) {
-	switch simdWidth64 {
-	case 2:
-		for i := 0; i+2 <= len(v); i += 2 {
-			a, b := v[i], v[i+1]
-			v[i], v[i+1] = a+b, a-b
-		}
-	case 4:
-		for i := 0; i+4 <= len(v); i += 4 {
-			a, b, c, d := v[i], v[i+1], v[i+2], v[i+3]
-			e, f := a+b, a-b
-			g, h := c+d, c-d
-			v[i], v[i+1], v[i+2], v[i+3] = e+g, f+h, e-g, f-h
-		}
-	}
-}
-
-// contigHead32 is the float32 head pass (WHT(4) or WHT(8) chunks,
-// depending on the arch width).
-func contigHead32(v []float32) {
-	switch simdWidth32 {
-	case 4:
-		for i := 0; i+4 <= len(v); i += 4 {
-			a, b, c, d := v[i], v[i+1], v[i+2], v[i+3]
-			e, f := a+b, a-b
-			g, h := c+d, c-d
-			v[i], v[i+1], v[i+2], v[i+3] = e+g, f+h, e-g, f-h
-		}
-	case 8:
-		for i := 0; i+8 <= len(v); i += 8 {
-			a0, a1, a2, a3 := v[i], v[i+1], v[i+2], v[i+3]
-			a4, a5, a6, a7 := v[i+4], v[i+5], v[i+6], v[i+7]
-			b0, b1 := a0+a1, a0-a1
-			b2, b3 := a2+a3, a2-a3
-			b4, b5 := a4+a5, a4-a5
-			b6, b7 := a6+a7, a6-a7
-			c0, c2 := b0+b2, b0-b2
-			c1, c3 := b1+b3, b1-b3
-			c4, c6 := b4+b6, b4-b6
-			c5, c7 := b5+b7, b5-b7
-			v[i], v[i+4] = c0+c4, c0-c4
-			v[i+1], v[i+5] = c1+c5, c1-c5
-			v[i+2], v[i+6] = c2+c6, c2-c6
-			v[i+3], v[i+7] = c3+c7, c3-c7
-		}
-	}
-}
-
-// SIMDContig is the vector form of GenericContig: the scalar head pass
-// covers the sub-width levels, then radix-4 fused vector passes (one
-// radix-2 pass first when the remaining level count is odd) finish the
-// transform.  Sizes below the vector width fall back to the scalar
-// kernel.
-func SIMDContig(x []float64, base, m int) {
-	n := 1 << uint(m)
-	if n < simdWidth64 {
-		GenericContig(x, base, m)
-		return
-	}
-	v := x[base : base+n]
-	contigHead64(v)
-	h := simdWidth64
-	if (m-simdShift64)&1 == 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			addSubRun(v[blk:blk+h], v[blk+h:blk+2*h])
-		}
-		h <<= 1
-	}
-	for ; h < n; h <<= 2 {
-		for blk := 0; blk < n; blk += h << 2 {
-			bfly4Run(v[blk:blk+h], v[blk+h:blk+2*h], v[blk+2*h:blk+3*h], v[blk+3*h:blk+4*h])
-		}
-	}
-}
+// SIMDContig is the vector form of GenericContig: the in-register head
+// call, then whole vector passes (see passes64).  Sizes below one
+// vector run in Go.
+func SIMDContig(x []float64, base, m int) { passes64(x[base:base+1<<uint(m)], 1) }
 
 // SIMDContig32 is the float32 vector contiguous kernel.
-func SIMDContig32(x []float32, base, m int) {
-	n := 1 << uint(m)
-	if n < simdWidth32 {
-		GenericContig32(x, base, m)
-		return
-	}
-	v := x[base : base+n]
-	contigHead32(v)
-	h := simdWidth32
-	if (m-simdShift32)&1 == 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			addSubRun32(v[blk:blk+h], v[blk+h:blk+2*h])
-		}
-		h <<= 1
-	}
-	for ; h < n; h <<= 2 {
-		for blk := 0; blk < n; blk += h << 2 {
-			bfly4Run32(v[blk:blk+h], v[blk+h:blk+2*h], v[blk+2*h:blk+3*h], v[blk+3*h:blk+4*h])
-		}
-	}
-}
+func SIMDContig32(x []float32, base, m int) { passes32(x[base:base+1<<uint(m)], 1) }
 
 // The vectorized strided tier.  The full j-row of a strided stage — the
 // S strided vectors at bases rowBase+k, k < S, each of stride S — is
 // exactly the interleaved layout of that row, so the row vectorizes
-// gather-free through the radix-8 fused streaming kernel: every inner
-// access is a unit-stride run of columns across the inner index.
-// Column chunking keeps each pass's footprint (2^m * chunk elements)
-// cache-resident where the whole row would stream; chunk seams are
-// column boundaries, and every column's add/sub DAG is untouched, so
-// the results are bitwise-identical to per-(j,k) strided kernel calls.
+// gather-free: every inner access is a unit-stride run of columns
+// across the inner index.  A row whose footprint (2^m * s elements)
+// fits the chunk target runs as the interleaved pass program; a wider
+// row is cut into column chunks, each run by the radix-8 fused
+// streaming kernel, so each pass stays cache-resident where the whole
+// row would stream.  Chunk seams are column boundaries, and every
+// column's add/sub DAG is untouched, so the results are
+// bitwise-identical to per-(j,k) strided kernel calls.
 
 // stridedChunkTarget64/32 target the per-chunk footprint of the
 // vectorized strided walk in elements (~32 KB per pass).
@@ -522,16 +452,22 @@ func stridedChunkCols(m, s, width, target int) int {
 }
 
 // SIMDStrided runs one full j-row of a strided stage (all s columns)
-// through the chunked fused streaming kernel.  Callers gate on
-// s >= SIMDWidth64; smaller rows have no full vector to load.
+// as the interleaved pass program, or chunked when the row is wide.
+// Callers gate on s >= SIMDWidth64; smaller rows have no full vector to
+// load.
 func SIMDStrided(x []float64, base, s, m int) {
 	SIMDStridedRange(x, base, s, 0, s, m)
 }
 
 // SIMDStridedRange is SIMDStrided restricted to columns [kLo, kHi) —
-// the partial-row form the parallel executors hand to workers.
+// the partial-row form the parallel executors hand to workers.  A full
+// row that fits in one chunk runs as the interleaved pass program.
 func SIMDStridedRange(x []float64, base, s, kLo, kHi, m int) {
 	chunk := stridedChunkCols(m, s, simdWidth64, stridedChunkTarget64)
+	if chunk == s && kLo == 0 && kHi == s {
+		SIMDIL(x, base, s, m)
+		return
+	}
 	for k := kLo; k < kHi; {
 		end := k + chunk
 		if end > kHi {
@@ -550,6 +486,10 @@ func SIMDStrided32(x []float32, base, s, m int) {
 // SIMDStridedRange32 is the float32 partial-row form.
 func SIMDStridedRange32(x []float32, base, s, kLo, kHi, m int) {
 	chunk := stridedChunkCols(m, s, simdWidth32, stridedChunkTarget32)
+	if chunk == s && kLo == 0 && kHi == s {
+		SIMDIL32(x, base, s, m)
+		return
+	}
 	for k := kLo; k < kHi; {
 		end := k + chunk
 		if end > kHi {

@@ -10,11 +10,30 @@ import "repro/internal/isa"
 // YMM state.  Detection runs once at init via internal/isa.
 var simdAvailable = isa.HasAVX2()
 
-// Vector widths in elements, and their logs — the tail masks of the
-// shared run drivers and the head-pass depth of the contiguous kernel.
+// Vector widths in elements: the tail masks of the shared run drivers
+// and the head depth of the pass programs (levels below four vectors).
 const (
 	simdWidth64 = 4
 	simdWidth32 = 8
-	simdShift64 = 2
-	simdShift32 = 3
 )
+
+// The whole-pass kernels (simd_amd64.s).  Each is one assembly call
+// per transform pass; the shared drivers in simd.go sequence them.
+
+//go:noescape
+func vecHead64(v []float64)
+
+//go:noescape
+func vecHead32(v []float32)
+
+//go:noescape
+func vecPass2x64(v []float64, h int)
+
+//go:noescape
+func vecPass2x32(v []float32, h int)
+
+//go:noescape
+func vecPass4x64(v []float64, h int)
+
+//go:noescape
+func vecPass4x32(v []float32, h int)

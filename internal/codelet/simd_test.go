@@ -34,7 +34,8 @@ func equalBits32(t *testing.T, name string, want, got []float32) {
 	t.Helper()
 	for i := range want {
 		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-			t.Fatalf("%s: bit mismatch at [%d]: want %v got %v", name, i, want[i], got[i])
+			t.Fatalf("%s: bit mismatch at [%d]: want %v (%#x) got %v (%#x)",
+				name, i, want[i], math.Float32bits(want[i]), got[i], math.Float32bits(got[i]))
 		}
 	}
 }
@@ -52,7 +53,7 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 	base := 3 // misaligned on purpose
 	for m := 1; m <= 10; m++ {
 		n := 1 << uint(m)
-		for _, s := range []int{1, 3, 4, 7, 8, 16, 33} {
+		for _, s := range []int{1, 3, 4, 7, 8, 16, 32, 33, 64, 128} {
 			ref := make([]float64, base+n*s+5)
 			got := make([]float64, len(ref))
 			fillPattern(ref, r)
@@ -109,7 +110,7 @@ func TestSIMDKernelsBitwise32(t *testing.T) {
 	base := 5
 	for m := 1; m <= 9; m++ {
 		n := 1 << uint(m)
-		for _, s := range []int{1, 3, 7, 8, 16, 33} {
+		for _, s := range []int{1, 3, 4, 7, 8, 16, 32, 33, 64, 128} {
 			ref := make([]float32, base+n*s+3)
 			got := make([]float32, len(ref))
 			fillPattern32(ref, r)
@@ -163,25 +164,38 @@ func TestSIMDKernelsBitwise32(t *testing.T) {
 // kernel calls they replace — the engine-level claim, since the
 // executor routes whole rows of strided-variant stages through them.
 // Column widths sweep below, at, and off the vector width so the
-// sub-width fallback, the chunk seams, and the scalar tails all run.
+// sub-width fallback, the chunk seams, and the scalar tails all run;
+// the contiguous kernel runs at every base offset within a vector, and
+// full rows run both as one interleaved pass program (chunk == s) and
+// chunked.
 func TestSIMDContigStridedBitwise(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("SIMD tier unavailable on this host; delegation is identity")
 	}
 	r := rand.New(rand.NewSource(13))
 	base := 3
+	fullRows, chunkedRows := 0, 0
 	for m := 1; m <= 10; m++ {
 		n := 1 << uint(m)
 
-		ref := make([]float64, base+n+5)
-		got := make([]float64, len(ref))
-		fillPattern(ref, r)
-		copy(got, ref)
-		GenericContig(ref, base, m)
-		SIMDContig(got, base, m)
-		equalBits(t, "Contig", ref, got)
+		for b := 0; b < simdWidth64; b++ {
+			ref := make([]float64, b+n+5)
+			got := make([]float64, len(ref))
+			fillPattern(ref, r)
+			copy(got, ref)
+			GenericContig(ref, b, m)
+			SIMDContig(got, b, m)
+			equalBits(t, "Contig", ref, got)
+		}
 
-		for _, s := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33, 1024} {
+		for _, s := range []int{1, 2, 3, 4, 5, 7, 8, 16, 32, 33, 64, 128, 1024} {
+			if s >= simdWidth64 {
+				if stridedChunkCols(m, s, simdWidth64, stridedChunkTarget64) == s {
+					fullRows++
+				} else {
+					chunkedRows++
+				}
+			}
 			ref := make([]float64, base+n*s+5)
 			got := make([]float64, len(ref))
 			fillPattern(ref, r)
@@ -207,6 +221,9 @@ func TestSIMDContigStridedBitwise(t *testing.T) {
 			}
 		}
 	}
+	if fullRows == 0 || chunkedRows == 0 {
+		t.Fatalf("grid ran %d one-chunk rows and %d chunked rows; want both", fullRows, chunkedRows)
+	}
 }
 
 // TestSIMDContigStridedBitwise32 is the float32 grid.
@@ -216,18 +233,28 @@ func TestSIMDContigStridedBitwise32(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(17))
 	base := 5
+	fullRows, chunkedRows := 0, 0
 	for m := 1; m <= 9; m++ {
 		n := 1 << uint(m)
 
-		ref := make([]float32, base+n+3)
-		got := make([]float32, len(ref))
-		fillPattern32(ref, r)
-		copy(got, ref)
-		GenericContig32(ref, base, m)
-		SIMDContig32(got, base, m)
-		equalBits32(t, "Contig32", ref, got)
+		for b := 0; b < simdWidth32; b++ {
+			ref := make([]float32, b+n+3)
+			got := make([]float32, len(ref))
+			fillPattern32(ref, r)
+			copy(got, ref)
+			GenericContig32(ref, b, m)
+			SIMDContig32(got, b, m)
+			equalBits32(t, "Contig32", ref, got)
+		}
 
-		for _, s := range []int{1, 3, 4, 7, 8, 9, 16, 33} {
+		for _, s := range []int{1, 3, 4, 7, 8, 9, 16, 32, 33, 64, 128, 2048} {
+			if s >= simdWidth32 {
+				if stridedChunkCols(m, s, simdWidth32, stridedChunkTarget32) == s {
+					fullRows++
+				} else {
+					chunkedRows++
+				}
+			}
 			ref := make([]float32, base+n*s+3)
 			got := make([]float32, len(ref))
 			fillPattern32(ref, r)
@@ -250,6 +277,128 @@ func TestSIMDContigStridedBitwise32(t *testing.T) {
 				}
 				SIMDStridedRange32(got, base, s, kLo, kHi, m)
 				equalBits32(t, "StridedRange32", ref, got)
+			}
+		}
+	}
+	if fullRows == 0 || chunkedRows == 0 {
+		t.Fatalf("grid ran %d one-chunk rows and %d chunked rows; want both", fullRows, chunkedRows)
+	}
+}
+
+// fillSpecial writes a mix of quiet NaNs with distinct payloads and
+// both signs, ±Inf and finite values, so both operands of many
+// butterflies are special: which NaN payload survives an add or sub
+// pins the operand order, and Inf-Inf pins where default NaNs arise.
+func fillSpecial(x []float64, r *rand.Rand) {
+	for i := range x {
+		switch r.Intn(6) {
+		case 0, 1:
+			sign := uint64(r.Intn(2)) << 63
+			x[i] = math.Float64frombits(sign | 0x7ff8000000000000 | uint64(i+1)<<12 | uint64(r.Intn(1<<12)))
+		case 2:
+			x[i] = math.Inf(1)
+		case 3:
+			x[i] = math.Inf(-1)
+		default:
+			x[i] = math.Ldexp(r.Float64()*2-1, r.Intn(9)-4)
+		}
+	}
+}
+
+func fillSpecial32(x []float32, r *rand.Rand) {
+	for i := range x {
+		switch r.Intn(6) {
+		case 0, 1:
+			sign := uint32(r.Intn(2)) << 31
+			x[i] = math.Float32frombits(sign | 0x7fc00000 | uint32(i+1)<<8&0x3fffff | uint32(r.Intn(1<<8)))
+		case 2:
+			x[i] = float32(math.Inf(1))
+		case 3:
+			x[i] = float32(math.Inf(-1))
+		default:
+			x[i] = float32(math.Ldexp(r.Float64()*2-1, r.Intn(5)-2))
+		}
+	}
+}
+
+// TestSIMDSpecialValuesBitwise feeds NaNs with distinct payloads and
+// ±Inf, in lower and upper butterfly slots alike, through the
+// contiguous, interleaved and strided vector kernels and requires the
+// scalar reference's exact output bits.  Which payload survives in an
+// output depends on the operand order of every add and sub on its
+// path, so a swapped first source anywhere shows up.
+func TestSIMDSpecialValuesBitwise(t *testing.T) {
+	if !SIMDAvailable() {
+		t.Skip("SIMD tier unavailable on this host; delegation is identity")
+	}
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 8; trial++ {
+		for m := 1; m <= GeneratedMaxLog; m++ {
+			n := 1 << uint(m)
+			base := trial % simdWidth64
+			ref := make([]float64, base+n+3)
+			got := make([]float64, len(ref))
+			fillSpecial(ref, r)
+			copy(got, ref)
+			GenericContig(ref, base, m)
+			SIMDContig(got, base, m)
+			equalBits(t, "Contig", ref, got)
+
+			for _, s := range []int{4, 8, 16, 32, 64, 128} {
+				ref := make([]float64, base+n*s+3)
+				got := make([]float64, len(ref))
+				fillSpecial(ref, r)
+				copy(got, ref)
+				GenericIL(ref, base, s, m)
+				SIMDIL(got, base, s, m)
+				equalBits(t, "IL", ref, got)
+
+				fillSpecial(ref, r)
+				copy(got, ref)
+				for k := 0; k < s; k++ {
+					Generic(ref, base+k, s, m)
+				}
+				SIMDStrided(got, base, s, m)
+				equalBits(t, "Strided", ref, got)
+			}
+		}
+	}
+}
+
+// TestSIMDSpecialValuesBitwise32 is the float32 special-value grid.
+func TestSIMDSpecialValuesBitwise32(t *testing.T) {
+	if !SIMDAvailable() {
+		t.Skip("SIMD tier unavailable on this host; delegation is identity")
+	}
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 8; trial++ {
+		for m := 1; m <= GeneratedMaxLog; m++ {
+			n := 1 << uint(m)
+			base := trial % simdWidth32
+			ref := make([]float32, base+n+3)
+			got := make([]float32, len(ref))
+			fillSpecial32(ref, r)
+			copy(got, ref)
+			GenericContig32(ref, base, m)
+			SIMDContig32(got, base, m)
+			equalBits32(t, "Contig32", ref, got)
+
+			for _, s := range []int{4, 8, 16, 32, 64, 128} {
+				ref := make([]float32, base+n*s+3)
+				got := make([]float32, len(ref))
+				fillSpecial32(ref, r)
+				copy(got, ref)
+				GenericIL32(ref, base, s, m)
+				SIMDIL32(got, base, s, m)
+				equalBits32(t, "IL32", ref, got)
+
+				fillSpecial32(ref, r)
+				copy(got, ref)
+				for k := 0; k < s; k++ {
+					Generic32(ref, base+k, s, m)
+				}
+				SIMDStrided32(got, base, s, m)
+				equalBits32(t, "Strided32", ref, got)
 			}
 		}
 	}

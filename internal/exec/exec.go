@@ -344,7 +344,7 @@ type kernelSet[T Float] struct {
 // unrolled tier it additionally populates the stridedVec slots (wide
 // strided rows stream gather-free, see kernelSet) and replaces the
 // contig slot with the vectorized contiguous kernel once the transform
-// spans enough vector levels to pay for the scalar head pass.  The
+// spans the four vectors of its in-register head.  The
 // block-tier strided/contig slots are always scalar: the block kernels'
 // in-window cache-resident decomposition is the point, and streaming
 // them would forfeit it.
@@ -358,8 +358,10 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 	case float64:
 		var ks kernelSet[float64]
 		if simd {
+			// The vector pass program fuses level pairs itself, so the
+			// plain and fused interleaved slots run one kernel.
 			ks.il = func(x []float64, base, s int) { codelet.SIMDIL(x, base, s, m) }
-			ks.ilFused = func(x []float64, base, s int) { codelet.SIMDILFused(x, base, s, m) }
+			ks.ilFused = ks.il
 			ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
 				codelet.SIMDILRange(x, base, s, kLo, kHi, m)
 			}
@@ -420,9 +422,9 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			}
 			ks.stridedVecMinS = codelet.SIMDWidth64
 			if 1<<uint(m) >= 4*codelet.SIMDWidth64 {
-				// At least two vector butterfly levels above the scalar
-				// head pass; smaller kernels keep the unrolled scalar
-				// contiguous codelet, which has nothing left to amortize.
+				// Four vectors fill the in-register head; smaller
+				// kernels keep the unrolled scalar contiguous codelet
+				// (machine.SIMDVectorizes mirrors this gate).
 				ks.contig = func(x []float64, base int) { codelet.SIMDContig(x, base, m) }
 			}
 		}
@@ -431,7 +433,7 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 		var ks kernelSet[float32]
 		if simd {
 			ks.il = func(x []float32, base, s int) { codelet.SIMDIL32(x, base, s, m) }
-			ks.ilFused = func(x []float32, base, s int) { codelet.SIMDILFused32(x, base, s, m) }
+			ks.ilFused = ks.il
 			ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
 				codelet.SIMDILRange32(x, base, s, kLo, kHi, m)
 			}
@@ -499,21 +501,57 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 	}
 }
 
-// kernelTable resolves the kernel sets a schedule needs, one lookup per
-// distinct (leaf size, backend) pair: bank 0 holds the scalar sets,
-// bank 1 the vector sets, and get resolves each stage's pinned Backend
-// to a bank at lookup time — so a mixed-pin schedule runs both tiers
-// from one table.  The table is cheap enough to rebuild per Run call;
-// batch and parallel executors build it once and share it.  Executors
-// construct tables with newKernelTable so AutoBackend stages follow
-// SetBackend / WHT_SIMD changes between runs; the zero value resolves
-// every backend to the scalar bank — what Interpret's strided-only
-// walker uses.
+// kernelTable resolves the kernel set of each (leaf size, backend)
+// pair a schedule needs: bank 0 holds the scalar sets, bank 1 the
+// vector sets, and get resolves each stage's pinned Backend to a bank
+// at lookup time — so a mixed-pin schedule runs both tiers from one
+// table.
+//
+// Unrolled-tier sets (m <= codelet.GeneratedMaxLog) depend only on the
+// element type, bank and size, so they are built once per process in
+// the package-level unrolledBanks and get returns pointers into them:
+// constructing a table and dispatching through it allocates nothing.
+// Block-tier sets are resolved on first use per table, because
+// codelet.SetBlockParts can swap a block size's kernel between runs;
+// executors build one table per run (shared by its batch vectors and
+// workers), so the next run sees the override.  Executors construct
+// tables with newKernelTable so AutoBackend stages follow SetBackend /
+// WHT_SIMD changes between runs; the zero value resolves every backend
+// to the scalar bank — what Interpret's strided-only walker uses.
 type kernelTable[T Float] struct {
 	// auto is the bank AutoBackend stages resolve to, computed once per
 	// table from the process override and host availability.
 	auto bool
-	sets [2][plan.BlockLeafMax + 1]kernelSet[T]
+	// block holds the block-tier sets this table has resolved, by bank
+	// and log-size above the unrolled tier.  Pointers keep the table
+	// small: a Run copies and zeroes it once per call.
+	block [2][plan.BlockLeafMax - codelet.GeneratedMaxLog]*kernelSet[T]
+}
+
+// unrolledBanks holds the scalar (bank 0) and vector (bank 1) kernel
+// sets of every unrolled-tier size, indexed by log-size.
+type unrolledBanks[T Float] [2][codelet.GeneratedMaxLog + 1]kernelSet[T]
+
+var (
+	unrolled64 = buildUnrolledBanks[float64]()
+	unrolled32 = buildUnrolledBanks[float32]()
+)
+
+func buildUnrolledBanks[T Float]() *unrolledBanks[T] {
+	b := new(unrolledBanks[T])
+	for m := range b[0] {
+		b[0][m] = kernelsFor[T](m, false)
+		b[1][m] = kernelsFor[T](m, true)
+	}
+	return b
+}
+
+// unrolledBanksFor returns the process-wide unrolled banks of T.
+func unrolledBanksFor[T Float]() *unrolledBanks[T] {
+	if b, ok := any(unrolled64).(*unrolledBanks[T]); ok {
+		return b
+	}
+	return any(unrolled32).(*unrolledBanks[T])
 }
 
 // newKernelTable returns the kernel table for a schedule, resolving the
@@ -542,9 +580,13 @@ func (kt *kernelTable[T]) get(m int, b codelet.Backend) *kernelSet[T] {
 	if simd {
 		bank = 1
 	}
-	ks := &kt.sets[bank][m]
-	if ks.strided == nil {
-		*ks = kernelsFor[T](m, simd)
+	if m <= codelet.GeneratedMaxLog {
+		return &unrolledBanksFor[T]()[bank][m]
 	}
-	return ks
+	slot := &kt.block[bank][m-codelet.GeneratedMaxLog-1]
+	if *slot == nil {
+		ks := kernelsFor[T](m, simd)
+		*slot = &ks
+	}
+	return *slot
 }

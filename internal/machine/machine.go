@@ -401,9 +401,9 @@ func (c CostModel) SIMDStageOps(ops OpCounts, lanes int) OpCounts {
 // vectorize (the streaming kernels), strided stages vectorize when the
 // inner factor spans at least one vector (s >= lanes — the rows then
 // stream gather-free), and contiguous stages vectorize once the
-// transform spans at least two vector butterfly levels (2^m >= 4*lanes;
-// below that the scalar head pass is the whole kernel).  Block-tier
-// stages (m > codelet.GeneratedMaxLog) never do: their in-window
+// transform fills the four registers of the in-register head
+// (2^m >= 4*lanes; smaller ones keep the unrolled scalar codelet).
+// Block-tier stages (m > codelet.GeneratedMaxLog) never do: their in-window
 // cache-resident decomposition stays scalar on every backend.
 func SIMDVectorizes(m, s int, v codelet.Variant, lanes int) bool {
 	if lanes <= 1 || m > codelet.GeneratedMaxLog {

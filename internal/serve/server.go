@@ -402,11 +402,8 @@ type serveConn struct {
 // respond writes one response frame; write errors drop the connection
 // (the client is gone — there is nobody left to respond to).
 func (c *serveConn) respond(resp responseFrame) {
-	buf := encodeResponse(resp)
-	c.wmu.Lock()
-	c.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	_, err := c.conn.Write(buf)
-	c.wmu.Unlock()
+	// Count before the write: a client that holds its reply may read
+	// Metrics at once, and must see this response already counted.
 	m := &c.srv.m
 	m.responded.Add(1)
 	switch resp.Status {
@@ -421,6 +418,11 @@ func (c *serveConn) respond(resp responseFrame) {
 	case StatusBadRequest:
 		m.bad.Add(1)
 	}
+	buf := encodeResponse(resp)
+	c.wmu.Lock()
+	c.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	_, err := c.conn.Write(buf)
+	c.wmu.Unlock()
 	if err != nil {
 		c.conn.Close()
 	}
