@@ -1,15 +1,17 @@
 // Command whtserved is the batch-serving daemon: it listens on a TCP
 // or unix socket, coalesces concurrent same-size transform requests
-// into SoA batches, serves them from warm per-size schedule caches
-// (wisdom-seeded at boot), and contains kernel faults per batch behind
-// a degradation ladder instead of crashing the process.  See
-// internal/serve for the protocol and the serving contract.
+// into SoA batches (each batch takes what is queued when it starts, up
+// to -lane, so lanes widen with load and a lone request never waits),
+// serves them from warm per-size schedule caches (wisdom-seeded at
+// boot), and contains kernel faults per batch behind a degradation
+// ladder instead of crashing the process.  See internal/serve for the
+// protocol and the serving contract.
 //
 // Usage:
 //
 //	whtserved [-network unix|tcp] [-addr /run/wht.sock]
 //	          [-wisdom wht-wisdom.json] [-warm 8,10,12]
-//	          [-window 200us] [-lane 64] [-queue 256]
+//	          [-lane 64] [-queue 256]
 //	          [-deadline 0] [-trips 2] [-probe 1m]
 //	          [-metrics 127.0.0.1:9090]
 //
@@ -59,7 +61,6 @@ func main() {
 	addr := flag.String("addr", "", "listen address (unix socket path or host:port); required unless -selfserve")
 	wisdomPath := flag.String("wisdom", "", "wisdom file to load at boot (corrupt files are quarantined)")
 	warm := flag.String("warm", "", "comma-separated log-sizes to compile before the listener opens")
-	window := flag.Duration("window", 200*time.Microsecond, "batch coalescing window")
 	lane := flag.Int("lane", 0, "max vectors per coalesced batch (0 = SoA lane width)")
 	queue := flag.Int("queue", 0, "per-size admission queue depth (0 = 4x lane)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests carrying none (0 = none)")
@@ -78,7 +79,6 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		BatchWindow:      *window,
 		MaxLane:          *lane,
 		QueueDepth:       *queue,
 		DefaultDeadline:  *deadline,

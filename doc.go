@@ -73,9 +73,10 @@
 // unregistrable entry registers nothing.  On top of these sit
 // repro/internal/serve and cmd/whtserved, the batch-serving daemon:
 // length-prefixed request/response frames over TCP or unix sockets,
-// same-size coalescing into SoA batches under a tunable window/lane
-// admission policy, bounded queues that reject with retry-after
-// hints, per-request deadlines, a per-size degradation ladder for
+// same-size coalescing into SoA batches by group commit (a batch takes
+// what is queued when it starts, up to the lane width, so lanes widen
+// with load), bounded queues that reject with a retry-after hint of
+// the last batch time, per-request deadlines, a per-size degradation ladder for
 // repeated contained faults, quarantine-and-continue boot for corrupt
 // wisdom, and a closed-loop load generator (whtserved -loadgen /
 // -selfserve, plus an open-loop mode that holds a fixed offered rate

@@ -3,17 +3,18 @@
 // length-prefixed binary protocol (TCP or a unix socket), coalesces
 // same-size requests into SoA mega-batches — the serving shape the
 // batch tier was built for — and answers from warm per-size schedule
-// caches seeded by wisdom at boot.
+// caches seeded by wisdom at boot.  A batch takes what is queued when
+// it starts, up to Config.MaxLane, so lanes widen with load.
 //
 // The serving contract is:
 //
 //   - Every admitted request gets exactly one response; nothing is
 //     dropped without one.
 //   - Admission is bounded: when a size class's queue is full the
-//     request is rejected immediately with a retry-after hint instead
-//     of buffering without limit.
-//   - Per-request deadlines are enforced at admission, during
-//     coalescing, and across execution (requests expiring mid-batch get
+//     request is rejected immediately, with the class's most recent
+//     batch time (at least 1µs) as its retry-after hint.
+//   - Per-request deadlines are enforced at admission, when a batch
+//     forms, and across execution (requests expiring mid-batch get
 //     a deadline-miss response, never a stale success).
 //   - A kernel fault poisons one batch, not the process: the executor's
 //     panic containment (exec.PanicError) turns it into per-request

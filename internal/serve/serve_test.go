@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,12 +114,169 @@ func TestServeTransformCorrectness(t *testing.T) {
 	}
 }
 
-// TestServeCoalescing floods one size class from many goroutines and
-// checks (a) every request is answered correctly, (b) the batcher
-// actually coalesced (fewer batches than vectors), and (c) the server's
-// books balance: responses == admissions, nothing dropped silently.
+// intVec returns a vector of small integers: every transform of it is
+// exact in float64, so any execution tier must reproduce the reference
+// bit for bit.
+func intVec(n int, seed uint64) []float64 {
+	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(rng.IntN(17) - 8)
+	}
+	return x
+}
+
+// sameBits reports whether got and want are equal bit for bit.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// stallFirstBatch arms the serve.exec point to hold srv's first batch
+// until the returned release is called, and to record every batch's
+// lane width.  started closes once the first batch is executing.  The
+// batcher counts a batch before the point fires and runs one batch at
+// a time per class, so with a single class the rise in BatchedVecs
+// since the previous fire is the width of the batch now firing.
+func stallFirstBatch(t *testing.T, srv *Server) (started <-chan struct{}, release func(), widths func() []uint64) {
+	t.Helper()
+	start, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	var mu sync.Mutex
+	var ws []uint64
+	var seen uint64
+	faultinject.Set(faultinject.ServeExec, func() {
+		vecs := srv.Metrics().BatchedVecs
+		mu.Lock()
+		ws = append(ws, vecs-seen)
+		seen = vecs
+		first := len(ws) == 1
+		mu.Unlock()
+		if first {
+			close(start)
+			<-hold
+		}
+	})
+	// Cleanups run last-in first-out: this one frees a held batcher
+	// before startServer's cleanup waits for it in Close.
+	t.Cleanup(func() {
+		release()
+		faultinject.Reset()
+	})
+	return start, release, func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), ws...)
+	}
+}
+
+// waitAccepted blocks until size class n has admitted want requests.
+func waitAccepted(t *testing.T, srv *Server, n int, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		sc := srv.classes[n]
+		srv.mu.Unlock()
+		if sc != nil && sc.accepted.Load() >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("class n=%d did not admit %d requests", n, want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestServeCoalescing pins group commit.  One request's batch is held
+// while k more queue behind it; on release the backlog drains in lanes
+// of at most MaxLane, each taking everything queued, and every answer
+// is bitwise-correct.  No timer decides a batch, so the widths are
+// exact.
 func TestServeCoalescing(t *testing.T) {
-	srv, addr := startServer(t, Config{BatchWindow: time.Millisecond})
+	for _, tc := range []struct {
+		name    string
+		lane, k int
+		widths  []uint64
+	}{
+		{"backlog-fits-lane", 8, 8, []uint64{1, 8}},
+		{"backlog-over-two-lanes", 4, 2*4 + 1, []uint64{1, 4, 4, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const logN = 9
+			srv, addr := startServer(t, Config{MaxLane: tc.lane})
+			started, release, widths := stallFirstBatch(t, srv)
+			c := dialT(t, addr)
+			xs := make([][]float64, tc.k+1)
+			wants := make([][]float64, tc.k+1)
+			for i := range xs {
+				xs[i] = intVec(1<<logN, uint64(i))
+				wants[i] = wantWHT(t, xs[i])
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, tc.k+1)
+			send := func(i int) {
+				defer wg.Done()
+				res, err := c.Transform(xs[i], 0)
+				switch {
+				case err != nil:
+					errs <- err
+				case res.Status != StatusOK:
+					errs <- fmt.Errorf("request %d: status %v", i, res.Status)
+				case !sameBits(res.Data, wants[i]):
+					errs <- fmt.Errorf("request %d: transform not bitwise equal to the reference", i)
+				}
+			}
+			wg.Add(1)
+			go send(0)
+			<-started
+			for i := 1; i <= tc.k; i++ {
+				wg.Add(1)
+				go send(i)
+			}
+			waitAccepted(t, srv, logN, uint64(tc.k+1))
+			release()
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+
+			got := widths()
+			for _, w := range got {
+				if w > uint64(tc.lane) {
+					t.Fatalf("batch of %d vectors exceeds MaxLane %d (widths %v)", w, tc.lane, got)
+				}
+			}
+			if !slices.Equal(got, tc.widths) {
+				t.Fatalf("batch widths %v, want %v", got, tc.widths)
+			}
+			m := srv.Metrics()
+			if m.Batches != uint64(len(tc.widths)) || m.BatchedVecs != uint64(tc.k+1) {
+				t.Fatalf("%d batches carried %d vectors, want %d carrying %d",
+					m.Batches, m.BatchedVecs, len(tc.widths), tc.k+1)
+			}
+			if m.OK != m.Accepted || m.Responded != m.Accepted {
+				t.Fatalf("accepted %d, ok %d, responded %d: want all equal", m.Accepted, m.OK, m.Responded)
+			}
+		})
+	}
+}
+
+// TestServeConcurrentCorrectness floods one size class from many
+// goroutines and checks that every request is answered bit for bit
+// correctly and that the server's books balance: responses ==
+// admissions, nothing dropped silently.
+func TestServeConcurrentCorrectness(t *testing.T) {
+	srv, addr := startServer(t, Config{})
 	const (
 		workers = 32
 		perW    = 8
@@ -135,7 +294,7 @@ func TestServeCoalescing(t *testing.T) {
 			defer wg.Done()
 			c := clients[w%len(clients)]
 			for i := 0; i < perW; i++ {
-				x := randVec(1<<logN, uint64(w*1000+i))
+				x := intVec(1<<logN, uint64(w*1000+i))
 				want := wantWHT(t, x)
 				res, err := c.Transform(x, 0)
 				if err != nil {
@@ -146,11 +305,9 @@ func TestServeCoalescing(t *testing.T) {
 					errCh <- errors.New("status " + res.Status.String())
 					return
 				}
-				for j := range res.Data {
-					if math.Abs(res.Data[j]-want[j]) > 1e-9*math.Max(1, math.Abs(want[j])) {
-						errCh <- errors.New("wrong transform under concurrency")
-						return
-					}
+				if !sameBits(res.Data, want) {
+					errCh <- errors.New("wrong transform under concurrency")
+					return
 				}
 			}
 			errCh <- nil
@@ -169,58 +326,59 @@ func TestServeCoalescing(t *testing.T) {
 	if m.Responded != m.Accepted {
 		t.Fatalf("dropped without response: accepted %d, responded %d", m.Accepted, m.Responded)
 	}
-	if m.Batches >= m.BatchedVecs {
-		t.Fatalf("no coalescing: %d batches for %d vectors", m.Batches, m.BatchedVecs)
-	}
 	t.Logf("coalesced %d vectors into %d batches", m.BatchedVecs, m.Batches)
 }
 
 // TestServeBackpressure pins the executor with injected latency and
 // floods a two-deep queue: the overflow must come back as StatusRejected
 // with a retry hint, not buffer without bound, and the books must still
-// balance.
+// balance.  The hint is the class's last measured batch time, so once
+// a stalled batch has finished it must cover the injected stall.
 func TestServeBackpressure(t *testing.T) {
-	faultinject.Set(faultinject.ServeExec, faultinject.Sleep(30*time.Millisecond))
+	const stall = 30 * time.Millisecond
+	faultinject.Set(faultinject.ServeExec, faultinject.Sleep(stall))
 	defer faultinject.Reset()
 	srv, addr := startServer(t, Config{
-		QueueDepth:  2,
-		MaxLane:     2,
-		BatchWindow: 100 * time.Microsecond,
+		QueueDepth: 2,
+		MaxLane:    2,
 	})
-	const workers = 16
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var rejected, ok int
-	var hint time.Duration
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := Dial("unix", addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for i := 0; i < 4; i++ {
-				res, err := c.Transform(randVec(1<<6, uint64(w)), 0)
+	var hint, maxHint time.Duration
+	flood := func(workers, perW int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c, err := Dial("unix", addr)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				mu.Lock()
-				switch res.Status {
-				case StatusRejected:
-					rejected++
-					hint = res.RetryAfter
-				case StatusOK:
-					ok++
+				defer c.Close()
+				for i := 0; i < perW; i++ {
+					res, err := c.Transform(randVec(1<<6, uint64(w)), 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					switch res.Status {
+					case StatusRejected:
+						rejected++
+						hint = res.RetryAfter
+						maxHint = max(maxHint, hint)
+					case StatusOK:
+						ok++
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	flood(16, 4)
 	if rejected == 0 {
 		t.Fatal("flooding a depth-2 queue produced no rejections")
 	}
@@ -230,11 +388,19 @@ func TestServeBackpressure(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("backpressure starved every request")
 	}
+	// A batch has finished (ok > 0), and every batch sleeps the stall.
+	// The lane and the queue hold four requests, so a burst of eight
+	// overflows while the next batch runs, and those rejections carry
+	// the measured batch time.
+	flood(8, 1)
+	if maxHint < stall {
+		t.Fatalf("largest retry-after hint %v, want at least the %v batch stall", maxHint, stall)
+	}
 	m := srv.Metrics()
 	if m.Responded != m.Accepted {
 		t.Fatalf("dropped without response: accepted %d, responded %d", m.Accepted, m.Responded)
 	}
-	t.Logf("ok=%d rejected=%d hint=%v", ok, rejected, hint)
+	t.Logf("ok=%d rejected=%d hint=%v max hint=%v", ok, rejected, hint, maxHint)
 }
 
 // TestServeDeadline checks both enforcement sites: a request whose
@@ -242,7 +408,7 @@ func TestServeBackpressure(t *testing.T) {
 // and a request with generous headroom still succeeds afterwards.
 func TestServeDeadline(t *testing.T) {
 	faultinject.Set(faultinject.ServeExec, faultinject.Sleep(30*time.Millisecond))
-	srv, addr := startServer(t, Config{BatchWindow: 100 * time.Microsecond})
+	srv, addr := startServer(t, Config{})
 	c := dialT(t, addr)
 
 	res, err := c.Transform(randVec(1<<8, 1), 2*time.Millisecond)
@@ -528,7 +694,7 @@ func TestServeShutdownAnswersQueued(t *testing.T) {
 	faultinject.Set(faultinject.ServeExec, faultinject.Sleep(50*time.Millisecond))
 	defer faultinject.Reset()
 	addr := filepath.Join(t.TempDir(), "wht.sock")
-	srv := NewServer(Config{Logf: t.Logf, QueueDepth: 64, MaxLane: 1, BatchWindow: 100 * time.Microsecond})
+	srv := NewServer(Config{Logf: t.Logf, QueueDepth: 64, MaxLane: 1})
 	ln, err := net.Listen("unix", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -21,16 +21,9 @@ import (
 // Config tunes one Server.  The zero value serves with the defaults
 // documented on each field.
 type Config struct {
-	// BatchWindow is how long an arrived request waits for same-size
-	// company before its batch executes: the first request of a batch
-	// starts the timer, and the batch runs when the window closes or the
-	// lane fills, whichever is first.  Default 200µs — enough to coalesce
-	// a bursty arrival into the SoA tier's stride without a visible
-	// latency tax.
-	BatchWindow time.Duration
-
-	// MaxLane caps a coalesced batch (default exec.SoAMaxLane: the width
-	// the SoA tier's amortization saturates at).
+	// MaxLane caps a batch, which takes what is queued when it starts
+	// and never waits for more (default exec.SoAMaxLane: the width the
+	// SoA tier's amortization saturates at).
 	MaxLane int
 
 	// QueueDepth bounds each size class's admission queue (default 4 *
@@ -71,9 +64,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
-	}
 	if c.MaxLane <= 0 {
 		c.MaxLane = exec.SoAMaxLane
 	}
@@ -181,6 +171,10 @@ type sizeClass struct {
 
 	level atomic.Int32 // ladder level
 	trips atomic.Int32 // consecutive faults at the current level
+
+	// batchNs is the class's most recent batch time: the queue drains
+	// at that cadence, so it is the retry-after hint when the queue is full.
+	batchNs atomic.Int64
 
 	// Per-class counters behind the /metrics endpoint: admissions to
 	// the queue, responses issued by the class machinery (batcher and
@@ -472,28 +466,35 @@ func (c *serveConn) admit(rf requestFrame) {
 		c.respond(responseFrame{ID: rf.ID, Status: StatusShutdown})
 		return
 	}
+	// Count under the connection's write lock: the batcher answers on
+	// this connection, so no client sees its response before the books
+	// show its admission.
+	c.wmu.Lock()
 	select {
 	case sc.queue <- req:
 		sc.accepted.Add(1)
+		c.wmu.Unlock()
 	default:
-		// Bounded queue full: reject now with a hint sized to one batch
-		// window — the queue drains at batch cadence, so that is the
-		// natural earliest useful retry.
+		c.wmu.Unlock()
+		// Bounded queue full: reject now with a hint of one batch time,
+		// floored at 1µs for a class with no finished batch yet.
 		sc.rejected.Add(1)
+		hint := max(time.Duration(sc.batchNs.Load()), time.Microsecond)
 		c.respond(responseFrame{
 			ID: rf.ID, Status: StatusRejected,
-			RetryAfterUs: uint32(s.cfg.BatchWindow / time.Microsecond),
+			RetryAfterUs: uint32(hint / time.Microsecond),
 		})
 	}
 }
 
-// batcher drains one size class: it coalesces queued requests into
-// batches (up to MaxLane, waiting at most BatchWindow after the first
-// arrival), executes each batch at the class's ladder level, and
-// responds to every member.  Between batches it fields the canary
-// ticker — a degraded class periodically proves the tier above itself
-// on synthetic vectors (probeClass).  On shutdown it answers everything
-// still queued with StatusShutdown before exiting.
+// batcher drains one size class by group commit: it takes the first
+// queued request plus whatever else is already queued (up to MaxLane),
+// executes the batch at the class's ladder level, and responds to every
+// member.  Arrivals during a batch ride the next one, so lanes widen
+// under load and a lone request never waits.  Between batches it fields
+// the canary ticker — a degraded class periodically proves the tier
+// above itself on synthetic vectors (probeClass).  On shutdown it
+// answers everything still queued with StatusShutdown before exiting.
 func (s *Server) batcher(sc *sizeClass) {
 	var probeC <-chan time.Time
 	if s.cfg.ProbeInterval > 0 {
@@ -513,19 +514,15 @@ func (s *Server) batcher(sc *sizeClass) {
 		case first = <-sc.queue:
 		}
 		batch := []*request{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
 	fill:
 		for len(batch) < s.cfg.MaxLane {
 			select {
-			case <-s.baseCtx.Done():
-				break fill
 			case r := <-sc.queue:
 				batch = append(batch, r)
-			case <-timer.C:
+			default:
 				break fill
 			}
 		}
-		timer.Stop()
 		s.executeBatch(sc, batch)
 	}
 }
@@ -545,12 +542,12 @@ func (s *Server) drainShutdown(sc *sizeClass) {
 // executeBatch runs one coalesced batch at the class's current ladder
 // level and responds to every member exactly once.
 func (s *Server) executeBatch(sc *sizeClass, batch []*request) {
-	now := time.Now()
-	// Drop members that expired while coalescing: computing for them
+	start := time.Now()
+	// Drop members that expired while queued: computing for them
 	// wastes lane width and their clients have already given up.
 	live := batch[:0]
 	for _, r := range batch {
-		if r.expired(now) {
+		if r.expired(start) {
 			sc.respond(r, responseFrame{ID: r.frame.ID, Status: StatusDeadline})
 			continue
 		}
@@ -586,7 +583,8 @@ func (s *Server) executeBatch(sc *sizeClass, batch []*request) {
 	level := sc.level.Load()
 	err := s.runLadder(ctx, sc, level, live)
 
-	now = time.Now()
+	now := time.Now()
+	sc.batchNs.Store(int64(now.Sub(start)))
 	switch {
 	case err == nil:
 		sc.trips.Store(0)
