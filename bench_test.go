@@ -261,20 +261,16 @@ func BenchmarkCanonicalPlans(b *testing.B) {
 	}
 }
 
-// Leaf-size ablation: single-level radix-2^k plans, k = 1..14.  Through
-// the unrolled tier (k <= 8) the sweet spot trades amortized loop
-// overhead against register spills; past it the block tier takes over
-// and the trade becomes loop overhead against full-vector pass count —
-// one sweep shows both regimes.  Block leaves sit leftmost here (the
-// radix shape), i.e. their strided form; BenchmarkBlockLeaves covers the
-// rightmost contiguous-window placement the planner prefers.
+// Leaf-size ablation: single-level radix-2^k plans, k = 1..MaxLeafLog.
+// The sweet spot trades amortized loop overhead and full-vector pass
+// count against register spills.
 func BenchmarkLeafSizeAblation(b *testing.B) {
 	const n = 16
 	x := make([]float64, 1<<n)
 	for i := range x {
 		x[i] = float64(i & 31)
 	}
-	for k := 1; k <= plan.BlockLeafMax; k++ {
+	for k := 1; k <= plan.MaxLeafLog; k++ {
 		p := plan.RadixIterative(n, k)
 		b.Run(fmt.Sprintf("radix2^%d", k), func(b *testing.B) {
 			b.SetBytes(int64(8 << n))
@@ -282,59 +278,6 @@ func BenchmarkLeafSizeAblation(b *testing.B) {
 				wht.MustApply(p, x)
 			}
 		})
-	}
-}
-
-// BenchmarkBlockLeaves is the block tier's acceptance benchmark: the
-// PR-3 variant engine (the balanced unrolled-tier plan under the default
-// policy) against block-leaf plans — the same plans the tuner's
-// candidate sweep draws — under the default and fused-interleaved
-// policies, at the paper's out-of-cache sizes.  The block plans convert
-// the baseline's 3-4 full-vector stages into 2 (one cache-resident block
-// pass plus one top stage); the log line reports the speedup of the best
-// block configuration over the PR-3 engine from the same run.
-func BenchmarkBlockLeaves(b *testing.B) {
-	for _, n := range []int{16, 18, 20} {
-		x := make([]float64, 1<<n)
-		for i := range x {
-			x[i] = float64(i&15) - 7.5
-		}
-		pr3 := exec.Compile(plan.Balanced(n, plan.MaxLeafLog))
-		var pr3Ns float64
-		b.Run(fmt.Sprintf("n=%d/pr3", n), func(b *testing.B) {
-			b.SetBytes(int64(8 << n))
-			for i := 0; i < b.N; i++ {
-				exec.MustRun(pr3, x)
-			}
-			pr3Ns = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		bestNs, bestName := 0.0, ""
-		for bl := 10; bl <= plan.BlockLeafMax; bl += 2 {
-			p := plan.Split(plan.Balanced(n-bl, plan.MaxLeafLog), plan.Leaf(bl))
-			for _, pc := range []struct {
-				name string
-				pol  codelet.Policy
-			}{
-				{"block", codelet.DefaultPolicy()},
-				{"block+fuse", codelet.Policy{ILFuse: true}},
-			} {
-				sched := exec.CompileWith(p, pc.pol)
-				name := fmt.Sprintf("n=%d/%s%d", n, pc.name, bl)
-				b.Run(name, func(b *testing.B) {
-					b.SetBytes(int64(8 << n))
-					for i := 0; i < b.N; i++ {
-						exec.MustRun(sched, x)
-					}
-					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					if bestName == "" || ns < bestNs {
-						bestNs, bestName = ns, name
-					}
-				})
-			}
-		}
-		if pr3Ns > 0 && bestNs > 0 {
-			b.Logf("n=%d: pr3 %.0f ns vs best block (%s) %.0f ns — %.2fx", n, pr3Ns, bestName, bestNs, pr3Ns/bestNs)
-		}
 	}
 }
 
@@ -359,11 +302,11 @@ func BenchmarkApplyParallel(b *testing.B) {
 
 // BenchmarkParallelPipeline is the window-pipelined executor's acceptance
 // benchmark: the barrier tier against the dependency-counted pipelined
-// tier on the two-stage block plans the tuner favors out of cache (one
-// cache-resident block stage feeding a full-vector fused-interleaved
-// stage), at the paper's hard sizes.  The acceptance bar is >= 1.25x at
-// n = 18..20 with >= 4 workers; the log line reports the measured ratio
-// (CI extracts it into BENCH_parallel.json).
+// tier on the radix-2^MaxLeafLog plans, the fewest stages an unrolled
+// plan can have (two at n = 16, three at 18 and 20: a contiguous stage
+// feeding full-vector fused-interleaved stages), at the paper's hard
+// sizes.  The log line reports the measured ratio (CI extracts it into
+// BENCH_parallel.json).
 func BenchmarkParallelPipeline(b *testing.B) {
 	maxw := runtime.GOMAXPROCS(0)
 	workerGrid := []int{4}
@@ -371,7 +314,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		workerGrid = append(workerGrid, maxw)
 	}
 	for _, n := range []int{16, 18, 20} {
-		p := plan.Split(plan.Balanced(n-13, plan.MaxLeafLog), plan.Leaf(13))
+		p := plan.RadixIterative(n, plan.MaxLeafLog)
 		sched := exec.CompileWith(p, codelet.Policy{ILFuse: true})
 		x := make([]float64, 1<<n)
 		for i := range x {

@@ -23,21 +23,6 @@
 //     pass structure unrolled: constant multiples of s everywhere,
 //     single-trip loops dropped.
 //
-// Above the unrolled tier it emits the block tier (-blockmax, default 14):
-// looped cache-resident kernels for log-sizes max+1..blockmax that apply
-// a multi-factor in-window split (the BlockPartsGen table, also emitted)
-// by calling the unrolled kernels — the contiguous form runs the
-// rightmost factor as stride-1 contig codelets and the rest as strided
-// codelets at their small in-window strides, the strided form runs every
-// factor strided.  Each block kernel finishes every butterfly level of
-// its 2^m window in one visit, so a plan leaf of block size costs one
-// global pass instead of two or three.  The dispatch tables
-// (BlockKernels, BlockContigKernels and the 32 variants) are emitted
-// alongside the unrolled tables; block kernels are only emitted when the
-// unrolled variants they call are selected (strided for the strided
-// form, strided+contig for the contiguous form) — otherwise the table
-// entries stay nil and the generic block fallbacks serve those sizes.
-//
 // Everything whtgen emits is scalar pure Go.  The SIMD backend
 // (internal/codelet's AVX2 and NEON assembly) is not generated: it
 // overlays the generated kernels at dispatch time — the vectorized
@@ -50,8 +35,8 @@
 //
 // Usage:
 //
-//	whtgen -max 8 -blockmax 14 -out internal/codelet/codelets_gen.go
-//	whtgen -max 8 -blockmax 14 -type float32 -out internal/codelet/codelets32_gen.go
+//	whtgen -max 8 -out internal/codelet/codelets_gen.go
+//	whtgen -max 8 -type float32 -out internal/codelet/codelets32_gen.go
 //	whtgen -variants strided,contig -out ...   # subset for inspection
 //
 // The output is written atomically (a temp file in the destination
@@ -74,7 +59,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("whtgen: ")
 	maxLog := flag.Int("max", 8, "largest log2 codelet size to generate")
-	blockMax := flag.Int("blockmax", 14, "largest log2 size of the looped block-kernel tier (= -max disables it)")
 	out := flag.String("out", "internal/codelet/codelets_gen.go", "output file")
 	elem := flag.String("type", "float64", "element type: float64 or float32")
 	variants := flag.String("variants", "strided,contig,il,soa,ilf",
@@ -82,9 +66,6 @@ func main() {
 	flag.Parse()
 	if *maxLog < 1 || *maxLog > 12 {
 		log.Fatalf("-max %d outside [1, 12]", *maxLog)
-	}
-	if *blockMax < *maxLog || *blockMax > 16 {
-		log.Fatalf("-blockmax %d outside [%d, 16]", *blockMax, *maxLog)
 	}
 	suffix := ""
 	if *elem == "float32" {
@@ -105,19 +86,11 @@ func main() {
 	if len(want) == 0 {
 		log.Fatalf("-variants %q selects nothing", *variants)
 	}
-	// The generated block kernels are built from the unrolled variants; a
-	// subset build that omits what they call leaves their table entries nil
-	// (the generic block fallbacks serve those sizes instead).
-	blockStrided := want["strided"]
-	blockContig := want["contig"] && want["strided"]
-
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "// Code generated by cmd/whtgen -max %d -blockmax %d -type %s; DO NOT EDIT.\n\n", *maxLog, *blockMax, *elem)
+	fmt.Fprintf(&b, "// Code generated by cmd/whtgen -max %d -type %s; DO NOT EDIT.\n\n", *maxLog, *elem)
 	b.WriteString("package codelet\n\n")
 	if suffix == "" {
 		fmt.Fprintf(&b, "// GeneratedMaxLog is the largest log2 size with an unrolled kernel.\nconst GeneratedMaxLog = %d\n\n", *maxLog)
-		fmt.Fprintf(&b, "// GeneratedBlockMaxLog is the largest log2 size with a looped block kernel.\nconst GeneratedBlockMaxLog = %d\n\n", *blockMax)
-		emitBlockPartsTable(&b, *maxLog, *blockMax)
 	}
 	emitTable(&b, *maxLog, suffix, "", "Kernels", "Kernel", want["strided"])
 	emitTable(&b, *maxLog, suffix, "c", "ContigKernels", "ContigKernel", want["contig"])
@@ -125,8 +98,6 @@ func main() {
 	emitTable(&b, *maxLog, suffix, "so", "SoAKernels", "SoAKernel", want["soa"])
 	emitTable(&b, *maxLog, suffix, "fi", "ILFusedKernels", "ILKernel", want["ilf"])
 	emitTable(&b, *maxLog, suffix, "fir", "ILFusedRangeKernels", "ILRangeKernel", want["ilf"])
-	emitBlockTable(&b, *maxLog, *blockMax, suffix, "b", "Kernel", blockStrided)
-	emitBlockTable(&b, *maxLog, *blockMax, suffix, "bc", "ContigKernel", blockContig)
 
 	for m := 1; m <= *maxLog; m++ {
 		if want["strided"] {
@@ -144,14 +115,6 @@ func main() {
 		if want["ilf"] {
 			emitILFusedCodelet(&b, m, *elem, suffix)
 			emitILFusedRangeCodelet(&b, m, *elem, suffix)
-		}
-	}
-	for m := *maxLog + 1; m <= *blockMax; m++ {
-		if blockStrided {
-			emitBlockCodelet(&b, m, *maxLog, *elem, suffix)
-		}
-		if blockContig {
-			emitBlockContigCodelet(&b, m, *maxLog, *elem, suffix)
 		}
 	}
 
@@ -211,157 +174,6 @@ func emitTable(b *bytes.Buffer, maxLog int, suffix, vtag, name, typ string, enab
 			fmt.Fprintf(b, "\t%d: wht%d%s%s,\n", m, 1<<m, vtag, suffix)
 		}
 	}
-	b.WriteString("}\n\n")
-}
-
-// emitBlockTable writes the log-size -> block-kernel dispatch table for
-// one block form (vtag "b" strided, "bc" contiguous).  Entries outside
-// (maxLog, blockMax] — and every entry of a disabled form — stay nil.
-func emitBlockTable(b *bytes.Buffer, maxLog, blockMax int, suffix, vtag, kind string, enabled bool) {
-	name := "Block" + kind + "s"
-	typ := kind
-	if suffix != "" {
-		name += "32"
-		typ = kind + "32"
-	}
-	fmt.Fprintf(b, "// %s maps log2 size to the looped block %s, indexes outside\n// (GeneratedMaxLog, GeneratedBlockMaxLog] unused.\n", name, typ)
-	fmt.Fprintf(b, "var %s = [GeneratedBlockMaxLog + 1]%s{\n", name, typ)
-	if enabled {
-		for m := maxLog + 1; m <= blockMax; m++ {
-			fmt.Fprintf(b, "\t%d: wht%d%s%s,\n", m, 1<<m, vtag, suffix)
-		}
-	}
-	b.WriteString("}\n\n")
-}
-
-// blockPartsFor returns the in-window factorization of a block kernel of
-// log-size m, leftmost factor first.  Sizes 9..14 built over the default
-// unrolled tier use measured shapes: mid-sized codelets (2^2..2^6) whose
-// strided in-window walks touch few enough cache lines per call to stay
-// set-associative-friendly (large codelets spill, tiny ones drown in call
-// overhead — the BenchmarkLeafSizeAblation sweet spot).  Other
-// configurations fall back to a greedy rule capped at 2^4 parts.  The
-// table is emitted as BlockPartsGen so codelet.BlockParts, the generic
-// fallbacks, the cost model and the trace simulator all follow the same
-// decomposition as the generated kernels.
-func blockPartsFor(m, maxLog int) []int {
-	measured := map[int][]int{
-		9:  {4, 5},
-		10: {4, 6},
-		11: {2, 4, 5},
-		12: {4, 4, 4},
-		13: {3, 4, 6},
-		14: {2, 4, 4, 4},
-	}
-	if p, ok := measured[m]; ok && maxLog >= 6 {
-		return p
-	}
-	step := 4
-	if step > maxLog {
-		step = maxLog
-	}
-	limit := 6
-	if limit > maxLog {
-		limit = maxLog
-	}
-	var parts []int
-	for m > limit {
-		parts = append(parts, step)
-		m -= step
-	}
-	return append(parts, m)
-}
-
-// emitBlockPartsTable writes the BlockPartsGen dispatch data (float64
-// file only; both element types share the decomposition).
-func emitBlockPartsTable(b *bytes.Buffer, maxLog, blockMax int) {
-	b.WriteString("// BlockPartsGen maps block log2 size to its in-window factorization\n")
-	b.WriteString("// (leftmost factor first); indexes outside (GeneratedMaxLog,\n")
-	b.WriteString("// GeneratedBlockMaxLog] unused.\n")
-	b.WriteString("var BlockPartsGen = [GeneratedBlockMaxLog + 1][]int{\n")
-	for m := maxLog + 1; m <= blockMax; m++ {
-		fmt.Fprintf(b, "\t%d: {", m)
-		for i, p := range blockPartsFor(m, maxLog) {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "%d", p)
-		}
-		b.WriteString("},\n")
-	}
-	b.WriteString("}\n\n")
-}
-
-// emitBlockStages writes the factor loops shared by both block forms:
-// part i runs 2^(m-pi) codelet calls at in-window stride s (contig
-// indexes element base+row+k, strided element (base')+(row+k)*stride).
-// contigFirst selects the stride-1 contiguous codelet for the rightmost
-// factor.
-func emitBlockStages(b *bytes.Buffer, m int, parts []int, suffix string, contigFirst bool) {
-	n := 1 << m
-	s := 1
-	for i := len(parts) - 1; i >= 0; i-- {
-		np := 1 << parts[i]
-		blk := s * np
-		if contigFirst && i == len(parts)-1 {
-			fmt.Fprintf(b, "\tfor j := 0; j < %d; j += %d {\n", n, np)
-			fmt.Fprintf(b, "\t\twht%dc%s(x, base+j)\n", np, suffix)
-			b.WriteString("\t}\n")
-			s = blk
-			continue
-		}
-		idx, stride := "(row+k)*stride", "*stride"
-		if contigFirst {
-			idx, stride = "row+k", ""
-		}
-		if s == 1 {
-			fmt.Fprintf(b, "\tfor row := 0; row < %d; row += %d {\n", n, blk)
-			fmt.Fprintf(b, "\t\twht%d%s(x, base+row%s, %d%s)\n", np, suffix, stride, s, stride)
-			b.WriteString("\t}\n")
-		} else if blk == n {
-			fmt.Fprintf(b, "\tfor k := 0; k < %d; k++ {\n", s)
-			kidx := "k*stride"
-			if contigFirst {
-				kidx = "k"
-			}
-			fmt.Fprintf(b, "\t\twht%d%s(x, base+%s, %d%s)\n", np, suffix, kidx, s, stride)
-			b.WriteString("\t}\n")
-		} else {
-			fmt.Fprintf(b, "\tfor row := 0; row < %d; row += %d {\n", n, blk)
-			fmt.Fprintf(b, "\t\tfor k := 0; k < %d; k++ {\n", s)
-			fmt.Fprintf(b, "\t\t\twht%d%s(x, base+%s, %d%s)\n", np, suffix, idx, s, stride)
-			b.WriteString("\t\t}\n\t}\n")
-		}
-		s = blk
-	}
-}
-
-// emitBlockCodelet writes the strided block kernel: every in-window
-// factor as strided codelet calls, so the whole window's butterfly levels
-// complete in one visit from any calling context.
-func emitBlockCodelet(b *bytes.Buffer, m, maxLog int, elem, suffix string) {
-	n := 1 << m
-	parts := blockPartsFor(m, maxLog)
-	fmt.Fprintf(b, "// wht%db%s computes an in-place WHT(%d) on x[base+j*stride] through the\n", n, suffix, n)
-	fmt.Fprintf(b, "// in-window factorization %v, finishing every butterfly level of the\n", parts)
-	fmt.Fprintf(b, "// window in one visit.\n")
-	fmt.Fprintf(b, "func wht%db%s(x []%s, base, stride int) {\n", n, suffix, elem)
-	emitBlockStages(b, m, parts, suffix, false)
-	b.WriteString("}\n\n")
-}
-
-// emitBlockContigCodelet writes the contiguous block kernel — the
-// cache-resident fast path: the rightmost factor as stride-1 contig
-// codelets, every other factor as strided codelets whose in-window
-// strides keep each call inside a few cache lines.
-func emitBlockContigCodelet(b *bytes.Buffer, m, maxLog int, elem, suffix string) {
-	n := 1 << m
-	parts := blockPartsFor(m, maxLog)
-	fmt.Fprintf(b, "// wht%dbc%s computes an in-place WHT(%d) on the contiguous window\n", n, suffix, n)
-	fmt.Fprintf(b, "// x[base:base+%d] through the in-window factorization %v — the window\n", n, parts)
-	fmt.Fprintf(b, "// is touched once from the caller's point of view, cache-resident inside.\n")
-	fmt.Fprintf(b, "func wht%dbc%s(x []%s, base int) {\n", n, suffix, elem)
-	emitBlockStages(b, m, parts, suffix, true)
 	b.WriteString("}\n\n")
 }
 

@@ -101,9 +101,6 @@ func main() {
 		}
 		fmt.Printf("%-4d %12.0f %12.0f %7.2fx %9d %-9s  %s\n",
 			n, res.NsPerRun, res.BaselineNs, res.BaselineNs/res.NsPerRun, res.Measured, parMode, res.Plan)
-		for m, parts := range res.BlockParts {
-			fmt.Printf("     block 2^%d factorization tuned to %v\n", m, parts)
-		}
 		if res.StageBackends != nil {
 			specs := make([]string, len(res.StageBackends))
 			for i, b := range res.StageBackends {

@@ -6,13 +6,11 @@
 // schedule of butterfly stages — each stage specialized at compile time
 // to a shape-matched kernel variant (strided, contiguous, or interleaved;
 // see internal/codelet.Variant) — and replays it for single vectors,
-// strided views, batches, and parallel runs.  Leaves dispatch through a
-// three-tier kernel hierarchy: unrolled codelets to 2^8, looped
-// cache-resident block kernels to 2^14 (wht.BlockLeafMax) that finish
-// every butterfly level of their window in one global pass, and generic
-// loop kernels beyond — so plans at the paper's out-of-cache sizes need
-// 2 full-vector stages instead of 3-4.  Batch traffic has a fourth
-// execution shape: the SoA tier (wht.RunBatchSoA, auto-selected by
+// strided views, batches, and parallel runs.  Every leaf is an unrolled
+// codelet of at most 2^8 points (wht.MaxLeafLog), so every stage is one
+// butterfly array of that size — the space of stage sequences Serre &
+// Püschel characterize.  Batch traffic has its own execution shape: the
+// SoA tier (wht.RunBatchSoA, auto-selected by
 // RunBatch/ApplyBatch past a measured crossover) transposes the batch
 // into structure-of-arrays layout (power-of-two lanes padded by one
 // element so tile columns never alias in low cache sets) and runs every
@@ -27,13 +25,12 @@
 // windows, so a persistent worker pool retires each window's chunks and
 // releases exactly the dependent windows of the next stage, letting
 // workers cross stage boundaries while slow chunks still drain
-// (>= 1.25x over the barrier tier at n in 18..20,
-// BenchmarkParallelPipeline).  Orthogonal to all of it runs the backend
-// axis: every kernel form ships as pure-Go scalar code plus, on amd64
-// (AVX2) and arm64 (NEON), hand-written vector assembly for the
-// streaming passes, the SoA lane sweeps, wide strided stages (full
-// j-rows streamed as chunked fused passes, no gathers), and large
-// contiguous codelets — bitwise-identical to scalar by construction,
+// (BenchmarkParallelPipeline measures the two head to head).  Orthogonal
+// to all of it runs the backend axis: every kernel form ships as pure-Go
+// scalar code plus, on amd64 (AVX2) and arm64 (NEON), hand-written vector
+// assembly for the streaming passes, the SoA lane sweeps, wide strided
+// stages (full j-rows streamed as chunked fused passes, no gathers), and
+// large contiguous codelets — bitwise-identical to scalar by construction,
 // since vectorizing a unit-stride sweep reorders no element's add/sub
 // chain.  The backend is pinned per compiled stage
 // (exec.Schedule.SetStageBackends): a mixed schedule runs scalar
@@ -41,16 +38,15 @@
 // shapes that do, and the cost model prices each stage's pin
 // shape-aware (machine.SIMDVectorizes/SIMDStageOpsShaped).  The
 // measured-cost autotuner (wht.Tune, cmd/whttune) searches over real
-// timings of compiled schedules — block-leaf candidates, the
-// fused-interleaved policy, per-size block factorizations, the
+// timings of compiled schedules — the fused-interleaved policy, the
 // SoA-vs-per-vector batch choice, the barrier-vs-pipelined parallel
 // mode, and the per-stage backend vector (model-prefiltered by
 // machine.DecisiveBackendPreference, contested stages settled by
 // greedy measured flips) included — serves the winner from the
 // process-wide schedule cache, and persists it across restarts as a
 // fingerprinted wisdom file (wht.SaveWisdom/LoadWisdom), including the
-// kernel-variant policy, batch crossover, block factorizations,
-// parallel mode, and stage backends the winner was measured under —
+// kernel-variant policy, batch crossover, parallel mode, and stage
+// backends the winner was measured under —
 // the paper's conclusion that search must be driven by measurements,
 // closed end to end.  Its timing loop reinitializes its
 // scratch between chunks, so arbitrarily long measurements of the

@@ -14,15 +14,12 @@ import (
 // strided form (rows with S >= the vector width load contiguous runs
 // across the inner index, gather-free) and the vectorized contiguous
 // form (an in-register head for the levels below four vectors, whole
-// vector passes above).  Only the block-tier strided/contiguous kernels stay
-// scalar on every backend: their in-window cache-resident
-// decomposition is the point, and streaming them would forfeit it.
-// Because WHT butterflies are exact IEEE add/sub and vectorizing a
-// unit-stride sweep never reorders any element's operation DAG, SIMD
-// results are bitwise-identical to scalar; the choice is purely a
-// performance one, and the tuner's backend sweep measures it per stage
-// shape — per stage, via exec.Schedule.SetStageBackends, when a mixed
-// schedule wants a SIMD streaming pass next to a scalar strided one.
+// vector passes above).  Because WHT butterflies are exact IEEE add/sub
+// and vectorizing a unit-stride sweep never reorders any element's
+// operation DAG, SIMD results are bitwise-identical to scalar; the choice
+// is purely a performance one, and the tuner's backend sweep measures it
+// per stage shape — per stage, via exec.Schedule.SetStageBackends, when a
+// mixed schedule wants a SIMD streaming pass next to a scalar strided one.
 type Backend uint8
 
 const (

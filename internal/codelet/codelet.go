@@ -1,22 +1,20 @@
 // Package codelet provides the base-case kernels of the WHT package in
-// three tiers: unrolled ("small") codelets — straight-line in-place
-// transforms of size 2^1..2^8 — looped cache-resident block kernels for
-// sizes 2^9..2^BlockMaxLog (see block.go), and generic loop kernels for
-// arbitrary sizes.
+// two tiers: unrolled ("small") codelets — straight-line in-place
+// transforms of size 2^1..2^8 — and generic loop kernels for arbitrary
+// sizes.
 //
 // Each unrolled log-size carries three stage-shape variants (see
 // Variant): the generic strided form, the stride-1 contiguous
 // specialization, and the interleaved form that absorbs a stage's inner
 // k-loop — plus the structure-of-arrays batch form (see soa.go) that
 // advances a lane of B vectors per call with the batch axis unit-stride.
-// Block log-sizes carry the strided and contiguous forms.  The
-// kernels in codelets_gen.go / codelets32_gen.go are produced by
+// The kernels in codelets_gen.go / codelets32_gen.go are produced by
 // cmd/whtgen (go generate ./internal/codelet) in the style of SPIRAL's
 // code generator.
 package codelet
 
-//go:generate go run ../../cmd/whtgen -max 8 -blockmax 14 -out codelets_gen.go
-//go:generate go run ../../cmd/whtgen -max 8 -blockmax 14 -type float32 -out codelets32_gen.go
+//go:generate go run ../../cmd/whtgen -max 8 -out codelets_gen.go
+//go:generate go run ../../cmd/whtgen -max 8 -type float32 -out codelets32_gen.go
 
 // Kernel computes an in-place WHT on the strided vector
 // x[base], x[base+stride], ..., x[base+(2^m-1)*stride].

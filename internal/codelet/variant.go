@@ -99,19 +99,9 @@ type Policy struct {
 func DefaultPolicy() Policy { return Policy{} }
 
 // Select picks the variant for a stage applying WHT(2^m) kernels at
-// stride s (the stage's I(S) factor).  Block-tier sizes
-// (m > GeneratedMaxLog) carry only the contiguous and strided forms: the
-// interleaved shape would stream an S-times-larger footprint and forfeit
-// exactly the cache residency the block kernel exists for, so a block
-// stage runs contiguous at S == 1 and falls back to strided otherwise.
+// stride s (the stage's I(S) factor).
 func (p Policy) Select(m, s int) Variant {
 	if p.StridedOnly {
-		return Strided
-	}
-	if m > GeneratedMaxLog {
-		if s == 1 {
-			return Contiguous
-		}
 		return Strided
 	}
 	if s == 1 {

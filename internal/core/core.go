@@ -19,7 +19,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/codelet"
 	"repro/internal/machine"
 	"repro/internal/plan"
 	"repro/internal/trace"
@@ -30,7 +29,7 @@ import (
 type ModelCounts struct {
 	Ops           machine.OpCounts
 	LoopInstances int64
-	LeafCalls     [plan.BlockLeafMax + 1]int64
+	LeafCalls     [plan.MaxLeafLog + 1]int64
 }
 
 // Instructions returns the modelled total instruction count ("I").
@@ -73,7 +72,7 @@ func Model(p *plan.Node, cost machine.CostModel) ModelCounts {
 			sub := rec(c)
 			out.Ops.Add(sub.Ops.Scale(calls))
 			out.LoopInstances += sub.LoopInstances * calls
-			for lg := 1; lg <= plan.BlockLeafMax; lg++ {
+			for lg := 1; lg <= plan.MaxLeafLog; lg++ {
 				out.LeafCalls[lg] += sub.LeafCalls[lg] * calls
 			}
 			suffix += ni
@@ -185,18 +184,7 @@ func DirectMappedMisses(p *plan.Node, lgLines int) int64 {
 	var walk func(q *plan.Node, base, stride int32)
 	walk = func(q *plan.Node, base, stride int32) {
 		if q.IsLeaf() {
-			m := q.Log2Size()
-			if m > plan.MaxLeafLog {
-				// Block leaves run their in-window factorization; the
-				// analytic miss model follows the same reference stream
-				// (codelet.BlockWalk, shared with the trace simulator).
-				codelet.BlockWalk(m, int(base), int(stride), func(p, callBase, callStride int) {
-					pass(int32(callBase), int32(callStride), int32(1)<<uint(p))
-					pass(int32(callBase), int32(callStride), int32(1)<<uint(p))
-				})
-				return
-			}
-			size := int32(1) << uint(m)
+			size := int32(1) << uint(q.Log2Size())
 			pass(base, stride, size)
 			pass(base, stride, size)
 			return

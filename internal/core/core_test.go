@@ -123,6 +123,24 @@ func TestArithmeticCountIsExactlyNLogN(t *testing.T) {
 	}
 }
 
+// The arithmetic count stays exactly n*2^n for plans whose leaves are the
+// largest unrolled codelets, the leaf sizes that once routed to the
+// removed block tier.
+func TestBlockLeafArithmeticExact(t *testing.T) {
+	m := machine.VirtualOpteron224()
+	for _, p := range []*plan.Node{
+		plan.Leaf(plan.MaxLeafLog),
+		plan.MustParse("split[small[6],small[8]]"),
+		plan.RadixIterative(20, plan.MaxLeafLog),
+		plan.Balanced(19, plan.MaxLeafLog),
+	} {
+		n := p.Log2Size()
+		if got, want := Model(p, m.Cost).Ops.Arith, int64(n)*(int64(1)<<uint(n)); got != want {
+			t.Errorf("plan %v: arith %d, want %d", p, got, want)
+		}
+	}
+}
+
 func TestCyclesDeterministicAndPositive(t *testing.T) {
 	m := machine.VirtualOpteron224()
 	tr := trace.New(m)
@@ -290,22 +308,17 @@ func TestSmallSizeCyclesTrackInstructions(t *testing.T) {
 	_ = worst
 }
 
-// Block-tier leaves must keep the model/trace agreement exact: both sides
-// price a block leaf as its in-window factorization (machine.LeafOps
-// dispatches), so the closed-form recurrence still counts exactly what
-// the trace-driven simulator executes.
-func TestModelMatchesTraceBlockLeaves(t *testing.T) {
+// The model/trace agreement stays exact at out-of-cache sizes, where
+// plans with the largest leaves run the fewest full-vector stages.
+func TestModelMatchesTraceLargeLeaves(t *testing.T) {
 	m := machine.VirtualOpteron224()
 	tr := trace.New(m)
-	s := plan.NewSampler(7, plan.BlockLeafMax)
+	s := plan.NewSampler(7, plan.MaxLeafLog)
 	plans := []*plan.Node{
-		plan.Leaf(9),
-		plan.Leaf(12),
-		plan.Leaf(plan.BlockLeafMax),
-		plan.MustParse("split[small[4],small[14]]"),
-		plan.MustParse("split[small[12],small[2]]"),
-		plan.MustParse("split[small[1],small[10],small[3]]"),
-		plan.Balanced(20, plan.BlockLeafMax),
+		plan.MustParse("split[small[8],small[8]]"),
+		plan.MustParse("split[small[1],small[8],small[7]]"),
+		plan.RadixIterative(18, plan.MaxLeafLog),
+		plan.Balanced(20, plan.MaxLeafLog),
 	}
 	plans = append(plans, s.Plans(16, 5)...)
 	for _, p := range plans {
@@ -320,38 +333,16 @@ func TestModelMatchesTraceBlockLeaves(t *testing.T) {
 	}
 }
 
-// The arithmetic count stays exactly n*2^n with block leaves in the tree:
-// the block decomposition performs the same butterflies.
-func TestBlockLeafArithmeticExact(t *testing.T) {
-	m := machine.VirtualOpteron224()
-	for _, p := range []*plan.Node{
-		plan.Leaf(11),
-		plan.MustParse("split[small[6],small[14]]"),
-		plan.Balanced(19, plan.BlockLeafMax),
-	} {
-		n := p.Log2Size()
-		want := int64(n) * (int64(1) << uint(n))
-		if got := Model(p, m.Cost).Ops.Arith; got != want {
-			t.Errorf("plan %v: arith %d, want %d", p, got, want)
-		}
+// DirectMappedMisses prices pass count: at n = 18 the radix-2^8 plan
+// (three passes) misses less than the iterative one (eighteen), which
+// re-sweeps the whole vector per level.
+func TestDirectMappedMissesLargeLeaves(t *testing.T) {
+	if got := DirectMappedMisses(plan.Leaf(plan.MaxLeafLog), 4); got <= 0 {
+		t.Fatalf("leaf misses = %d, want positive", got)
 	}
-}
-
-// DirectMappedMisses must follow the block decomposition's reference
-// stream: a one-level split whose stages are all unrolled leaves and the
-// same algorithm expressed as a block leaf touch the same addresses, so
-// a block plan's misses are bounded by (and at small cache sizes equal
-// to) a full per-stage walk's.
-func TestDirectMappedMissesBlockLeaf(t *testing.T) {
-	p := plan.Leaf(10)
-	if got := DirectMappedMisses(p, 4); got <= 0 {
-		t.Fatalf("block-leaf misses = %d, want positive", got)
-	}
-	// Sanity: the block plan at n=18 misses less than the iterative one
-	// (the block windows re-use what a per-stage sweep evicts).
-	blockPlan := plan.MustParse("split[small[6],small[12]]")
+	radix := plan.RadixIterative(18, plan.MaxLeafLog)
 	iter := plan.Iterative(18)
-	if b, i := DirectMappedMisses(blockPlan, 12), DirectMappedMisses(iter, 12); b >= i {
-		t.Errorf("block plan misses %d not below iterative %d", b, i)
+	if r, i := DirectMappedMisses(radix, 12), DirectMappedMisses(iter, 12); r >= i {
+		t.Errorf("radix-2^8 plan misses %d not below iterative %d", r, i)
 	}
 }

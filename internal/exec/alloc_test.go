@@ -2,8 +2,6 @@ package exec
 
 import (
 	"math"
-	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"repro/internal/codelet"
@@ -12,75 +10,53 @@ import (
 
 // TestRunAllocFree pins allocation-free dispatch: a sequential Run of a
 // default schedule builds its kernel table on the stack and takes the
-// unrolled-tier kernel sets from the process-wide banks, so it
-// allocates nothing on either backend.
+// kernel sets from the process-wide banks, so it allocates nothing on
+// either backend.
 func TestRunAllocFree(t *testing.T) {
 	defer codelet.SetBackend(codelet.ActiveBackend())
 	for _, b := range []codelet.Backend{codelet.AutoBackend, codelet.ScalarBackend} {
 		codelet.SetBackend(b)
 		for n := 6; n <= 16; n++ {
-			s := ForSize(n)
-			x := make([]float64, 1<<n)
-			x32 := make([]float32, 1<<n)
-			if a := testing.AllocsPerRun(10, func() { MustRun(s, x) }); a != 0 {
-				t.Errorf("%v n=%d float64: %v allocs per Run, want 0", b, n, a)
-			}
-			if a := testing.AllocsPerRun(10, func() { MustRun(s, x32) }); a != 0 {
-				t.Errorf("%v n=%d float32: %v allocs per Run, want 0", b, n, a)
+			// The default schedule, and the radix-2^MaxLeafLog one that
+			// runs the largest leaf at every stage.
+			for _, s := range []*Schedule{ForSize(n), Compile(plan.RadixIterative(n, plan.MaxLeafLog))} {
+				x := make([]float64, 1<<n)
+				x32 := make([]float32, 1<<n)
+				if a := testing.AllocsPerRun(10, func() { MustRun(s, x) }); a != 0 {
+					t.Errorf("%v n=%d %s float64: %v allocs per Run, want 0", b, n, s, a)
+				}
+				if a := testing.AllocsPerRun(10, func() { MustRun(s, x32) }); a != 0 {
+					t.Errorf("%v n=%d %s float32: %v allocs per Run, want 0", b, n, s, a)
+				}
 			}
 		}
 	}
 }
 
-// TestBlockPartsOverrideReachesNextRun pins why block-tier kernel sets
-// are resolved per run rather than cached with the unrolled banks: a
-// SetBlockParts override issued after a block-leaf schedule has run
-// swaps the generated kernel the schedule's next run dispatches to for
-// the generic one that follows the override, and that run stays
-// bitwise-equal to GenericBlock under the override.  (Every
-// factorization applies the levels in the same order, so the results
-// cannot tell the kernels apart; the dispatched function can.)
-func TestBlockPartsOverrideReachesNextRun(t *testing.T) {
-	const m = 12
-	defer codelet.ClearBlockParts(m)
-	s := Compile(plan.Leaf(m))
-	st := s.Stages()[0]
-	if st.V != codelet.Contiguous {
-		t.Fatalf("leaf schedule stage %v, want contiguous", st.V)
+// TestKernelTableIsStatic pins the kernel table's single source: every
+// leaf size a plan may carry, on every backend pin, resolves to the one
+// process-wide kernel set of its bank — no per-run resolution, so two
+// runs of any schedule dispatch the same kernels.
+func TestKernelTableIsStatic(t *testing.T) {
+	kt := newKernelTable[float64](nil)
+	var scalar kernelTable[float32]
+	for m := 1; m <= plan.MaxLeafLog; m++ {
+		if got, want := scalar.get(m, codelet.ScalarBackend), &unrolled32[0][m]; got != want {
+			t.Errorf("float32 m=%d scalar: set %p, want bank entry %p", m, got, want)
+		}
+		for _, b := range []codelet.Backend{codelet.AutoBackend, codelet.ScalarBackend, codelet.SIMDBackend} {
+			first := kt.get(m, b)
+			if first != &unrolled64[0][m] && first != &unrolled64[1][m] {
+				t.Errorf("m=%d %v: set %p is not a bank entry", m, b, first)
+			}
+			if again := newKernelTable[float64](nil); again.get(m, b) != first {
+				t.Errorf("m=%d %v: a second table resolves a different set", m, b)
+			}
+			if first.strided == nil || first.contig == nil || first.il == nil || first.soa == nil {
+				t.Errorf("m=%d %v: kernel set has a nil slot", m, b)
+			}
+		}
 	}
-	generated := reflect.ValueOf(codelet.ForBlockContig(m)).Pointer()
-	dispatched := func() uintptr {
-		kt := newKernelTable[float64](s)
-		return reflect.ValueOf(kt.get(st.M, st.Backend).contig).Pointer()
-	}
-	rng := rand.New(rand.NewPCG(5, 7))
-	in := randomVector(1<<m, rng)
-	MustRun(s, append([]float64(nil), in...))
-	if dispatched() != generated {
-		t.Fatal("default parts: run does not dispatch the generated block kernel")
-	}
-
-	if err := codelet.SetBlockParts(m, []int{8, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if dispatched() == generated {
-		t.Fatal("override: next run still dispatches the generated block kernel")
-	}
-	got := append([]float64(nil), in...)
-	MustRun(s, got)
-	want := append([]float64(nil), in...)
-	codelet.GenericBlock(want, 0, 1, m)
-	assertBitwise(t, "override run vs GenericBlock", want, got)
-
-	in32 := make([]float32, 1<<m)
-	for i := range in32 {
-		in32[i] = float32(in[i])
-	}
-	got32 := append([]float32(nil), in32...)
-	MustRun(s, got32)
-	want32 := append([]float32(nil), in32...)
-	codelet.GenericBlock32(want32, 0, 1, m)
-	assertBitwise(t, "float32 override run vs GenericBlock32", want32, got32)
 }
 
 // assertBitwise fails unless got and want agree bit for bit (the values

@@ -25,12 +25,9 @@
 // codelet, large-S stages run the interleaved codelet that absorbs the
 // inner k-loop into unit-stride streaming passes, and the rest run the
 // generic strided codelet — the stage-shape axis the paper identifies as
-// the dominant performance dimension.  Stages whose kernel log-size
-// exceeds the unrolled tier (plan leaves in (plan.MaxLeafLog,
-// plan.BlockLeafMax]) dispatch to the looped cache-resident block kernels
-// of codelet's block tier, which finish every butterfly level of their
-// window in one visit — at n >= 16 a plan with block leaves needs fewer
-// full-vector passes, the paper's out-of-cache bottleneck.
+// the dominant performance dimension.  Plan leaves are bounded by
+// plan.MaxLeafLog, so every stage is one butterfly array of at most
+// 2^plan.MaxLeafLog points run by an unrolled codelet.
 //
 // Schedules are immutable after Compile and safe for concurrent use; one
 // schedule serves both element types.
@@ -38,7 +35,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codelet"
 	"repro/internal/plan"
@@ -110,11 +106,6 @@ type Schedule struct {
 	// parallel sweep decides it per size.
 	parMode ParallelMode
 
-	// The SoA stage sequence (block stages expanded to their in-window
-	// parts) is derived once on first batch use; see SoAStages.
-	soaOnce   sync.Once
-	soaStages []Stage
-
 	// Segmented (out-of-core) execution form, set only by
 	// NewSegmentedScheduleWith when the two-phase plan form actually
 	// splits: the ordered segment list, the compile-time resident
@@ -175,10 +166,8 @@ func (s *Schedule) StageBackends() []codelet.Backend {
 // exactly one entry per stage (NumStages).  Schedules are otherwise
 // immutable and shared without synchronization, so like SetSoAMinBatch
 // this must be called before the schedule is published to other
-// goroutines — and before the first batch use derives the SoA stage
-// expansion, which propagates each block stage's backend to its parts.
-// The tuner's per-stage backend sweep records its winning vector through
-// this; every mix computes bitwise-identical results.
+// goroutines.  The tuner's per-stage backend sweep records its winning
+// vector through this; every mix computes bitwise-identical results.
 func (s *Schedule) SetStageBackends(bs []codelet.Backend) error {
 	if len(bs) != len(s.stages) {
 		return fmt.Errorf("exec: %d stage backends for %d stages", len(bs), len(s.stages))
@@ -314,9 +303,9 @@ func log2(v int) int {
 // tier: a full j-row of a strided stage — all S kernel calls — is the
 // interleaved memory layout, so the row runs as chunked unit-stride
 // fused streaming passes when S reaches the vector width
-// (stridedVecMinS).  They are populated only in the SIMD bank of the
-// unrolled tier; rows narrower than the width, non-unit outer strides,
-// and the block tier keep the per-call scalar strided kernel.
+// (stridedVecMinS).  They are populated only in the SIMD bank; rows
+// narrower than the width and non-unit outer strides keep the per-call
+// scalar strided kernel.
 type kernelSet[T Float] struct {
 	strided      func(x []T, base, stride int)
 	contig       func(x []T, base int)
@@ -331,27 +320,20 @@ type kernelSet[T Float] struct {
 	stridedVecMinS  int
 }
 
-// kernelsFor resolves the kernel set for log-size m: the unrolled codelets
-// when generated, the looped block kernels for the block tier
-// (m > codelet.GeneratedMaxLog), the generic loop kernels otherwise.  The
-// two concrete instantiations share the Float type set, so the assertions
-// through any are exact.
+// kernelsFor resolves the kernel set for log-size m: the unrolled
+// codelets where generated, the generic loop kernels otherwise (index 0
+// of the banks, and any variant a subset whtgen build left out).  The
+// two concrete instantiations share the Float type set, so the
+// assertions through any are exact.
 //
 // simd selects the vector backend for the streaming slots (il, ilFused,
-// ilRange, ilFusedRange, soa) on both tiers — exactly the kernels whose
-// unit-stride inner sweeps the vector unit consumes, and bitwise-equal
-// to their scalar forms by the codelet package's contract.  On the
-// unrolled tier it additionally populates the stridedVec slots (wide
-// strided rows stream gather-free, see kernelSet) and replaces the
-// contig slot with the vectorized contiguous kernel once the transform
-// spans the four vectors of its in-register head.  The
-// block-tier strided/contig slots are always scalar: the block kernels'
-// in-window cache-resident decomposition is the point, and streaming
-// them would forfeit it.
-//
-// Block sizes carry no interleaved form (Policy.Select never picks it for
-// them), but the il/ilFused/ilRange slots are still populated with the
-// streaming kernels so hand-built schedules stay correct.
+// ilRange, ilFusedRange, soa) — exactly the kernels whose unit-stride
+// inner sweeps the vector unit consumes, and bitwise-equal to their
+// scalar forms by the codelet package's contract.  It additionally
+// populates the stridedVec slots (wide strided rows stream gather-free,
+// see kernelSet) and replaces the contig slot with the vectorized
+// contiguous kernel once the transform spans the four vectors of its
+// in-register head.
 func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 	var zero T
 	switch any(zero).(type) {
@@ -375,12 +357,10 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
 				codelet.GenericILRange(x, base, s, kLo, kHi, m)
 			}
-			if m <= codelet.GeneratedMaxLog {
-				ks.il = codelet.ForIL(m)
-				ks.soa = codelet.ForSoA(m)
-				ks.ilFused = codelet.ForILFused(m)
-				ks.ilFusedRange = codelet.ForILFusedRange(m)
-			}
+			ks.il = codelet.ForIL(m)
+			ks.soa = codelet.ForSoA(m)
+			ks.ilFused = codelet.ForILFused(m)
+			ks.ilFusedRange = codelet.ForILFusedRange(m)
 			if ks.il == nil {
 				ks.il = func(x []float64, base, s int) { codelet.GenericIL(x, base, s, m) }
 			}
@@ -395,17 +375,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 					codelet.GenericILFusedRange(x, base, s, kLo, kHi, m)
 				}
 			}
-		}
-		if m > codelet.GeneratedMaxLog {
-			ks.strided = codelet.ForBlock(m)
-			ks.contig = codelet.ForBlockContig(m)
-			if ks.strided == nil {
-				ks.strided = func(x []float64, base, stride int) { codelet.GenericBlock(x, base, stride, m) }
-			}
-			if ks.contig == nil {
-				ks.contig = func(x []float64, base int) { codelet.GenericBlockContig(x, base, m) }
-			}
-			return any(ks).(kernelSet[T])
 		}
 		ks.strided = codelet.For(m)
 		ks.contig = codelet.ForContig(m)
@@ -447,12 +416,10 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
 				codelet.GenericILRange32(x, base, s, kLo, kHi, m)
 			}
-			if m <= codelet.GeneratedMaxLog {
-				ks.il = codelet.ForIL32(m)
-				ks.soa = codelet.ForSoA32(m)
-				ks.ilFused = codelet.ForILFused32(m)
-				ks.ilFusedRange = codelet.ForILFusedRange32(m)
-			}
+			ks.il = codelet.ForIL32(m)
+			ks.soa = codelet.ForSoA32(m)
+			ks.ilFused = codelet.ForILFused32(m)
+			ks.ilFusedRange = codelet.ForILFusedRange32(m)
 			if ks.il == nil {
 				ks.il = func(x []float32, base, s int) { codelet.GenericIL32(x, base, s, m) }
 			}
@@ -467,17 +434,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 					codelet.GenericILFusedRange32(x, base, s, kLo, kHi, m)
 				}
 			}
-		}
-		if m > codelet.GeneratedMaxLog {
-			ks.strided = codelet.ForBlock32(m)
-			ks.contig = codelet.ForBlockContig32(m)
-			if ks.strided == nil {
-				ks.strided = func(x []float32, base, stride int) { codelet.GenericBlock32(x, base, stride, m) }
-			}
-			if ks.contig == nil {
-				ks.contig = func(x []float32, base int) { codelet.GenericBlockContig32(x, base, m) }
-			}
-			return any(ks).(kernelSet[T])
 		}
 		ks.strided = codelet.For32(m)
 		ks.contig = codelet.ForContig32(m)
@@ -507,14 +463,10 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 // at lookup time — so a mixed-pin schedule runs both tiers from one
 // table.
 //
-// Unrolled-tier sets (m <= codelet.GeneratedMaxLog) depend only on the
-// element type, bank and size, so they are built once per process in
-// the package-level unrolledBanks and get returns pointers into them:
-// constructing a table and dispatching through it allocates nothing.
-// Block-tier sets are resolved on first use per table, because
-// codelet.SetBlockParts can swap a block size's kernel between runs;
-// executors build one table per run (shared by its batch vectors and
-// workers), so the next run sees the override.  Executors construct
+// A kernel set depends only on the element type, bank and size, so
+// every set is built once per process in the package-level
+// unrolledBanks and get returns pointers into them: constructing a table
+// and dispatching through it allocates nothing.  Executors construct
 // tables with newKernelTable so AutoBackend stages follow SetBackend /
 // WHT_SIMD changes between runs; the zero value resolves every backend
 // to the scalar bank — what Interpret's strided-only walker uses.
@@ -522,15 +474,11 @@ type kernelTable[T Float] struct {
 	// auto is the bank AutoBackend stages resolve to, computed once per
 	// table from the process override and host availability.
 	auto bool
-	// block holds the block-tier sets this table has resolved, by bank
-	// and log-size above the unrolled tier.  Pointers keep the table
-	// small: a Run copies and zeroes it once per call.
-	block [2][plan.BlockLeafMax - codelet.GeneratedMaxLog]*kernelSet[T]
 }
 
-// unrolledBanks holds the scalar (bank 0) and vector (bank 1) kernel
-// sets of every unrolled-tier size, indexed by log-size.
-type unrolledBanks[T Float] [2][codelet.GeneratedMaxLog + 1]kernelSet[T]
+// unrolledBanks holds the scalar (bank 0) and vector (bank 1) kernel sets
+// of every leaf size a plan may carry, indexed by log-size.
+type unrolledBanks[T Float] [2][plan.MaxLeafLog + 1]kernelSet[T]
 
 var (
 	unrolled64 = buildUnrolledBanks[float64]()
@@ -546,7 +494,7 @@ func buildUnrolledBanks[T Float]() *unrolledBanks[T] {
 	return b
 }
 
-// unrolledBanksFor returns the process-wide unrolled banks of T.
+// unrolledBanksFor returns the process-wide kernel banks of T.
 func unrolledBanksFor[T Float]() *unrolledBanks[T] {
 	if b, ok := any(unrolled64).(*unrolledBanks[T]); ok {
 		return b
@@ -565,8 +513,8 @@ func newKernelTable[T Float](s *Schedule) kernelTable[T] {
 }
 
 func (kt *kernelTable[T]) get(m int, b codelet.Backend) *kernelSet[T] {
-	// Validated plans bound leaf sizes to [1, BlockLeafMax], so m always
-	// indexes the table.
+	// Validated plans bound leaf sizes to [1, plan.MaxLeafLog], so m
+	// always indexes the banks.
 	simd := false
 	switch b {
 	case codelet.AutoBackend:
@@ -580,13 +528,5 @@ func (kt *kernelTable[T]) get(m int, b codelet.Backend) *kernelSet[T] {
 	if simd {
 		bank = 1
 	}
-	if m <= codelet.GeneratedMaxLog {
-		return &unrolledBanksFor[T]()[bank][m]
-	}
-	slot := &kt.block[bank][m-codelet.GeneratedMaxLog-1]
-	if *slot == nil {
-		ks := kernelsFor[T](m, simd)
-		*slot = &ks
-	}
-	return *slot
+	return &unrolledBanksFor[T]()[bank][m]
 }

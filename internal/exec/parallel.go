@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codelet"
-	"repro/internal/plan"
 )
 
 // Parallel fan-out thresholds.  A stage fans out when it offers enough
@@ -40,10 +39,7 @@ const (
 // still splits across all workers.  When an interleaved stage has at
 // least one row per worker, chunk boundaries are aligned to whole rows
 // so every worker runs full IL kernels instead of paying the slower
-// ilRange partial-row form at each chunk seam; block-tier stages
-// (M > plan.MaxLeafLog) split at block-call granularity and fan out from
-// two calls up, since a single block call is already thousands of
-// butterflies.
+// ilRange partial-row form at each chunk seam.
 //
 // The executor behind RunParallel is selected per schedule: the
 // window-pipelined tier (pipeline.go) replaces the per-stage barriers
@@ -101,16 +97,10 @@ func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) e
 		st := &s.stages[i]
 		ks := kt.get(st.M, st.Backend)
 		total := st.R * st.S
-		minCalls := FanoutCalls
-		if st.M > plan.MaxLeafLog {
-			// A block call covers a whole 2^M window; two of them already
-			// repay a barrier at the sizes block leaves appear in.
-			minCalls = 2
-		}
 		// The element count is computed in 64 bits: total<<M can exceed
 		// int on 32-bit hosts for large stage shapes, and a wrapped gate
 		// would run a huge stage inline (or split a tiny one).
-		if workers == 1 || total < minCalls || int64(total)<<uint(st.M) < FanoutElems {
+		if workers == 1 || total < FanoutCalls || int64(total)<<uint(st.M) < FanoutElems {
 			chunk := total
 			if ctx != nil {
 				chunk = cancelChunkCalls(st)

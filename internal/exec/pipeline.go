@@ -48,13 +48,9 @@ import (
 //
 // Splitting stays variant-correct, as in the barrier tier: windows are
 // whole numbers of Blk rows, multi-row chunks of interleaved stages are
-// row-aligned, block stages split at block-call granularity.  Partial
-// rows of fused interleaved stages run the fused range kernel
-// (codelet.GenericILFusedRange, ceil(m/2) radix-4 passes) where the
-// barrier tier pays the single-level range form's m passes — on the
-// 2-stage block plans of n >= 16 the final stage is one full-vector
-// window, and halving its streamed passes is where the pipelined tier's
-// measured advantage concentrates.
+// row-aligned.  Partial rows of fused interleaved stages run the fused
+// range kernel (codelet.GenericILFusedRange, ceil(m/2) radix-4 passes)
+// where the barrier tier pays the single-level range form's m passes.
 
 // ParallelMode selects the executor tier behind RunParallel.  All tiers
 // compute bitwise-identical results; the choice is purely a performance
@@ -207,11 +203,10 @@ func buildPipePlan(s *Schedule, workers int) *pipePlan {
 		total := st.R * st.S
 		ps.winCalls = total / ps.numWin
 		chunk := total / (workers * pipeChunksPerWorker)
+		// pipeMinChunkElems >> M is at least 8 calls: leaves are bounded
+		// by plan.MaxLeafLog.
 		if minC := pipeMinChunkElems >> uint(st.M); chunk < minC {
 			chunk = minC
-		}
-		if chunk < 1 {
-			chunk = 1
 		}
 		if st.V == codelet.Interleaved && chunk > st.S {
 			// Row-align multi-row chunks so every full row runs the
@@ -308,9 +303,8 @@ func runPipelined[T Float](ctx context.Context, s *Schedule, x []T, workers int)
 		workers = pp.totalChunks
 	}
 
-	// Kernel sets are resolved once, before the pool starts: the lazy
-	// kernelTable is not concurrency-safe and resolving up front keeps
-	// the workers allocation-free.
+	// Kernel sets are resolved once, before the pool starts, so the
+	// workers index a slice instead of resolving backends per chunk.
 	kt := newKernelTable[T](s)
 	sets := make([]*kernelSet[T], len(s.stages))
 	for i := range s.stages {

@@ -9,23 +9,16 @@ import (
 )
 
 // plansForSize returns the equivalence-grid plans for log-size n: the
-// balanced codelet-leaved default, and for sizes that admit one a
-// two-stage block plan (the shape the pipelined tier targets — a
-// cache-resident block stage feeding a full-vector interleaved stage).
+// balanced default, and from n = 15 the radix-2^MaxLeafLog plan, which
+// has the fewest stages an unrolled-tier plan can have (two at n = 15
+// and 16, three up to 24) — a contiguous 2^8 stage feeding full-vector
+// interleaved stages, the shape the pipelined tier targets.
 func plansForSize(n int) []*plan.Node {
 	ps := []*plan.Node{plan.Balanced(n, plan.MaxLeafLog)}
-	if n >= 15 && n-13 >= 1 && n-13 <= plan.BlockLeafMax {
-		ps = append(ps, plan.MustParse(
-			"split[small["+itoa(n-13)+"],small[13]]"))
+	if n >= 15 {
+		ps = append(ps, plan.RadixIterative(n, plan.MaxLeafLog))
 	}
 	return ps
-}
-
-func itoa(v int) string {
-	if v >= 10 {
-		return string(rune('0'+v/10)) + string(rune('0'+v%10))
-	}
-	return string(rune('0' + v))
 }
 
 // TestRunPipelinedBitwiseEquivalence pins the contract every parallel
@@ -107,7 +100,7 @@ func TestRunPipelinedBitwiseEquivalence(t *testing.T) {
 // window's dependency count equals the number of stage-i windows it
 // covers.
 func TestBuildPipePlanGeometry(t *testing.T) {
-	s := plan.NewSampler(23, plan.BlockLeafMax)
+	s := plan.NewSampler(23, plan.MaxLeafLog)
 	for n := 12; n <= 20; n++ {
 		for trial := 0; trial < 20; trial++ {
 			p := s.Plan(n)

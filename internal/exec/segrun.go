@@ -153,8 +153,8 @@ func runSegStages[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T],
 	numWin := 1 << uint(s.n-seg.W)
 	winElems := 1 << uint(seg.W)
 
-	// The lazy kernel table is not concurrency-safe; resolve every
-	// stage's set before the pool starts, as the pipelined tier does.
+	// Resolve every stage's set before the pool starts, as the
+	// pipelined tier does.
 	sets := make([]*kernelSet[T], len(seg.Stages))
 	for i := range seg.Stages {
 		sets[i] = kt.get(seg.Stages[i].M, seg.Stages[i].Backend)

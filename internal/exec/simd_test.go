@@ -12,8 +12,8 @@ import (
 
 // simdBasePolicies is the policy grid the SIMD equivalence sweep pins
 // the backend axis onto: the shapes whose streaming slots the vector
-// tier replaces (interleaved, fused radix-4, and — through block plans
-// and the pipelined executor — the range forms).
+// tier replaces (interleaved, fused radix-4, and — through the
+// pipelined executor — the range forms).
 func simdBasePolicies() []codelet.Policy {
 	return []codelet.Policy{
 		codelet.DefaultPolicy(),
@@ -114,8 +114,8 @@ func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Polic
 // sizes from the codelet range through the out-of-cache regime, lane
 // widths around and off the vector width, unaligned strided access,
 // both element types, and every engine.  Dense small sizes sweep the
-// full grid; the large sizes spot-check the block tier and the
-// pipelined executor with thinned axes to bound the suite's runtime.
+// full grid; the large sizes spot-check the pipelined executor with
+// thinned axes to bound the suite's runtime.
 func TestSIMDBackendBitwiseEqualsScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 103))
 	fullLanes := []int{1, 3, 4, 7, 8, 16}
@@ -250,7 +250,7 @@ func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.P
 // equivalence property to per-stage pins: every mix of scalar, SIMD,
 // and auto stages in one schedule computes bitwise the same results as
 // the all-scalar compilation, across engines, element types, and
-// transform sizes from the codelet range through the block tier.  On
+// transform sizes from one codelet to out-of-cache schedules.  On
 // hosts without the vector tier every pin resolves scalar and the sweep
 // degenerates to self-consistency — the fallback contract.
 func TestMixedStageBackendsBitwiseEqualsScalar(t *testing.T) {

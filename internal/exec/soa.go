@@ -21,14 +21,6 @@ import (
 // stage sequence carries over unchanged with S scaled by B — and every
 // memory touch of a stage now serves all B vectors at once instead of
 // being repaid per vector.
-//
-// Block stages (leaves above the unrolled tier) are expanded into their
-// in-window parts first: the SoA image of a 2^m block window is B times
-// larger and would forfeit the cache residency the block kernel exists
-// for, while the parts run as ordinary small-kernel stages whose lane
-// form stays cache-resident.  The expansion composes the parts exactly
-// as the block kernel executes them, so SoA execution remains
-// bitwise-equal to the per-vector engine.
 
 // DefaultSoAMinBatch is the batch width at which RunBatch and
 // RunBatchParallel switch to the SoA tier when the schedule's shape
@@ -92,45 +84,6 @@ func (s *Schedule) SoAMinBatch() int { return s.soaMin }
 // cache.
 func (s *Schedule) SetSoAMinBatch(min int) { s.soaMin = min }
 
-// SoAStages returns the stage sequence the SoA tier executes: the
-// compiled stages with every block stage expanded into its in-window
-// parts (codelet.BlockParts), composed in the stage's (R, S) context
-// exactly as the block kernel runs them — the identical butterfly
-// network, so SoA results are bitwise-equal to the per-vector engine.
-// The slice is derived once and owned by the schedule; it must not be
-// modified.
-func (s *Schedule) SoAStages() []Stage {
-	s.soaOnce.Do(func() {
-		out := make([]Stage, 0, len(s.stages))
-		for _, st := range s.stages {
-			if st.M <= codelet.GeneratedMaxLog {
-				out = append(out, st)
-				continue
-			}
-			parts := codelet.BlockParts(st.M)
-			rLoc := 1 << uint(st.M)
-			sLoc := 1
-			for i := len(parts) - 1; i >= 0; i-- {
-				m := parts[i]
-				rLoc >>= uint(m)
-				sSub := sLoc * st.S
-				out = append(out, Stage{
-					M: m, R: st.R * rLoc, S: sSub,
-					SLog: log2(sSub), Blk: sSub << uint(m),
-					V: s.policy.Select(m, sSub),
-					// The parts inherit the block stage's pinned backend:
-					// a pin addresses the stage, however the tier executes
-					// it.
-					Backend: st.Backend,
-				})
-				sLoc <<= uint(m)
-			}
-		}
-		s.soaStages = out
-	})
-	return s.soaStages
-}
-
 // SoAUsesLaneKernels reports whether the SoA tier executes this
 // schedule through the per-position lane kernels instead of the
 // radix-4 fused interleaved streams: policies without interleaved
@@ -164,13 +117,11 @@ func (s *Schedule) soaSelect(batch int) bool {
 // only win back when (a) the schedule has a large-stride stage — one
 // the per-vector engine must run as a strided walk or an m-pass
 // interleaved stream, which the SoA tier halves to radix-4 fused
-// passes amortized over the lane; (b) the schedule has no block
-// stages — the block tier's in-window cache residency already beats
-// streaming, and its SoA image is B times too large to stay resident;
-// (c) the schedule is shallow (at most two stages: every extra stage
-// adds fused passes over the B-times-larger SoA buffer while the
-// transposes stay fixed, and measured three-plus-stage schedules lose);
-// and (d) the transform size sits in the measured crossover window.
+// passes amortized over the lane; (b) the schedule is shallow (at most
+// two stages: every extra stage adds fused passes over the
+// B-times-larger SoA buffer while the transposes stay fixed, and
+// measured three-plus-stage schedules lose); and (c) the transform size
+// sits in the measured crossover window.
 func (s *Schedule) soaShapeFavors() bool {
 	if s.n < DefaultSoAMinLog || s.n > DefaultSoAMaxLog {
 		return false
@@ -180,9 +131,6 @@ func (s *Schedule) soaShapeFavors() bool {
 	}
 	large := false
 	for _, st := range s.stages {
-		if st.M > codelet.GeneratedMaxLog {
-			return false
-		}
 		if st.S >= codelet.DefaultILMinS {
 			large = true
 		}
@@ -216,11 +164,11 @@ func (s *Schedule) soaShapeFavors() bool {
 func soaRun[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], y []T, lane int) error {
 	ld := SoALaneDim(lane)
 	useLane := s.SoAUsesLaneKernels()
-	for i := range s.SoAStages() {
+	for i := range s.stages {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		st := &s.soaStages[i]
+		st := &s.stages[i]
 		ks := kt.get(st.M, st.Backend)
 		if err := soaRunStage(ctx, st, i, ks, y, ld, lane, useLane); err != nil {
 			return err
@@ -229,8 +177,8 @@ func soaRun[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], y []T
 	return nil
 }
 
-// soaRunStage runs one SoA-expanded stage across the lane with panic
-// containment (attributed to the SoA stage index) and a cancellation
+// soaRunStage runs one stage across the lane with panic
+// containment (attributed to the stage index) and a cancellation
 // poll per j-row — each row is a contiguous Blk*ld-element pass, the
 // natural chunk of this tier.
 func soaRunStage[T Float](ctx context.Context, st *Stage, stage int, ks *kernelSet[T], y []T, ld, lane int, useLane bool) (err error) {

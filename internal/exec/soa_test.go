@@ -21,20 +21,12 @@ func soaTestPolicies() []codelet.Policy {
 	}
 }
 
-// soaTestPlan returns a plan for size n that exercises the block tier
-// (and therefore the SoA stage expansion) whenever n admits one.
+// soaTestPlan returns a plan for size n whose rightmost leaf is the
+// largest unrolled codelet whenever n admits one: a contiguous 2^8
+// stage under interleaved stages at large S.
 func soaTestPlan(n int) *plan.Node {
-	if n > plan.MaxLeafLog+1 {
-		bl := plan.MaxLeafLog + 1
-		if n-2 > bl {
-			bl = n - 2
-		}
-		if bl > plan.BlockLeafMax {
-			bl = plan.BlockLeafMax
-		}
-		if bl < n {
-			return plan.Split(plan.Balanced(n-bl, plan.MaxLeafLog), plan.Leaf(bl))
-		}
+	if n > plan.MaxLeafLog {
+		return plan.Split(plan.Balanced(n-plan.MaxLeafLog, plan.MaxLeafLog), plan.Leaf(plan.MaxLeafLog))
 	}
 	return plan.Balanced(n, plan.MaxLeafLog)
 }
@@ -99,8 +91,7 @@ func assertBatchEqual[T Float](t *testing.T, label string, got, want [][]T) {
 // widths {1, 3, 8, 17}, float64 and float32, and the variant-policy
 // grid.  Sizes through 12 sweep the full grid; the out-of-cache sizes
 // thin the width and policy axes to keep the suite's runtime bounded
-// while still covering the block-stage expansion and both element
-// types at every size.
+// while still covering both element types at every size.
 func TestRunBatchSoAEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 141))
 	widths := []int{1, 3, 8, 17}
@@ -175,40 +166,6 @@ func TestRunBatchAutoSelectsSoA(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBatchEqual(t, "auto-select", xs, want)
-}
-
-// TestSoAStagesExpandBlocks checks the block-stage expansion: the SoA
-// stage sequence replaces each block stage with its BlockParts factors
-// and leaves the element count and stage algebra intact.
-func TestSoAStagesExpandBlocks(t *testing.T) {
-	n := 16
-	p := plan.Split(plan.Balanced(n-12, plan.MaxLeafLog), plan.Leaf(12))
-	s := Compile(p)
-	soa := s.SoAStages()
-	parts := codelet.BlockParts(12)
-	wantStages := 0
-	for _, st := range s.Stages() {
-		if st.M > codelet.GeneratedMaxLog {
-			wantStages += len(parts)
-		} else {
-			wantStages++
-		}
-	}
-	if len(soa) != wantStages {
-		t.Fatalf("SoA stage count %d, want %d", len(soa), wantStages)
-	}
-	for _, st := range soa {
-		if st.M > codelet.GeneratedMaxLog {
-			t.Fatalf("SoA stage sequence still contains block stage M=%d", st.M)
-		}
-		if st.Blk != st.S<<uint(st.M) {
-			t.Fatalf("stage %+v has inconsistent Blk", st)
-		}
-		// Every stage must cover the whole vector: R * 2^M * S == 2^n.
-		if st.R*st.S<<uint(st.M) != s.Size() {
-			t.Fatalf("stage %+v does not tile the vector", st)
-		}
-	}
 }
 
 // TestRunBatchSoAValidation mirrors the batch API contract: mismatched

@@ -72,15 +72,8 @@ type CostModel struct {
 // LeafOps returns the instruction-class counts of one call of the codelet
 // of log-size m.  For the unrolled tier: 2^m loads and stores, m*2^m
 // butterfly operations, incremental address updates, plus spill traffic
-// once the 2^m simultaneous temporaries exceed the register file.  Block
-// log-sizes (m > codelet.GeneratedMaxLog) price as their strided
-// in-window factorization (see blockLeafOps) — a block leaf never holds
-// 2^m temporaries, so it is charged the sub-codelets it actually runs,
-// not an impossible straight-line unroll.
+// once the 2^m simultaneous temporaries exceed the register file.
 func (c CostModel) LeafOps(m int) OpCounts {
-	if m > codelet.GeneratedMaxLog {
-		return c.blockLeafOps(m, false)
-	}
 	size := int64(1) << uint(m)
 	ops := OpCounts{
 		Arith: int64(m) * size,
@@ -93,39 +86,6 @@ func (c CostModel) LeafOps(m int) OpCounts {
 		ops.SpillLd = extra * c.SpillPerExtra
 		ops.SpillSt = extra * c.SpillPerExtra
 	}
-	return ops
-}
-
-// blockLeafOps prices one call of the block kernel of log-size m: the sum
-// of its in-window factor codelets (codelet.BlockParts) plus the factor
-// loops' bookkeeping.  contig selects the contiguous form, whose
-// rightmost factor runs the stride-1 specialization; every other factor
-// is a strided codelet either way.  This is exactly the instr/miss trade
-// the paper identifies: slightly more loop instructions than one
-// (hypothetical) unrolled kernel, far fewer cache misses than separate
-// full-vector stages.
-func (c CostModel) blockLeafOps(m int, contig bool) OpCounts {
-	parts := codelet.BlockParts(m)
-	total := int64(1) << uint(m)
-	var ops OpCounts
-	sLog := 0
-	for i := len(parts) - 1; i >= 0; i-- {
-		pi := parts[i]
-		calls := total >> uint(pi)
-		var call OpCounts
-		if contig && i == len(parts)-1 {
-			call = c.LeafOpsVariant(pi, codelet.Contiguous, 1)
-		} else {
-			call = c.LeafOps(pi)
-		}
-		ops.Add(call.Scale(calls))
-		// The factor's loop nest: a row walk plus one dispatch iteration
-		// per codelet call.
-		rows := total >> uint(pi+sLog)
-		ops.Loop += c.ChildSetup + c.MidIter*rows + c.InnerIter*calls
-		sLog += pi
-	}
-	ops.Call += c.LeafSetup
 	return ops
 }
 
@@ -145,12 +105,6 @@ func (c CostModel) blockLeafOps(m int, contig bool) OpCounts {
 //     ever live), with the call overhead amortized over all s vectors.
 func (c CostModel) LeafOpsVariant(m int, v codelet.Variant, s int) OpCounts {
 	size := int64(1) << uint(m)
-	if m > codelet.GeneratedMaxLog {
-		// Block tier: the contiguous window form or the strided fallback;
-		// the block tier has no interleaved form (Policy.Select never
-		// produces one), so anything else prices as strided.
-		return c.blockLeafOps(m, v == codelet.Contiguous)
-	}
 	switch v {
 	case codelet.Contiguous:
 		ops := OpCounts{
@@ -403,10 +357,8 @@ func (c CostModel) SIMDStageOps(ops OpCounts, lanes int) OpCounts {
 // stream gather-free), and contiguous stages vectorize once the
 // transform fills the four registers of the in-register head
 // (2^m >= 4*lanes; smaller ones keep the unrolled scalar codelet).
-// Block-tier stages (m > codelet.GeneratedMaxLog) never do: their in-window
-// cache-resident decomposition stays scalar on every backend.
 func SIMDVectorizes(m, s int, v codelet.Variant, lanes int) bool {
-	if lanes <= 1 || m > codelet.GeneratedMaxLog {
+	if lanes <= 1 {
 		return false
 	}
 	switch v {
@@ -422,7 +374,7 @@ func SIMDVectorizes(m, s int, v codelet.Variant, lanes int) bool {
 // SIMDStageOpsShaped prices one stage's backend flip by shape: stages
 // the vector backend has a kernel form for (SIMDVectorizes) reprice
 // through SIMDStageOps, the rest keep their scalar counts — so a
-// SIMD-pinned narrow strided stage or a block stage prices identically
+// SIMD-pinned narrow strided stage prices identically
 // to scalar, exactly as it executes.
 func (c CostModel) SIMDStageOpsShaped(ops OpCounts, lanes int, v codelet.Variant, m, s int) OpCounts {
 	if !SIMDVectorizes(m, s, v, lanes) {
@@ -461,19 +413,9 @@ func StageLoopInstances(m, r, s int, v codelet.Variant) int64 {
 }
 
 // StageLoopInstancesFused is StageLoopInstances with the fused
-// interleaved form (ceil(m/2) passes) and the block tier's per-factor
-// loop nests accounted.
+// interleaved form (ceil(m/2) passes) accounted.
 func StageLoopInstancesFused(m, r, s int, v codelet.Variant, fused bool) int64 {
 	size := int64(1) << uint(m)
-	if m > codelet.GeneratedMaxLog {
-		// Block kernels run one row walk plus one dispatch loop per
-		// in-window factor, for every call of the stage.
-		calls := int64(r)
-		if v != codelet.Contiguous {
-			calls *= int64(s)
-		}
-		return 1 + calls*int64(2*len(codelet.BlockParts(m)))
-	}
 	switch v {
 	case codelet.Contiguous:
 		return 1

@@ -1,5 +1,7 @@
 package plan
 
+import "fmt"
+
 // This file constructs the canonical algorithms discussed in Section 2 of
 // the paper: iterative, right-recursive, left-recursive (corresponding to
 // the radix-2 iterative and the standard recursive FFT algorithms), plus two
@@ -45,15 +47,14 @@ func LeftRecursive(n int) *Node {
 // Balanced returns a recursively halved plan whose subtrees become leaves
 // once they fit in a codelet of log-size at most leafMax.  It is the
 // cache-oblivious style of plan and a strong baseline for large sizes.
-// leafMax above MaxLeafLog (clamped to BlockLeafMax) admits block-kernel
-// leaves, halving the number of full-vector stages at large n.
+// leafMax is clamped to [1, MaxLeafLog].
 func Balanced(n, leafMax int) *Node {
 	mustSize(n)
 	if leafMax < 1 {
 		leafMax = 1
 	}
-	if leafMax > BlockLeafMax {
-		leafMax = BlockLeafMax
+	if leafMax > MaxLeafLog {
+		leafMax = MaxLeafLog
 	}
 	if n <= leafMax {
 		return Leaf(n)
@@ -64,15 +65,14 @@ func Balanced(n, leafMax int) *Node {
 
 // RadixIterative returns a single-level split using codelets of log-size k
 // (the final part picks up the remainder): the radix-2^k iterative
-// algorithm.  k is clamped to [1, BlockLeafMax]; k above MaxLeafLog
-// selects block-kernel base cases.
+// algorithm.  k is clamped to [1, MaxLeafLog].
 func RadixIterative(n, k int) *Node {
 	mustSize(n)
 	if k < 1 {
 		k = 1
 	}
-	if k > BlockLeafMax {
-		k = BlockLeafMax
+	if k > MaxLeafLog {
+		k = MaxLeafLog
 	}
 	if n <= k {
 		return Leaf(n)
@@ -99,7 +99,7 @@ func RadixIterative(n, k int) *Node {
 }
 
 func mustSize(n int) {
-	if n < 1 {
-		panic("plan: transform log-size must be at least 1")
+	if n < 1 || n > MaxPlanLog {
+		panic(fmt.Sprintf("plan: transform log-size %d outside [1, %d]", n, MaxPlanLog))
 	}
 }

@@ -10,7 +10,8 @@ import (
 //	plan  := "small" "[" int "]" | "split" "[" plan ("," plan)* "]"
 //
 // Whitespace between tokens is ignored.  A split must have at least two
-// children, and leaf sizes must lie in [1, BlockLeafMax].
+// children, leaf sizes must lie in [1, MaxLeafLog], and the total size
+// may not exceed MaxPlanLog.
 func Parse(s string) (*Node, error) {
 	p := &parser{input: s}
 	node, err := p.parseNode()
@@ -36,6 +37,19 @@ func MustParse(s string) *Node {
 type parser struct {
 	input string
 	pos   int
+	depth int // open split/phase brackets
+}
+
+// enter opens one split or phase bracket.  Every child of a split or
+// phase is strictly smaller than its parent, so a valid tree nests at
+// most MaxPlanLog deep; deeper input is rejected before the recursion
+// goes further.  The caller defers p.depth--.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > MaxPlanLog {
+		return fmt.Errorf("plan: nesting deeper than %d at offset %d", MaxPlanLog, p.pos)
+	}
+	return nil
 }
 
 func (p *parser) skipSpace() {
@@ -76,6 +90,10 @@ func (p *parser) parseNode() (*Node, error) {
 		return NewLeaf(m)
 	case strings.HasPrefix(p.input[p.pos:], "split"):
 		p.pos += len("split")
+		defer func() { p.depth-- }()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		if err := p.expect('['); err != nil {
 			return nil, err
 		}

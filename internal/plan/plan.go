@@ -19,17 +19,17 @@ import (
 )
 
 // MaxLeafLog is the largest log2 size for which an unrolled codelet exists
-// (the WHT package unrolls base cases up to 2^8).
+// (the WHT package unrolls base cases up to 2^8), and so the largest leaf
+// a plan may carry.
 const MaxLeafLog = 8
 
-// BlockLeafMax is the largest log2 size a leaf may take at all: leaves in
-// (MaxLeafLog, BlockLeafMax] execute as looped cache-resident block
-// kernels (internal/codelet's block tier) instead of unrolled codelets.
-// A block leaf finishes every butterfly level of its 2^m window in one
-// visit, so plans for n >= 16 need fewer full-vector passes; searches and
-// samplers still default to MaxLeafLog and explore the block range only
-// when asked (Options.LeafMax / Sampler leafMax above MaxLeafLog).
-const BlockLeafMax = 14
+// MaxPlanLog is the largest total log2 size a plan may have.  A 2^48
+// vector is beyond any machine's address space, and the bound keeps
+// Size() and every byte count derived from it (2^n elements times the
+// element width times small stage factors) far from int overflow: a
+// crafted plan string of size 64 or more would otherwise parse into a
+// plan whose Size() is 0.
+const MaxPlanLog = 48
 
 // Node is one node of a WHT plan.  Nodes are immutable after construction;
 // build them with Leaf and Split so the structural invariants hold.
@@ -38,9 +38,9 @@ type Node struct {
 	children []*Node // nil for a leaf
 }
 
-// Leaf returns a plan consisting of a single codelet of size 2^m — an
-// unrolled codelet for m <= MaxLeafLog, a looped block kernel above.  It
-// panics unless 1 <= m <= BlockLeafMax; use NewLeaf to get an error instead.
+// Leaf returns a plan consisting of a single unrolled codelet of size 2^m.
+// It panics unless 1 <= m <= MaxLeafLog; use NewLeaf to get an error
+// instead.
 func Leaf(m int) *Node {
 	p, err := NewLeaf(m)
 	if err != nil {
@@ -50,10 +50,10 @@ func Leaf(m int) *Node {
 }
 
 // NewLeaf returns a leaf plan of size 2^m, or an error if m is outside
-// [1, BlockLeafMax].
+// [1, MaxLeafLog].
 func NewLeaf(m int) (*Node, error) {
-	if m < 1 || m > BlockLeafMax {
-		return nil, fmt.Errorf("plan: leaf size %d outside [1, %d]", m, BlockLeafMax)
+	if m < 1 || m > MaxLeafLog {
+		return nil, fmt.Errorf("plan: leaf size %d outside [1, %d]", m, MaxLeafLog)
 	}
 	return &Node{n: m}, nil
 }
@@ -69,7 +69,8 @@ func Split(children ...*Node) *Node {
 	return p
 }
 
-// NewSplit returns an internal node combining the given children.
+// NewSplit returns an internal node combining the given children, or an
+// error if their log-sizes sum above MaxPlanLog.
 func NewSplit(children ...*Node) (*Node, error) {
 	if len(children) < 2 {
 		return nil, fmt.Errorf("plan: split needs at least 2 children, got %d", len(children))
@@ -82,6 +83,9 @@ func NewSplit(children ...*Node) (*Node, error) {
 		}
 		total += c.n
 		kids[i] = c
+	}
+	if total > MaxPlanLog {
+		return nil, fmt.Errorf("plan: split size %d above the limit %d", total, MaxPlanLog)
 	}
 	return &Node{n: total, children: kids}, nil
 }
@@ -165,16 +169,20 @@ func (p *Node) Hash() uint64 {
 	return h.Sum64()
 }
 
-// Validate checks the structural invariants of the whole tree.  Plans built
-// with Leaf/Split/Parse are always valid; Validate guards plans assembled by
+// Validate checks the structural invariants of the whole tree, including
+// the MaxPlanLog bound on its total size.  Plans built with
+// Leaf/Split/Parse are always valid; Validate guards plans assembled by
 // other means (e.g. hand-constructed in tests).
 func (p *Node) Validate() error {
 	if p == nil {
 		return fmt.Errorf("plan: nil node")
 	}
+	if p.n > MaxPlanLog {
+		return fmt.Errorf("plan: size %d above the limit %d", p.n, MaxPlanLog)
+	}
 	if p.IsLeaf() {
-		if p.n < 1 || p.n > BlockLeafMax {
-			return fmt.Errorf("plan: leaf size %d outside [1, %d]", p.n, BlockLeafMax)
+		if p.n < 1 || p.n > MaxLeafLog {
+			return fmt.Errorf("plan: leaf size %d outside [1, %d]", p.n, MaxLeafLog)
 		}
 		return nil
 	}

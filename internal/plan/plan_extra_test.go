@@ -113,7 +113,7 @@ func TestSamplerClampsLeafMax(t *testing.T) {
 	if NewSampler(1, 0).LeafMax() != 1 {
 		t.Error("low clamp")
 	}
-	if NewSampler(1, 99).LeafMax() != BlockLeafMax {
+	if NewSampler(1, 99).LeafMax() != MaxLeafLog {
 		t.Error("high clamp")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLeafConstruction(t *testing.T) {
-	for m := 1; m <= BlockLeafMax; m++ {
+	for m := 1; m <= MaxLeafLog; m++ {
 		p := Leaf(m)
 		if !p.IsLeaf() {
 			t.Fatalf("Leaf(%d) is not a leaf", m)
@@ -22,7 +22,7 @@ func TestLeafConstruction(t *testing.T) {
 }
 
 func TestNewLeafRejectsBadSizes(t *testing.T) {
-	for _, m := range []int{0, -1, BlockLeafMax + 1, 100} {
+	for _, m := range []int{0, -1, MaxLeafLog + 1, 100} {
 		if _, err := NewLeaf(m); err == nil {
 			t.Errorf("NewLeaf(%d): want error", m)
 		}

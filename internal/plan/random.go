@@ -15,14 +15,13 @@ type Sampler struct {
 }
 
 // NewSampler returns a deterministic sampler seeded with seed.  leafMax
-// bounds the codelet sizes used (clamped to [1, BlockLeafMax]; values
-// above MaxLeafLog admit block-kernel leaves).
+// bounds the codelet sizes used (clamped to [1, MaxLeafLog]).
 func NewSampler(seed uint64, leafMax int) *Sampler {
 	if leafMax < 1 {
 		leafMax = 1
 	}
-	if leafMax > BlockLeafMax {
-		leafMax = BlockLeafMax
+	if leafMax > MaxLeafLog {
+		leafMax = MaxLeafLog
 	}
 	return &Sampler{
 		rng:     rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
@@ -35,14 +34,13 @@ func (s *Sampler) LeafMax() int { return s.leafMax }
 
 // Plan draws one random plan for WHT(2^n).
 func (s *Sampler) Plan(n int) *Node {
-	if n < 1 {
-		panic("plan: sampler size must be at least 1")
-	}
+	mustSize(n)
 	return s.draw(n)
 }
 
 // Plans draws count independent random plans for WHT(2^n).
 func (s *Sampler) Plans(n, count int) []*Node {
+	mustSize(n)
 	out := make([]*Node, count)
 	for i := range out {
 		out[i] = s.draw(n)
@@ -55,11 +53,8 @@ func (s *Sampler) draw(n int) *Node {
 		return Leaf(1)
 	}
 	// A composition of n corresponds to an (n-1)-bit cut mask; mask 0 is the
-	// trivial composition (the leaf).  For n beyond the word size we would
-	// need big integers, but the study (and the codelet set) keeps n small.
-	if n-1 >= 63 {
-		panic("plan: sampler supports log-sizes up to 63")
-	}
+	// trivial composition (the leaf); MaxPlanLog keeps the mask within a
+	// word.
 	total := uint64(1) << uint(n-1)
 	var mask uint64
 	if n <= s.leafMax {

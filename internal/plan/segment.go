@@ -89,6 +89,9 @@ func NewPhaseSeg(hi, lo *SegNode) (*SegNode, error) {
 	if hi == nil || lo == nil {
 		return nil, fmt.Errorf("plan: nil phase child")
 	}
+	if hi.n+lo.n > MaxPlanLog {
+		return nil, fmt.Errorf("plan: phase size %d above the limit %d", hi.n+lo.n, MaxPlanLog)
+	}
 	return &SegNode{n: hi.n + lo.n, hi: hi, lo: lo}, nil
 }
 
@@ -151,6 +154,9 @@ func (g *SegNode) Validate() error {
 	}
 	if g.hi == nil || g.lo == nil {
 		return fmt.Errorf("plan: phase node of size %d missing a child", g.n)
+	}
+	if g.n > MaxPlanLog {
+		return fmt.Errorf("plan: phase size %d above the limit %d", g.n, MaxPlanLog)
 	}
 	if g.hi.n+g.lo.n != g.n {
 		return fmt.Errorf("plan: phase size %d but children sum to %d", g.n, g.hi.n+g.lo.n)
@@ -299,6 +305,10 @@ func (p *parser) parseSeg() (*SegNode, error) {
 	p.skipSpace()
 	if strings.HasPrefix(p.input[p.pos:], "phase") {
 		p.pos += len("phase")
+		defer func() { p.depth-- }()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		if err := p.expect('['); err != nil {
 			return nil, err
 		}

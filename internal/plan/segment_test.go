@@ -56,8 +56,8 @@ func TestTwoPhaseSplitsToBudget(t *testing.T) {
 }
 
 func TestTwoPhaseRejectsOversizedLeaf(t *testing.T) {
-	p := Split(Leaf(12), Leaf(12))
-	if _, err := TwoPhase(p, 10); err == nil {
+	p := Split(Leaf(8), Leaf(8))
+	if _, err := TwoPhase(p, 6); err == nil {
 		t.Fatal("leaf larger than the budget must be rejected")
 	}
 	if _, err := TwoPhase(p, 0); err == nil {

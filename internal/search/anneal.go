@@ -99,11 +99,8 @@ func Anneal(n int, seed *plan.Node, cost Coster, rngSeed uint64, opt AnnealOptio
 	if opt.StartTemp <= 0 {
 		opt.StartTemp = 0.05
 	}
-	if opt.LeafMax <= 0 {
+	if opt.LeafMax <= 0 || opt.LeafMax > plan.MaxLeafLog {
 		opt.LeafMax = plan.MaxLeafLog
-	}
-	if opt.LeafMax > plan.BlockLeafMax {
-		opt.LeafMax = plan.BlockLeafMax
 	}
 	sampler := plan.NewSampler(rngSeed, opt.LeafMax)
 	rng := rand.New(rand.NewPCG(rngSeed, 0x51ed2701))

@@ -53,9 +53,8 @@ func CombinedModel(cost machine.CostModel, alpha, beta float64, lgLines int) Cos
 
 // Options bounds the searches.
 type Options struct {
-	// LeafMax is the largest codelet log-size considered (default
-	// MaxLeafLog; values up to plan.BlockLeafMax admit the block-kernel
-	// leaves that trade loop instructions for whole full-vector passes).
+	// LeafMax is the largest codelet log-size considered (default and
+	// ceiling plan.MaxLeafLog).
 	LeafMax  int
 	MaxArity int // largest split arity the DP considers (default 2)
 	// Workers sets how many goroutines Random/Pruned evaluate candidates
@@ -71,11 +70,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.LeafMax <= 0 {
+	if o.LeafMax <= 0 || o.LeafMax > plan.MaxLeafLog {
 		o.LeafMax = plan.MaxLeafLog
-	}
-	if o.LeafMax > plan.BlockLeafMax {
-		o.LeafMax = plan.BlockLeafMax
 	}
 	if o.MaxArity < 2 {
 		o.MaxArity = 2

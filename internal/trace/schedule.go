@@ -4,7 +4,6 @@ import (
 	"repro/internal/codelet"
 	"repro/internal/exec"
 	"repro/internal/machine"
-	"repro/internal/plan"
 )
 
 // RunSchedule simulates one evaluation of a compiled schedule on a cold
@@ -28,14 +27,13 @@ import (
 // SIMDStageOpsShaped — per stage, so a mixed-pin schedule
 // (exec.Schedule.SetStageBackends) prices each stage on its own
 // backend, and shape-aware, so a SIMD pin on a shape without a vector
-// form (narrow strided rows, tiny contiguous kernels, the block tier)
-// prices scalar exactly as it executes.  The reference stream is
-// unchanged either way — the vector kernels touch the same addresses in
-// the same order — so only the instruction classes shrink.  Pricing
-// keys on the requested backend, not the host's runtime resolution, so
-// virtual-machine results stay host-independent: an Auto stage prices
-// scalar — the conservative baseline the tuner's measured backend sweep
-// corrects.
+// form (narrow strided rows, tiny contiguous kernels) prices scalar
+// exactly as it executes.  The reference stream is unchanged either way —
+// the vector kernels touch the same addresses in the same order — so only
+// the instruction classes shrink.  Pricing keys on the requested backend,
+// not the host's runtime resolution, so virtual-machine results stay
+// host-independent: an Auto stage prices scalar — the conservative
+// baseline the tuner's measured backend sweep corrects.
 func (t *Tracer) RunSchedule(s *exec.Schedule) Counters {
 	t.hier.Reset()
 	t.counters = Counters{}
@@ -84,26 +82,6 @@ func (t *Tracer) stagePrice(st exec.Stage, numWin int64) {
 // calls of the straight-line variants.
 func (t *Tracer) stageStream(st exec.Stage, base int) {
 	size := 1 << uint(st.M)
-	if st.M > plan.MaxLeafLog {
-		// Block stages: each call streams its multi-factor in-window
-		// decomposition — the contiguous form once per j-row (S == 1 by
-		// construction), the strided fallback once per (j, k) call at the
-		// stage stride.  Either way the caller-visible cost is one visit
-		// of the window per call; the re-passes inside it hit whatever
-		// level of the simulated hierarchy the window fits in.
-		t.counters.LeafCalls[st.M] += int64(st.R) * int64(st.S)
-		for j := 0; j < st.R; j++ {
-			rowBase := base + j*st.Blk
-			if st.V == codelet.Contiguous {
-				t.blockLeafStream(rowBase, 1, st.M)
-				continue
-			}
-			for k := 0; k < st.S; k++ {
-				t.blockLeafStream(rowBase+k, st.S, st.M)
-			}
-		}
-		return
-	}
 	switch st.V {
 	case codelet.Contiguous:
 		// The straight-line codelet's dependency-stall profile matches the
@@ -148,7 +126,7 @@ func machineStageLoops(st exec.Stage) int64 {
 // RunScheduleSoA simulates one SoA batch evaluation of the schedule
 // over a lane of `lane` vectors on a cold hierarchy: the gather
 // transpose (sequential per-vector reads, lane-strided SoA writes, in
-// machine.TransposeTile tiles), every expanded SoA stage in the mode
+// machine.TransposeTile tiles), every stage in the mode
 // the schedule's policy actually executes — R radix-4 fused
 // interleaved streams over its j-rows (ceil(m/2) read+write passes per
 // row, the whole (k, batch) space absorbed into unit stride), or, for
@@ -183,7 +161,7 @@ func (t *Tracer) RunScheduleSoA(s *exec.Schedule, lane int) Counters {
 	t.counters.LoopInstances += machine.TransposeInLoopInstances(n, lane)
 
 	useLane := s.SoAUsesLaneKernels()
-	for _, st := range s.SoAStages() {
+	for _, st := range s.Stages() {
 		rowLen := st.Blk * ld
 		if useLane {
 			// Lane-kernel mode (policies without interleaved forms): R*S

@@ -175,55 +175,12 @@ func TestRunScheduleSIMDPricing(t *testing.T) {
 	}
 }
 
-// Block stages in the schedule tracer issue the same reference stream as
-// the tree walker's block leaves: strided-only one-level splits stay
-// bit-for-bit equal on the memory counters.
-func TestRunScheduleBlockStridedMemEqualsTreeWalk(t *testing.T) {
-	m := machine.VirtualOpteron224()
-	tr := New(m)
-	for _, p := range []*plan.Node{
-		plan.MustParse("split[small[4],small[12]]"),
-		plan.MustParse("split[small[10],small[4]]"),
-		plan.MustParse("split[small[2],small[14],small[2]]"),
-	} {
-		want := tr.Run(p).Mem
-		sched, err := exec.NewScheduleWith(p, codelet.Policy{StridedOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := tr.RunSchedule(sched).Mem
-		if got != want {
-			t.Fatalf("plan %s: schedule mem %+v, tree walk %+v", p, got, want)
-		}
-	}
-}
-
-// The block tier's side of the paper's instr/miss trade, measured
-// against the plan that computes the identical factor sequence as
-// separate full-vector stages: the block leaf suffers fewer L1 misses
-// (its re-passes run on a resident window) at the price of more address
-// arithmetic (every in-window factor walks strided offsets where the
-// flat equivalent streams unit-stride).
-func TestRunScheduleBlockTradesAddrForMisses(t *testing.T) {
-	m := machine.VirtualOpteron224()
-	tr := New(m)
-	block := tr.RunSchedule(exec.Compile(plan.MustParse("split[small[6],small[12]]")))
-	equiv := tr.RunSchedule(exec.Compile(plan.MustParse("split[small[6],split[small[4],small[4],small[4]]]")))
-	if block.Mem.L1Misses >= equiv.Mem.L1Misses {
-		t.Errorf("block plan L1 misses %d not below flat equivalent %d", block.Mem.L1Misses, equiv.Mem.L1Misses)
-	}
-	if block.Ops.Addr <= equiv.Ops.Addr {
-		t.Errorf("block plan addr ops %d not above flat equivalent %d (the instr side of the trade)",
-			block.Ops.Addr, equiv.Ops.Addr)
-	}
-}
-
 // Fused interleaved stages halve the streamed references of their
 // single-level counterparts for identical butterfly work.
 func TestRunScheduleFusedILHalvesLoads(t *testing.T) {
 	m := machine.VirtualOpteron224()
 	tr := New(m)
-	p := plan.MustParse("split[small[6],small[12]]")
+	p := plan.MustParse("split[small[6],small[6],small[6]]")
 	single := tr.RunSchedule(exec.CompileWith(p, codelet.DefaultPolicy()))
 	fused := tr.RunSchedule(exec.CompileWith(p, codelet.Policy{ILFuse: true}))
 	if fused.Ops.Arith != single.Ops.Arith {
@@ -236,9 +193,9 @@ func TestRunScheduleFusedILHalvesLoads(t *testing.T) {
 
 // The SoA batch tier's model==trace exactness: the instruction classes
 // and loop counts RunScheduleSoA accounts must equal the sum of the
-// machine model's SoAStageOps over the expanded stage sequence plus the
+// machine model's SoAStageOps over the stage sequence plus the
 // gather (TransposeInOps — the gather also zeroes the pad column of
-// padded lanes) and scatter (TransposeOps) — for plain and block-leaved
+// padded lanes) and scatter (TransposeOps) — for two- and three-stage
 // plans and several lane widths including a padded one, so model-guided
 // reasoning about batch serving sees exactly what the simulator
 // executes.
@@ -248,7 +205,7 @@ func TestRunScheduleSoAInstructionsMatchModel(t *testing.T) {
 	for _, ps := range []string{
 		"split[small[6],small[8]]",
 		"split[small[2],split[small[4],small[8]]]",
-		"split[small[4],small[12]]", // block leaf: expanded to its parts
+		"split[small[4],small[6],small[6]]",
 	} {
 		p := plan.MustParse(ps)
 		// Both SoA execution modes: the fused streams of the default
@@ -261,7 +218,7 @@ func TestRunScheduleSoAInstructionsMatchModel(t *testing.T) {
 				wantOps.Add(m.Cost.TransposeOps(sched.Log2Size(), lane))
 				wantLoops := machine.TransposeInLoopInstances(sched.Log2Size(), lane) +
 					machine.TransposeLoopInstances(sched.Log2Size(), lane)
-				for _, st := range sched.SoAStages() {
+				for _, st := range sched.Stages() {
 					if sched.SoAUsesLaneKernels() {
 						wantOps.Add(m.Cost.SoALaneStageOps(st.M, st.R, st.S, lane))
 						wantLoops += machine.SoALaneStageLoopInstances(st.M, st.R, st.S, lane)

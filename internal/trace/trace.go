@@ -17,7 +17,6 @@ package trace
 
 import (
 	"repro/internal/cache"
-	"repro/internal/codelet"
 	"repro/internal/machine"
 	"repro/internal/plan"
 )
@@ -26,7 +25,7 @@ import (
 type Counters struct {
 	Ops           machine.OpCounts
 	LoopInstances int64 // completed loop executions (for the mispredict term)
-	LeafCalls     [plan.BlockLeafMax + 1]int64
+	LeafCalls     [plan.MaxLeafLog + 1]int64
 	Mem           cache.HierarchyCounters
 }
 
@@ -42,7 +41,7 @@ type Tracer struct {
 	elemSize  int64
 	lineShift uint
 	pageShift uint
-	leafOps   [plan.BlockLeafMax + 1]machine.OpCounts
+	leafOps   [plan.MaxLeafLog + 1]machine.OpCounts
 
 	counters Counters
 	// priceLanes is the machine's vector width in elements during a
@@ -61,7 +60,7 @@ func New(m *machine.Machine) *Tracer {
 		lineShift: m.LineShift(),
 		pageShift: m.PageShift(),
 	}
-	for lg := 1; lg <= plan.BlockLeafMax; lg++ {
+	for lg := 1; lg <= plan.MaxLeafLog; lg++ {
 		t.leafOps[lg] = m.Cost.LeafOps(lg)
 	}
 	return t
@@ -89,7 +88,7 @@ func (t *Tracer) RunAt(p *plan.Node, stride int) Counters {
 	t.counters = Counters{}
 	t.walk(p, 0, stride)
 	// Leaf op classes are accumulated in bulk from the call counts.
-	for lg := 1; lg <= plan.BlockLeafMax; lg++ {
+	for lg := 1; lg <= plan.MaxLeafLog; lg++ {
 		if n := t.counters.LeafCalls[lg]; n > 0 {
 			t.counters.Ops.Add(t.leafOps[lg].Scale(n))
 		}
@@ -102,12 +101,6 @@ func (t *Tracer) walk(p *plan.Node, base, stride int) {
 	if p.IsLeaf() {
 		m := p.Log2Size()
 		t.counters.LeafCalls[m]++
-		if m > plan.MaxLeafLog {
-			// Block leaves run their multi-factor in-window decomposition
-			// (the walker, like the interpreter, uses the strided form).
-			t.blockLeafStream(base, stride, m)
-			return
-		}
 		t.leafPass(base, stride, p.Size()) // reads
 		t.leafPass(base, stride, p.Size()) // writes
 		return
@@ -133,20 +126,6 @@ func (t *Tracer) walk(p *plan.Node, base, stride int) {
 		}
 		s *= ni
 	}
-}
-
-// blockLeafStream feeds the reference stream of one block-kernel call at
-// (base, stride) into the hierarchy: the read and write passes of every
-// sub-codelet call codelet.BlockWalk enumerates.  The stream is
-// identical for the contiguous and strided block forms at stride 1 — the
-// contiguous sub-codelets touch the same elements in the same order — so
-// one helper serves the tree walker, RunSchedule's contiguous block
-// stages, and its strided ones.
-func (t *Tracer) blockLeafStream(base, stride, m int) {
-	codelet.BlockWalk(m, base, stride, func(p, callBase, callStride int) {
-		t.leafPass(callBase, callStride, 1<<uint(p)) // reads
-		t.leafPass(callBase, callStride, 1<<uint(p)) // writes
-	})
 }
 
 // leafPass feeds one pass (read or write) over the strided vector into the

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,10 +33,6 @@ type Options struct {
 	Seed       uint64             // sampling seed (default 1)
 	Workers    int                // goroutines for the model-filter phase (<= 1 sequential)
 	Timing     exec.TimingOptions // warmup/repeat/min-duration of each real measurement
-	// LeafMax is the largest leaf log-size the random phase samples
-	// (default plan.BlockLeafMax, so the search explores the block-kernel
-	// tier; clamp to plan.MaxLeafLog for the legacy unrolled-only space).
-	LeafMax int
 
 	// Policies is the set of kernel-variant selection policies measured
 	// for the winning plan; the fastest is registered and recorded in
@@ -64,13 +59,6 @@ type Options struct {
 	// settled by greedy measured flips.  A mixed vector only displaces
 	// the uniform-policy incumbent on a strictly faster measurement.
 	NoBackendSweep bool
-
-	// NoBlockPartsSweep skips the per-size block-factorization sweep:
-	// for each distinct block-leaf size in the winning plan, a small grid
-	// of in-window factorizations (the generated default first) is
-	// measured and the fastest registered via codelet.SetBlockParts
-	// (Result.BlockParts records the non-default winners).
-	NoBlockPartsSweep bool
 
 	// ParallelWorkers is the worker count the parallel-mode sweep
 	// measures under (default runtime.GOMAXPROCS(0)); NoParallelSweep
@@ -112,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.LeafMax <= 0 || o.LeafMax > plan.BlockLeafMax {
-		o.LeafMax = plan.BlockLeafMax
-	}
 	if len(o.Policies) == 0 {
 		o.Policies = DefaultPolicies()
 	}
@@ -134,11 +119,6 @@ type Result struct {
 	// the per-vector path, -1 if the per-vector path won at every width,
 	// 0 if the sweep was skipped (default heuristic stays in charge).
 	SoAMinBatch int
-
-	// BlockParts holds the measured in-window factorizations that beat
-	// the generated defaults for the winner's block leaves, keyed by
-	// block log-size; absent keys (and a nil map) keep the defaults.
-	BlockParts map[int][]int
 
 	// StageBackends is the measured per-stage backend vector registered
 	// for the winner, nil when the sweep was skipped, moot (no SIMD
@@ -175,10 +155,8 @@ func rematchTiming(t exec.TimingOptions) exec.TimingOptions {
 // Tune finds a measured-fast plan for WHT(2^n), registers it as the plan
 // ForSize/Transform serve at that size, and records it in the process
 // wisdom store.  The measured candidate set always includes the balanced
-// default, the model-optimal DP plan, and one block-leaf plan per block
-// size 2^9..2^LeafMax (the cache-resident large base cases), so the tuned
-// result is never a regression against the untuned serving path (up to
-// timing noise) and the enlarged leaf range is explored on every run.
+// default and the model-optimal DP plan, so the tuned result is never a
+// regression against the untuned serving path (up to timing noise).
 func Tune(n int, opt Options) (Result, error) {
 	if n < 1 {
 		return Result{}, fmt.Errorf("tune: size 2^%d out of range", n)
@@ -192,47 +170,25 @@ func Tune(n int, opt Options) (Result, error) {
 
 	// Phase 1: the paper's conclusion — spend cheap model evaluations to
 	// shortlist, and expensive measurements only on the shortlist.
-	sOpt := search.Options{LeafMax: opt.LeafMax, Workers: opt.Workers}
+	sOpt := search.Options{Workers: opt.Workers}
 	_, scored := search.Random(n, opt.Candidates, opt.Seed, model, sOpt)
 	shortlist := search.Shortlist(scored, opt.KeepFrac)
 
 	// Baselines first: index order breaks ties, so on a tie the balanced
-	// default wins and serving behavior does not churn.  Every candidate
-	// honors the caller's leaf ceiling: the unrolled-tier pieces clamp to
-	// min(LeafMax, MaxLeafLog) and the block sweep stops at LeafMax.
-	unrolledMax := opt.LeafMax
-	if unrolledMax > plan.MaxLeafLog {
-		unrolledMax = plan.MaxLeafLog
-	}
-	candidates := []*plan.Node{plan.Balanced(n, unrolledMax)}
+	// default wins and serving behavior does not churn.
+	candidates := []*plan.Node{plan.Balanced(n, plan.MaxLeafLog)}
 	candidates = append(candidates, search.DP(n, model, sOpt).Plan)
-	// The block-leaf sweep: one candidate per block size with the block
-	// leaf rightmost (the stride-1 position its contiguous window form
-	// serves), covering the leaf range the unrolled-tier sampler cannot
-	// reach.  The measured phase decides whether fewer full-vector passes
-	// beat the unrolled plans on this machine.
-	for bl := plan.MaxLeafLog + 1; bl <= opt.LeafMax && bl < n; bl++ {
-		candidates = append(candidates, plan.Split(plan.Balanced(n-bl, unrolledMax), plan.Leaf(bl)))
-	}
 	candidates = append(candidates, shortlist...)
 	candidates = dedupe(candidates)
 
 	// Phase 2: measure.  The memo table guards against duplicates that
 	// survive dedupe via forks; the measured coster serializes timings.
-	// The fastest block-leaf candidate is tracked separately: block plans
-	// often need the fused interleaved policy (phase 4) for their top
-	// stage, so judging them on the default policy alone would discard
-	// them before the sweep could show it.
 	coster := search.Memoize(search.NewMeasuredCoster(opt.Timing))
 	best := search.Result{Plan: nil, Cost: 0}
-	bestBlock := search.Result{Plan: nil, Cost: 0}
 	for i, p := range candidates {
 		c := coster.Cost(p)
 		if i == 0 || c < best.Cost {
 			best = search.Result{Plan: p, Cost: c}
-		}
-		if hasBlockLeaf(p) && (bestBlock.Plan == nil || c < bestBlock.Cost) {
-			bestBlock = search.Result{Plan: p, Cost: c}
 		}
 	}
 	measured := len(candidates)
@@ -258,46 +214,37 @@ func Tune(n int, opt Options) (Result, error) {
 	res := Result{Plan: best.Plan, Policy: codelet.DefaultPolicy(), NsPerRun: best.Cost, BaselineNs: baselineNs, Measured: measured}
 
 	// Phase 4: variant-policy sweep — the axis the stage engine opened.
-	// The winning plan — and the fastest block-leaf candidate, whose top
-	// stage only shows its worth under the fused interleaved policy — is
-	// timed under every candidate kernel-variant policy (same plan,
-	// different codelet selection per stage) back to back at rematch
-	// effort.  The incumbent (plan, policy) pair is re-timed FIRST at the
-	// same effort, and a swept pair only displaces it on a strictly
-	// faster measurement: comparing against the incumbent's stale
-	// phase-2/3 number — or, worse, unconditionally seeding the sweep
-	// with its first candidate — let a caller whose custom Policies list
-	// omits the incumbent's policy register a strictly slower pair.
-	// Ties keep the incumbent, so serving does not churn on noise-level
-	// differences.
+	// The winning plan is timed under every candidate kernel-variant
+	// policy (same plan, different codelet selection per stage) back to
+	// back at rematch effort.  The incumbent (plan, policy) pair is
+	// re-timed FIRST at the same effort, and a swept pair only displaces
+	// it on a strictly faster measurement: comparing against the
+	// incumbent's stale phase-2/3 number — or, worse, unconditionally
+	// seeding the sweep with its first candidate — let a caller whose
+	// custom Policies list omits the incumbent's policy register a
+	// strictly slower pair.  Ties keep the incumbent, so serving does not
+	// churn on noise-level differences.
 	if len(opt.Policies) > 0 {
-		sweep := []*plan.Node{res.Plan}
-		if bestBlock.Plan != nil && !bestBlock.Plan.Equal(res.Plan) {
-			sweep = append(sweep, bestBlock.Plan)
-		}
 		polTiming := rematchTiming(opt.Timing)
-		incPlan, incPol := res.Plan, res.Policy
-		incSched, err := exec.NewScheduleWith(incPlan, incPol)
+		incPol := res.Policy
+		incSched, err := exec.NewScheduleWith(res.Plan, incPol)
 		if err != nil {
 			return Result{}, fmt.Errorf("tune: %w", err)
 		}
 		res.NsPerRun = exec.TimeSchedule(incSched, polTiming)
 		measured++
-		policies := backendAxis(opt.Policies)
-		for _, pl := range sweep {
-			for _, pol := range policies {
-				if pol == incPol && pl.Equal(incPlan) {
-					continue // already freshly timed as the incumbent
-				}
-				s, err := exec.NewScheduleWith(pl, pol)
-				if err != nil {
-					return Result{}, fmt.Errorf("tune: %w", err)
-				}
-				ns := exec.TimeSchedule(s, polTiming)
-				measured++
-				if ns < res.NsPerRun {
-					res.Plan, res.Policy, res.NsPerRun = pl, pol, ns
-				}
+		for _, pol := range backendAxis(opt.Policies) {
+			if pol == incPol {
+				continue // already freshly timed as the incumbent
+			}
+			s, err := exec.NewScheduleWith(res.Plan, pol)
+			if err != nil {
+				return Result{}, fmt.Errorf("tune: %w", err)
+			}
+			ns := exec.TimeSchedule(s, polTiming)
+			measured++
+			if ns < res.NsPerRun {
+				res.Policy, res.NsPerRun = pol, ns
 			}
 		}
 		res.Measured = measured
@@ -324,56 +271,7 @@ func Tune(n int, opt Options) (Result, error) {
 		res.Measured = measured
 	}
 
-	// Phase 5: block-parts sweep — the in-window factorization axis of
-	// the block tier.  For each distinct block-leaf size of the winner,
-	// the generated default and a small grid of alternative
-	// factorizations are timed back to back (a fresh schedule per
-	// candidate: overrides must be set before compiling); the fastest is
-	// installed via codelet.SetBlockParts so every later sweep and the
-	// registered serving path run the measured split.  The default is
-	// measured first and kept on ties — an override forgoes the generated
-	// straight-line kernels, so it must earn the slot.
-	if !opt.NoBlockPartsSweep {
-		if sizes := blockLeafSizes(res.Plan); len(sizes) > 0 {
-			bpTiming := rematchTiming(opt.Timing)
-			for _, m := range sizes {
-				codelet.ClearBlockParts(m)
-				def := append([]int(nil), codelet.BlockParts(m)...)
-				bestNs := math.Inf(1)
-				var bestParts []int // nil: the generated default
-				for _, parts := range blockPartsCandidates(m, def) {
-					if parts == nil {
-						codelet.ClearBlockParts(m)
-					} else if err := codelet.SetBlockParts(m, parts); err != nil {
-						return Result{}, fmt.Errorf("tune: %w", err)
-					}
-					s, err := tunedSchedule(res)
-					if err != nil {
-						return Result{}, fmt.Errorf("tune: %w", err)
-					}
-					ns := exec.TimeSchedule(s, bpTiming)
-					measured++
-					if ns < bestNs {
-						bestNs, bestParts = ns, parts
-					}
-				}
-				if bestParts == nil {
-					codelet.ClearBlockParts(m)
-				} else {
-					if err := codelet.SetBlockParts(m, bestParts); err != nil {
-						return Result{}, fmt.Errorf("tune: %w", err)
-					}
-					if res.BlockParts == nil {
-						res.BlockParts = make(map[int][]int)
-					}
-					res.BlockParts[m] = bestParts
-				}
-			}
-			res.Measured = measured
-		}
-	}
-
-	// Phase 6: batch-tier sweep — the serving shape the SoA engine was
+	// Phase 5: batch-tier sweep — the serving shape the SoA engine was
 	// built for.  The winner is timed over whole batches through both
 	// batch paths at each swept width, ascending; the first width where
 	// the SoA tier's measured batch latency beats the per-vector path
@@ -405,7 +303,7 @@ func Tune(n int, opt Options) (Result, error) {
 		res.Measured = measured
 	}
 
-	// Phase 7: parallel-mode sweep — the per-stage-barrier pool against
+	// Phase 6: parallel-mode sweep — the per-stage-barrier pool against
 	// the dependency-counted window pipeline at the deployment's worker
 	// count.  Only meaningful when the pipelined tier could ever run
 	// (at least two workers and a multi-stage plan); the faster mode is
@@ -474,8 +372,7 @@ func Tune(n int, opt Options) (Result, error) {
 	store := processWisdom()
 	tuned := wisdom.Tuned{
 		Policy: res.Policy, SoAMinBatch: res.SoAMinBatch,
-		ParallelMode: res.ParallelMode, BlockParts: res.BlockParts,
-		StageBackends: res.StageBackends,
+		ParallelMode: res.ParallelMode, StageBackends: res.StageBackends,
 	}
 	if _, err := store.RecordFull(wisdom.Float64, res.Plan, tuned, res.NsPerRun); err != nil {
 		return Result{}, fmt.Errorf("tune: %w", err)
@@ -596,81 +493,6 @@ func sweepStageBackends(res Result, mach *machine.Machine, timing exec.TimingOpt
 	return bs, bestNs, timed, nil
 }
 
-// blockLeafSizes returns the distinct block-tier leaf log-sizes of p,
-// ascending.
-func blockLeafSizes(p *plan.Node) []int {
-	set := map[int]bool{}
-	var walk func(*plan.Node)
-	walk = func(q *plan.Node) {
-		if q.IsLeaf() {
-			if q.Log2Size() > plan.MaxLeafLog {
-				set[q.Log2Size()] = true
-			}
-			return
-		}
-		for _, c := range q.Children() {
-			walk(c)
-		}
-	}
-	walk(p)
-	out := make([]int, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// blockPartsCandidates returns the factorization grid the block-parts
-// sweep measures for block log-size m: nil first (the generated default
-// and its straight-line kernels), then the alternatives distinct from
-// def — the balanced two-part split, the widest-first
-// {GeneratedMaxLog, rest} split, and a balanced three-part split for the
-// larger windows.
-func blockPartsCandidates(m int, def []int) [][]int {
-	cands := [][]int{nil}
-	seen := map[string]bool{partsKey(def): true}
-	add := func(parts []int) {
-		if codelet.ValidateBlockParts(m, parts) != nil {
-			return
-		}
-		if k := partsKey(parts); !seen[k] {
-			seen[k] = true
-			cands = append(cands, parts)
-		}
-	}
-	add([]int{m - m/2, m / 2})
-	add([]int{codelet.GeneratedMaxLog, m - codelet.GeneratedMaxLog})
-	if m >= 12 {
-		third := m / 3
-		add([]int{m - 2*third, third, third})
-	}
-	return cands
-}
-
-// partsKey is a dedupe key for a parts slice (parts are single digits:
-// the unrolled tier tops out at 2^8).
-func partsKey(parts []int) string {
-	b := make([]byte, 0, 2*len(parts))
-	for _, p := range parts {
-		b = append(b, byte('0'+p), ',')
-	}
-	return string(b)
-}
-
-// hasBlockLeaf reports whether the plan contains a block-tier leaf.
-func hasBlockLeaf(p *plan.Node) bool {
-	if p.IsLeaf() {
-		return p.Log2Size() > plan.MaxLeafLog
-	}
-	for _, c := range p.Children() {
-		if hasBlockLeaf(c) {
-			return true
-		}
-	}
-	return false
-}
-
 // dedupe removes structurally identical plans, keeping first occurrences.
 func dedupe(plans []*plan.Node) []*plan.Node {
 	seen := make(map[uint64]bool, len(plans))
@@ -717,9 +539,9 @@ func SaveWisdom(path string) error {
 // Registration is all-or-nothing: every entry is validated and
 // dry-run-compiled first, and only a file whose every entry passes
 // publishes anything.  A file that fails mid-validation therefore never
-// partially populates the tuned-plan registry, the block-parts table,
-// or the process store — the rejecting error tells the caller the whole
-// file was ignored, not some prefix of it.
+// partially populates the tuned-plan registry or the process store — the
+// rejecting error tells the caller the whole file was ignored, not some
+// prefix of it.
 func LoadWisdom(path string) error {
 	w, err := wisdom.Load(path)
 	if err != nil {
@@ -734,7 +556,6 @@ func LoadWisdom(path string) error {
 	type registration struct {
 		p   *plan.Node
 		cfg exec.TunedConfig
-		bp  map[int][]int
 	}
 	var regs []registration
 	for _, e := range w.Entries() {
@@ -760,11 +581,6 @@ func LoadWisdom(path string) error {
 				return fmt.Errorf("tune: wisdom entry n=%d: %w", e.N, err)
 			}
 		}
-		for m, parts := range tc.BlockParts {
-			if err := codelet.ValidateBlockParts(m, parts); err != nil {
-				return fmt.Errorf("tune: wisdom entry n=%d: %w", e.N, err)
-			}
-		}
 		if e.Segments != "" {
 			// The recorded out-of-core form must compile (Load has already
 			// validated its grammar, size, and budget); TransformLarge
@@ -774,7 +590,7 @@ func LoadWisdom(path string) error {
 				return fmt.Errorf("tune: wisdom entry n=%d: %w", e.N, err)
 			}
 		}
-		regs = append(regs, registration{p: p, cfg: cfg, bp: tc.BlockParts})
+		regs = append(regs, registration{p: p, cfg: cfg})
 	}
 	// Phase 2: publish.  Nothing below can fail — every input was
 	// validated above with the same checks the setters run.
@@ -782,11 +598,6 @@ func LoadWisdom(path string) error {
 		return err
 	}
 	for _, r := range regs {
-		for m, parts := range r.bp {
-			if err := codelet.SetBlockParts(m, parts); err != nil {
-				return fmt.Errorf("tune: %w", err)
-			}
-		}
 		if err := exec.UseTunedPlanWith(r.p, r.cfg); err != nil {
 			return fmt.Errorf("tune: %w", err)
 		}
@@ -794,13 +605,11 @@ func LoadWisdom(path string) error {
 	return nil
 }
 
-// Reset drops the process wisdom store, every registered tuned plan,
-// and every block-parts override, restoring the untuned defaults (tests
-// and benchmark baselines).
+// Reset drops the process wisdom store and every registered tuned plan,
+// restoring the untuned defaults (tests and benchmark baselines).
 func Reset() {
 	storeMu.Lock()
 	store = wisdom.New()
 	storeMu.Unlock()
 	exec.ResetTunedPlans()
-	codelet.ResetBlockParts()
 }

@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -161,123 +163,49 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 	}
 }
 
-// The acceptance path of the block tier: a tuned result whose plan
-// carries a block leaf — registered exactly the way Tune registers its
-// winner — must persist to wisdom, survive a process restart, and be
-// served by ForSize/Transform, with its policy (including the fused
-// interleaved flag) intact.
+// A wisdom file written while the engine had a block-kernel leaf tier
+// holds a tuned block-leaf plan (with its block_parts) next to an
+// ordinary entry.  LoadWisdom accepts the file, registers and records
+// only the ordinary entry, and leaves the block entry's size on the
+// default plan.
 func TestTunedBlockPlanRoundTrip(t *testing.T) {
 	Reset()
 	defer Reset()
-	const n = 13
-	blockPlan := plan.Split(plan.Leaf(4), plan.Leaf(9))
-	pol := codelet.Policy{ILFuse: true}
-	if err := exec.UseTunedPlanPolicy(blockPlan, pol); err != nil {
+	fixture, err := os.ReadFile(filepath.Join("..", "wisdom", "testdata", "block_leaf_v1.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Wisdom().RecordPolicy(wisdom.Float64, blockPlan, pol, 12345); err != nil {
+	// Re-fingerprint the fixture for this process, which LoadWisdom
+	// requires; the entries are untouched.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(fixture, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["fingerprint"], err = json.Marshal(wisdom.CurrentFingerprint()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wisdom.json")
-	if err := SaveWisdom(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	Reset() // fresh process
 	if err := LoadWisdom(path); err != nil {
-		t.Fatal(err)
+		t.Fatalf("LoadWisdom: %v", err)
 	}
-	p, ok := exec.TunedPlan(n)
-	if !ok || !p.Equal(blockPlan) {
-		t.Fatalf("TunedPlan = (%v, %v), want the block plan", p, ok)
+	if p, ok := exec.TunedPlan(10); !ok || !p.Equal(plan.MustParse("split[small[5],small[5]]")) {
+		t.Fatalf("TunedPlan(10) = (%v, %v), want the ordinary entry", p, ok)
 	}
-	if gotPol, ok := exec.TunedPolicy(n); !ok || gotPol != pol {
-		t.Fatalf("TunedPolicy = (%+v, %v), want (%+v, true)", gotPol, ok, pol)
+	if p, ok := exec.TunedPlan(18); ok {
+		t.Fatalf("block-leaf entry registered as %v", p)
 	}
-	// The served schedule contains the block stage and computes the same
-	// transform as the default engine.
-	sched := exec.ForSize(n)
-	hasBlock := false
-	for _, st := range sched.Stages() {
-		if st.M > plan.MaxLeafLog {
-			hasBlock = true
-		}
+	if Wisdom().Len() != 1 {
+		t.Fatalf("process wisdom holds %d entries, want 1", Wisdom().Len())
 	}
-	if !hasBlock {
-		t.Fatalf("served schedule %s has no block stage", sched)
-	}
-	x := make([]float64, 1<<n)
-	for i := range x {
-		x[i] = float64(i%17) - 8
-	}
-	want := append([]float64(nil), x...)
-	exec.MustRun(exec.Compile(plan.Balanced(n, plan.MaxLeafLog)), want)
-	exec.MustRun(sched, x)
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("served block schedule diverges at %d: %v != %v", i, x[i], want[i])
-		}
-	}
-}
-
-// Tune's candidate set must include the block-leaf family so the
-// measured phase can select one: every block size below n appears, with
-// the block leaf in the rightmost (contiguous-window) position.
-func TestTuneMeasuresBlockCandidates(t *testing.T) {
-	Reset()
-	defer Reset()
-	const n = 11
-	res, err := Tune(n, quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 balanced + 1 DP + 2 block candidates (2^9, 2^10) + a non-empty
-	// shortlist, minus dedupe overlap: at least 5 measurements.
-	if res.Measured < 5 {
-		t.Fatalf("measured %d plans; block candidates missing from the set", res.Measured)
-	}
-	// Whatever won, the serving path is registered and correct.
-	sched := exec.ForSize(n)
-	x := make([]float64, 1<<n)
-	x[1] = 1
-	want := append([]float64(nil), x...)
-	exec.MustRun(exec.Compile(plan.Balanced(n, plan.MaxLeafLog)), want)
-	exec.MustRun(sched, x)
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("tuned schedule diverges at %d", i)
-		}
-	}
-}
-
-// An out-of-range LeafMax must clamp (the pre-block tuner silently
-// clamped too), not panic inside the block-candidate sweep.
-func TestTuneClampsOversizedLeafMax(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.LeafMax = 99
-	if _, err := Tune(10, opt); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A LeafMax below the unrolled maximum must bound every candidate —
-// baseline included — so the tuned serving plan honors the caller's
-// leaf ceiling.
-func TestTuneHonorsLowLeafMax(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.LeafMax = 5
-	res, err := Tune(10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sz := range res.Plan.LeafSizes() {
-		if sz > 5 {
-			t.Fatalf("tuned plan %s has leaf 2^%d above LeafMax=5", res.Plan, sz)
-		}
+	if got, want := exec.ForSize(18).String(), exec.Compile(plan.Balanced(18, plan.MaxLeafLog)).String(); got != want {
+		t.Fatalf("ForSize(18) serves %s, want the default %s", got, want)
 	}
 }
 
@@ -367,7 +295,7 @@ func TestWisdomParallelModeSpellingsMatchExec(t *testing.T) {
 	}
 }
 
-// Phase 7 registers a measured barrier/pipelined decision on the
+// Phase 6 registers a measured barrier/pipelined decision on the
 // serving schedule and in wisdom, and the decision survives a wisdom
 // round-trip into a fresh registry.
 func TestTuneParallelSweepRegistersMode(t *testing.T) {
@@ -593,83 +521,6 @@ func TestTuneParallelPrefilterConsistency(t *testing.T) {
 			if res.ParallelMode != wantMode {
 				t.Fatalf("n=%d: prefiltered mode %q, model picked %q", n, res.ParallelMode, wantMode)
 			}
-		}
-	}
-}
-
-// The block-parts sweep helpers: leaf discovery and the candidate grid.
-func TestBlockPartsSweepHelpers(t *testing.T) {
-	p := plan.MustParse("split[split[small[3],small[4]],small[13]]")
-	if got := blockLeafSizes(p); len(got) != 1 || got[0] != 13 {
-		t.Fatalf("blockLeafSizes = %v, want [13]", got)
-	}
-	if got := blockLeafSizes(plan.MustParse("split[small[5],small[5]]")); len(got) != 0 {
-		t.Fatalf("blockLeafSizes of unrolled plan = %v, want none", got)
-	}
-	def := codelet.BlockParts(13)
-	cands := blockPartsCandidates(13, def)
-	if cands[0] != nil {
-		t.Fatal("candidate grid does not measure the default first")
-	}
-	for _, parts := range cands[1:] {
-		if err := codelet.ValidateBlockParts(13, parts); err != nil {
-			t.Errorf("invalid candidate %v: %v", parts, err)
-		}
-		if partsKey(parts) == partsKey(def) {
-			t.Errorf("candidate %v duplicates the default", parts)
-		}
-	}
-	if len(cands) < 3 {
-		t.Fatalf("only %d candidates for 2^13", len(cands))
-	}
-}
-
-// A Tune run over a plan with a block leaf leaves either the default
-// factorization (no override) or a measured override that matches the
-// result's BlockParts record — and wisdom round-trips the override into
-// a fresh process's codelet registry.
-func TestTuneBlockPartsSweepConsistency(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.NoBatchSweep = true
-	opt.NoParallelSweep = true
-	res, err := Tune(15, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range blockLeafSizes(res.Plan) {
-		ov := codelet.BlockPartsOverride(m)
-		rec := res.BlockParts[m]
-		if (ov == nil) != (rec == nil) || len(ov) != len(rec) {
-			t.Fatalf("size 2^%d: override %v vs recorded %v", m, ov, rec)
-		}
-		for i := range ov {
-			if ov[i] != rec[i] {
-				t.Fatalf("size 2^%d: override %v vs recorded %v", m, ov, rec)
-			}
-		}
-	}
-	if len(res.BlockParts) == 0 {
-		return // default won everywhere: nothing to round-trip
-	}
-	path := filepath.Join(t.TempDir(), "wisdom.json")
-	if err := SaveWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	Reset()
-	for m := range res.BlockParts {
-		if codelet.BlockPartsOverride(m) != nil {
-			t.Fatalf("Reset left the 2^%d override in place", m)
-		}
-	}
-	if err := LoadWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	for m, parts := range res.BlockParts {
-		ov := codelet.BlockPartsOverride(m)
-		if len(ov) != len(parts) {
-			t.Fatalf("after LoadWisdom 2^%d override %v, tuner measured %v", m, ov, parts)
 		}
 	}
 }

@@ -22,16 +22,19 @@
 // The optional "il_min_s" / "strided_only" / "il_fuse" / "backend"
 // fields round-trip the kernel-variant selection policy (codelet.Policy)
 // the plan was measured under; files without them load with the default
-// policy, so pre-variant version-1 files remain valid.  Plans may carry
-// block-tier leaves (small[9..14]); they parse and validate like any
-// other leaf.  Further optional per-entry fields: "soa_min_batch" (the
-// SoA batch crossover), "parallel_mode" ("barrier" or "pipelined" to pin
-// the multi-worker dispatch tier), "block_parts" (measured in-window
-// factorizations for block leaves, keyed by decimal log-size), and the
-// out-of-core pair "segments" / "resident_budget" (the measured
-// two-phase segmented form in the plan.ParseSeg grammar and the log2
-// resident-window budget it fits).  All are omitted when untuned, so
-// older version-1 files keep loading.
+// policy, so pre-variant version-1 files remain valid.  Further
+// optional per-entry fields: "soa_min_batch" (the SoA batch crossover),
+// "parallel_mode" ("barrier" or "pipelined" to pin the multi-worker
+// dispatch tier), and the out-of-core pair "segments" /
+// "resident_budget" (the measured two-phase segmented form in the
+// plan.ParseSeg grammar and the log2 resident-window budget it fits).
+// All are omitted when untuned, so older version-1 files keep loading.
+//
+// Version-1 files written while the engine had a looped block-kernel
+// leaf tier may carry plans with leaves in (plan.MaxLeafLog,
+// retiredLeafMax] and a "block_parts" field.  The decoder drops the
+// unknown "block_parts" key, and LoadFor skips each such entry on its
+// own (see parseRetiredPlan), so the rest of the file still loads.
 //
 // The optional "stage_backends" field records the tuner's per-stage
 // backend pins (exec.Schedule.SetStageBackends): one spelling per
@@ -71,6 +74,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/codelet"
@@ -204,13 +208,6 @@ type Entry struct {
 	// window scheduler.  The spellings are exec.ParseParallelMode's.
 	ParallelMode string `json:"parallel_mode,omitempty"`
 
-	// BlockParts records measured in-window factorizations for the
-	// plan's block leaves, keyed by the block log-size in decimal (JSON
-	// object keys are strings).  Each is validated like
-	// codelet.SetBlockParts validates its arguments; absent keys run the
-	// generated default factorization.
-	BlockParts map[string][]int `json:"block_parts,omitempty"`
-
 	// Segments records the measured-fastest two-phase segmented form for
 	// out-of-core execution of this size, in the plan.ParseSeg grammar
 	// ("phase[...]").  Absent means no out-of-core tuning was run.  The
@@ -236,13 +233,12 @@ func (e Entry) Policy() codelet.Policy {
 
 // Tuned returns every tuning knob recorded with the entry as a Tuned
 // carrier.  Entries are validated on the way in (Record* and LoadFor),
-// so the block-parts keys and backend spellings decode without error.
+// so the backend spellings decode without error.
 func (e Entry) Tuned() Tuned {
 	return Tuned{
 		Policy:        e.Policy(),
 		SoAMinBatch:   e.SoAMinBatch,
 		ParallelMode:  e.ParallelMode,
-		BlockParts:    decodeBlockParts(e.BlockParts),
 		StageBackends: decodeStageBackends(e.StageBackends),
 	}
 }
@@ -250,43 +246,13 @@ func (e Entry) Tuned() Tuned {
 // Tuned bundles the tuning knobs beyond the plan itself that a
 // measurement was taken under: the kernel-variant policy, the SoA batch
 // crossover (Entry.SoAMinBatch), the parallel dispatch mode
-// (Entry.ParallelMode), any measured block-leaf factorizations, and the
-// per-stage backend pins (nil when the uniform policy backend governs).
+// (Entry.ParallelMode), and the per-stage backend pins (nil when the
+// uniform policy backend governs).
 type Tuned struct {
 	Policy        codelet.Policy
 	SoAMinBatch   int
 	ParallelMode  string
-	BlockParts    map[int][]int
 	StageBackends []codelet.Backend
-}
-
-// encodeBlockParts converts a block-parts override map to the
-// string-keyed serialized form, copying the part slices.  Empty maps
-// encode to nil so untuned entries omit the field.
-func encodeBlockParts(bp map[int][]int) map[string][]int {
-	if len(bp) == 0 {
-		return nil
-	}
-	out := make(map[string][]int, len(bp))
-	for m, parts := range bp {
-		out[strconv.Itoa(m)] = append([]int(nil), parts...)
-	}
-	return out
-}
-
-// decodeBlockParts converts the serialized string-keyed form back to
-// the int-keyed map codelet.SetBlockParts takes.  Keys must already be
-// validated (validBlockParts).
-func decodeBlockParts(bp map[string][]int) map[int][]int {
-	if len(bp) == 0 {
-		return nil
-	}
-	out := make(map[int][]int, len(bp))
-	for k, parts := range bp {
-		m, _ := strconv.Atoi(k)
-		out[m] = append([]int(nil), parts...)
-	}
-	return out
 }
 
 // encodeStageBackends serializes a per-stage backend vector.  Every
@@ -384,19 +350,66 @@ func validSegments(e Entry) error {
 	return nil
 }
 
-// validBlockParts checks the serialized block-parts map: decimal keys
-// and, per key, the factorization rules of codelet.SetBlockParts.
-func validBlockParts(bp map[string][]int) error {
-	for k, parts := range bp {
-		m, err := strconv.Atoi(k)
-		if err != nil {
-			return fmt.Errorf("wisdom: block parts key %q is not a block log-size", k)
+// retiredLeafMax is the largest leaf format version 1 admitted: leaves
+// in (plan.MaxLeafLog, retiredLeafMax] ran looped block kernels, a tier
+// the engine no longer has.
+const retiredLeafMax = 14
+
+// parseRetiredPlan reports whether s, which plan.Parse rejected, is a
+// plan that was valid under format version 1 because of leaves in
+// (plan.MaxLeafLog, retiredLeafMax].  It returns the plan with each such
+// leaf replaced by split[small[MaxLeafLog],small[m-MaxLeafLog]], a
+// stand-in of the same size, so the entry's other fields are validated
+// exactly as for a current plan.
+func parseRetiredPlan(s string) (*plan.Node, bool) {
+	var b strings.Builder
+	retired := false
+	for {
+		i := strings.Index(s, "small")
+		if i < 0 {
+			break
 		}
-		if err := codelet.ValidateBlockParts(m, parts); err != nil {
-			return err
+		b.WriteString(s[:i])
+		s = s[i+len("small"):]
+		m, rest, ok := leafSize(s)
+		if !ok || m <= plan.MaxLeafLog || m > retiredLeafMax {
+			b.WriteString("small")
+			continue
 		}
+		fmt.Fprintf(&b, "split[small[%d],small[%d]]", plan.MaxLeafLog, m-plan.MaxLeafLog)
+		s, retired = rest, true
 	}
-	return nil
+	b.WriteString(s)
+	if !retired {
+		return nil, false
+	}
+	p, err := plan.Parse(b.String())
+	return p, err == nil
+}
+
+// leafSize reads the "[ m ]" that follows "small" in the plan grammar
+// (whitespace allowed between tokens, as plan.Parse allows it) and
+// returns m and the input after the closing bracket.
+func leafSize(s string) (m int, rest string, ok bool) {
+	const space = " \t\n\r"
+	s = strings.TrimLeft(s, space)
+	if !strings.HasPrefix(s, "[") {
+		return 0, "", false
+	}
+	s = strings.TrimLeft(s[1:], space)
+	j := 0
+	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		j++
+	}
+	m, err := strconv.Atoi(s[:j])
+	if err != nil {
+		return 0, "", false
+	}
+	s = strings.TrimLeft(s[j:], space)
+	if !strings.HasPrefix(s, "]") {
+		return 0, "", false
+	}
+	return m, s[1:], true
 }
 
 // Key identifies an entry: one tuned plan per (size, element type).
@@ -476,10 +489,6 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 	if err := validBackend(encodeBackend(tc.Policy.Backend)); err != nil {
 		return false, err
 	}
-	bp := encodeBlockParts(tc.BlockParts)
-	if err := validBlockParts(bp); err != nil {
-		return false, fmt.Errorf("wisdom: %w", err)
-	}
 	sb := encodeStageBackends(tc.StageBackends)
 	if err := validStageBackends(sb); err != nil {
 		return false, err
@@ -490,7 +499,6 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 		Backend:       encodeBackend(tc.Policy.Backend),
 		SoAMinBatch:   tc.SoAMinBatch,
 		ParallelMode:  tc.ParallelMode,
-		BlockParts:    bp,
 		StageBackends: sb,
 	}
 	w.mu.Lock()
@@ -689,6 +697,12 @@ func Load(path string) (*Wisdom, error) {
 // transfers across instruction sets, so every entry is dropped, but
 // structural validation still runs — a corrupt file is an error, a
 // foreign one is merely useless.
+//
+// Entries whose plan has a leaf in (plan.MaxLeafLog, retiredLeafMax] —
+// legal in version 1 while the block-kernel tier existed — are dropped
+// the same way, one by one: the file is intact, the entry merely names
+// kernels this engine no longer has.  Leaves outside [1,
+// retiredLeafMax] and plans above plan.MaxPlanLog stay corrupt.
 func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -733,8 +747,11 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 			return nil, corruptEntry(path, i, fmt.Errorf("non-positive measurement %g", e.NsPerRun))
 		}
 		p, err := plan.Parse(e.Plan)
+		retired := false
 		if err != nil {
-			return nil, corruptEntry(path, i, err)
+			if p, retired = parseRetiredPlan(e.Plan); !retired {
+				return nil, corruptEntry(path, i, err)
+			}
 		}
 		if err := p.Validate(); err != nil {
 			return nil, corruptEntry(path, i, err)
@@ -751,16 +768,14 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 		if err := validStageBackends(e.StageBackends); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
-		if err := validBlockParts(e.BlockParts); err != nil {
-			return nil, corruptEntry(path, i, err)
-		}
 		if err := validSegments(e); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
-		if !sameArch || (!sameISA && !entryScalarPinned(e)) {
-			// Per-entry ISA rejection: the entry is structurally fine but
-			// its timing (cross-arch) or its backend choice (vector tier
-			// the host lacks, or lacks identically) does not transfer.
+		if retired || !sameArch || (!sameISA && !entryScalarPinned(e)) {
+			// Per-entry rejection of an entry that is structurally fine:
+			// a retired block-leaf plan has no kernels to run on, and a
+			// cross-arch timing or a backend choice for a vector tier the
+			// host lacks (or lacks identically) does not transfer.
 			continue
 		}
 		w.mu.Lock()

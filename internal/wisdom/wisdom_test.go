@@ -2,6 +2,7 @@ package wisdom
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -193,12 +194,13 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// Block-leaf plans and the fused interleaved flag are first-class wisdom
-// citizens: small[9..14] leaves parse and validate on load, and il_fuse
-// round-trips alongside the other policy fields (absent in older files,
-// which still load as the default policy).
+// The fused interleaved flag round-trips alongside the other policy
+// fields (absent in older files, which still load as the default
+// policy), while a block-leaf plan — first-class in version 1 until the
+// block-kernel tier was removed — survives the same file only as a
+// skipped entry: the file loads, the block plan does not.
 func TestBlockPlanAndFusePolicyRoundTrip(t *testing.T) {
-	p := plan.MustParse("split[small[4],small[14]]")
+	p := plan.MustParse("split[small[6],small[8]]")
 	w := New()
 	pol := codelet.Policy{ILFuse: true}
 	if _, err := w.RecordPolicy(Float64, p, pol, 2000); err != nil {
@@ -208,13 +210,25 @@ func TestBlockPlanAndFusePolicyRoundTrip(t *testing.T) {
 	if err := w.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := `"entries": [{"n":18,"type":"float32","plan":"split[small[4],small[14]]","ns_per_run":1500,"il_fuse":true},`
+	data = []byte(strings.Replace(string(data), `"entries": [`, block, 1))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotPol, ns, ok := loaded.LookupPolicy(18, Float64)
+	got, gotPol, ns, ok := loaded.LookupPolicy(14, Float64)
 	if !ok || !got.Equal(p) || gotPol != pol || ns != 2000 {
 		t.Fatalf("LookupPolicy = (%v, %+v, %g, %v), want (%v, %+v, 2000, true)", got, gotPol, ns, ok, p, pol)
+	}
+	if _, _, ok := loaded.Lookup(18, Float32); ok || loaded.Len() != 1 {
+		t.Fatalf("block-leaf entry loaded: %d entries", loaded.Len())
 	}
 }
 
@@ -265,14 +279,16 @@ func TestRecordTunedRoundTripsSoAMinBatch(t *testing.T) {
 	}
 }
 
-func TestRecordFullRoundTripsParallelModeAndBlockParts(t *testing.T) {
+// RecordFull round-trips the parallel mode and SoA crossover; a
+// "block_parts" field left in a version-1 file by the removed
+// block-kernel tier is read, ignored, and gone after the next save.
+func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	w := New()
-	p := plan.MustParse("split[split[small[3],small[4]],small[13]]") // block leaf 13
+	p := plan.MustParse("split[split[small[3],small[4]],small[8]]")
 	tc := Tuned{
 		Policy:       codelet.Policy{ILFuse: true},
 		SoAMinBatch:  4,
 		ParallelMode: "pipelined",
-		BlockParts:   map[int][]int{13: {5, 8}},
 	}
 	if _, err := w.RecordFull(Float64, p, tc, 1000); err != nil {
 		t.Fatal(err)
@@ -281,27 +297,34 @@ func TestRecordFullRoundTripsParallelModeAndBlockParts(t *testing.T) {
 	if err := w.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = []byte(strings.Replace(string(data), `"parallel_mode"`, `"block_parts": {"13": [5, 8]}, "parallel_mode"`, 1))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := r.Entries()[0]
-	got := e.Tuned()
+	got := r.Entries()[0].Tuned()
 	if got.ParallelMode != "pipelined" || got.SoAMinBatch != 4 || !got.Policy.ILFuse {
 		t.Fatalf("round-tripped tuning %+v, want %+v", got, tc)
 	}
-	if len(got.BlockParts) != 1 || len(got.BlockParts[13]) != 2 ||
-		got.BlockParts[13][0] != 5 || got.BlockParts[13][1] != 8 {
-		t.Fatalf("round-tripped block parts %v, want map[13:[5 8]]", got.BlockParts)
+	if err := r.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	// The decoded map is a copy: mutating it must not alias the entry.
-	got.BlockParts[13][0] = 99
-	if r.Entries()[0].BlockParts["13"][0] != 5 {
-		t.Fatal("Tuned() aliased the stored block-parts slice")
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "block_parts") {
+		t.Fatalf("re-saved file kept block_parts:\n%s", data)
 	}
 
-	// Untuned entries omit both fields on disk (version-1 compat in the
-	// other direction: files we write stay minimal).
+	// Untuned entries omit the optional fields on disk (version-1 compat
+	// in the other direction: files we write stay minimal).
 	w2 := New()
 	if _, err := w2.Record(Float64, plan.MustParse("split[small[5],small[5]]"), 100); err != nil {
 		t.Fatal(err)
@@ -310,11 +333,10 @@ func TestRecordFullRoundTripsParallelModeAndBlockParts(t *testing.T) {
 	if err := w2.Save(p2); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(p2)
-	if err != nil {
+	if data, err = os.ReadFile(p2); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "parallel_mode") || strings.Contains(string(data), "block_parts") {
+	if strings.Contains(string(data), "parallel_mode") {
 		t.Fatalf("untuned entry serialized optional fields:\n%s", data)
 	}
 }
@@ -323,10 +345,8 @@ func TestRecordFullRejectsBadTuning(t *testing.T) {
 	w := New()
 	p := plan.MustParse("split[small[6],small[8]]")
 	for _, tc := range []Tuned{
-		{ParallelMode: "windowed"},              // unknown mode spelling
-		{BlockParts: map[int][]int{8: {4, 4}}},  // 8 is unrolled tier, not block
-		{BlockParts: map[int][]int{13: {5, 7}}}, // parts sum to 12, not 13
-		{BlockParts: map[int][]int{13: {}}},     // empty factorization
+		{ParallelMode: "windowed"},                             // unknown mode spelling
+		{Policy: codelet.Policy{Backend: codelet.Backend(99)}}, // backend with no spelling
 	} {
 		if _, err := w.RecordFull(Float64, p, tc, 1000); err == nil {
 			t.Fatalf("RecordFull accepted bad tuning %+v", tc)
@@ -337,7 +357,9 @@ func TestRecordFullRejectsBadTuning(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsBadParallelModeAndBlockParts(t *testing.T) {
+// A bad parallel mode is corrupt; a "block_parts" field, whatever it
+// holds, is a leftover of the removed block-kernel tier and is ignored.
+func TestLoadRejectsBadParallelMode(t *testing.T) {
 	dir := t.TempDir()
 	base := `{"version":1,"fingerprint":%s,"entries":[{%s}]}`
 	fp, err := json.Marshal(CurrentFingerprint())
@@ -353,24 +375,20 @@ func TestLoadRejectsBadParallelModeAndBlockParts(t *testing.T) {
 		return path
 	}
 	good := `"n":10,"type":"float64","plan":"split[small[5],small[5]]","ns_per_run":100`
-	for name, entry := range map[string]string{
-		"mode.json":  good + `,"parallel_mode":"windowed"`,
-		"tier.json":  good + `,"block_parts":{"8":[4,4]}`,
-		"sum.json":   good + `,"block_parts":{"13":[5,7]}`,
-		"key.json":   good + `,"block_parts":{"thirteen":[5,8]}`,
-		"empty.json": good + `,"block_parts":{"13":[]}`,
-	} {
-		if _, err := Load(write(name, entry)); err == nil {
-			t.Fatalf("%s: Load accepted invalid entry %s", name, entry)
-		}
+	if _, err := Load(write("mode.json", good+`,"parallel_mode":"windowed"`)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown parallel mode: err = %v, want ErrCorrupt", err)
 	}
-	// The valid spellings, including explicit "auto", load fine; a file
-	// without the new fields (a pre-parallel version-1 file) also loads.
+	// The valid spellings, including explicit "auto", load fine; so do a
+	// file without the new fields (a pre-parallel version-1 file) and
+	// every block_parts shape the block tier's validation once rejected.
 	for name, entry := range map[string]string{
 		"auto.json":      good + `,"parallel_mode":"auto"`,
 		"barrier.json":   good + `,"parallel_mode":"barrier"`,
 		"pipelined.json": good + `,"parallel_mode":"pipelined","block_parts":{"13":[5,8]}`,
 		"old.json":       good,
+		"tier.json":      good + `,"block_parts":{"8":[4,4]}`,
+		"key.json":       good + `,"block_parts":{"thirteen":[5,8]}`,
+		"empty.json":     good + `,"block_parts":{"13":[]}`,
 	} {
 		if _, err := Load(write(name, entry)); err != nil {
 			t.Fatalf("%s: Load rejected valid entry: %v", name, err)

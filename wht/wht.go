@@ -9,9 +9,8 @@
 //     Schedule of I(R) (x) WHT(2^m) (x) I(S) stages and one generic
 //     executor runs it for float64 and float32 vectors, sequentially, in
 //     parallel (schedule-aware fan-out), or over whole batches; unrolled
-//     codelets cover sizes 2^1..2^8, looped cache-resident block kernels
-//     cover leaves 2^9..2^14 (BlockLeafMax), and sequency (Walsh)
-//     ordering is included;
+//     codelets cover every leaf size 2^1..2^8 (MaxLeafLog), and sequency
+//     (Walsh) ordering is included;
 //   - the performance models of the paper: instruction counts from the
 //     high-level description, direct-mapped cache-miss counts, and the
 //     combined alpha*I + beta*M model;
@@ -92,14 +91,9 @@ import (
 // "split[...]" internal nodes).
 type Plan = plan.Node
 
-// MaxLeafLog is the largest unrolled codelet log-size (2^8 = 256 points).
+// MaxLeafLog is the largest unrolled codelet log-size (2^8 = 256 points),
+// and so the largest leaf a plan may carry.
 const MaxLeafLog = plan.MaxLeafLog
-
-// BlockLeafMax is the largest leaf log-size a plan may carry: leaves in
-// (MaxLeafLog, BlockLeafMax] run as looped cache-resident block kernels
-// that finish every butterfly level of their 2^m window in one visit, so
-// large transforms need fewer full-vector passes.
-const BlockLeafMax = plan.BlockLeafMax
 
 // Plan construction and parsing.
 var (
