@@ -88,23 +88,24 @@
 // algebra.  A plan whose vector exceeds the resident budget is
 // rewritten into the two-phase form (repro/internal/plan.TwoPhase):
 // WHT(2^(a+b)) = (WHT(2^a) ⊗ I_{2^b}) · (I_{2^a} ⊗ WHT(2^b)), i.e.
-// local stages over 2^b-element windows, a blocked transpose, local
-// stages again, and a transpose back — recursing into a phase whose
-// own vector still exceeds the budget.  exec.NewSegmentedSchedule
-// compiles that form into a segmented Schedule: an ordered list of
-// segments, each either a run of butterfly stages executed
-// window-by-window over a bounded resident set (the PR 6 window
-// scheduler lifted out of RAM) or an explicit blocked-transpose
-// segment that streams square tiles between the store's two planes.
-// A fully-local form compiles to exactly the flat stage list, so
-// in-RAM behavior is unchanged, and segmented execution is bitwise-
-// equal to flat by the regrouping lemma (property-tested across the
-// policy × backend × width × worker grid).  Storage is behind the
-// exec.BufStore interface: exec.SliceStore adapts an in-RAM slice
-// (slice-backed stores take a zero-copy direct path), and
-// repro/internal/shard provides a striped mmap-backed store with
-// crash-safe open semantics — per-stripe checksums over both planes,
-// an open/sealed manifest written atomically, and typed
+// the lo phase acting on the low b index bits and the hi phase on the
+// a bits above them — recursing into a phase whose own vector still
+// exceeds the budget.  exec.NewSegmentedSchedule compiles that form
+// into a segmented Schedule: one stage-run segment per phase, each a
+// run of butterfly stages acting on an index-bit range [L, L+W).  The
+// executor runs every segment as gather windows — 2^W rows at stride
+// 2^L, each a contiguous run of 2^K elements, transformed in a pooled
+// per-worker buffer and written back in place — so each phase is one
+// read and one write pass over the store, with no transposes.  A
+// fully-local form compiles to exactly the flat stage list, so in-RAM
+// behavior is unchanged, and segmented execution is bitwise-equal to
+// flat by the regrouping lemma (property-tested across the policy ×
+// backend × width × worker grid and every row-run shape).  Storage is
+// behind the exec.BufStore interface: exec.SliceStore adapts an
+// in-RAM slice, and repro/internal/shard provides a striped
+// mmap-backed store with crash-safe open semantics — per-stripe
+// checksums over both planes, an open/sealed manifest written
+// atomically, and typed
 // *shard.CorruptError rejection of partial or damaged stores.  The
 // facade entry points are wht.TransformLarge/TransformLarge32 (form
 // and budget resolved from options, wisdom, or the balanced default),

@@ -6,18 +6,16 @@ import (
 )
 
 // BufStore abstracts the storage a segmented schedule streams through.
-// The store holds two full-length planes of the logical vector — the
-// primary plane the butterfly segments read and write, and an auxiliary
-// plane the transpose segments scatter into — and Flip exchanges them,
-// so a blocked transpose never needs an in-place permutation.  Segmented
-// schedules emit transposes in pairs, so a completed run has performed
-// an even number of flips and the result always lands back in the
-// original primary plane (for the in-RAM store, the caller's own slice).
+// The store holds two full-length planes of the logical vector: the
+// primary plane, which the segmented executor reads and writes in
+// gathered rows, and an auxiliary plane that Flip exchanges with it.
+// No executor writes the auxiliary plane or flips any more — gather
+// windows reach every phase in place — but the methods stay part of the
+// contract, so stores and the wrappers built on them keep their shape.
 //
 // Implementations must support concurrent calls on disjoint ranges:
-// the segmented executor streams windows and transpose tiles through a
-// bounded worker pool, and two workers never touch overlapping offsets
-// within one segment.
+// the segmented executor streams windows through a bounded worker pool,
+// and two workers never touch overlapping offsets within one segment.
 type BufStore[T Float] interface {
 	// Len returns the logical vector length (the schedule size).
 	Len() int
@@ -30,11 +28,11 @@ type BufStore[T Float] interface {
 	Write(src []T, off int) error
 
 	// WriteAux copies src into the auxiliary plane at element offset
-	// off.  Transpose segments write exclusively through it.
+	// off.
 	WriteAux(src []T, off int) error
 
-	// Flip exchanges the primary and auxiliary planes.  It is called
-	// between segments only, never concurrently with Read/Write.
+	// Flip exchanges the primary and auxiliary planes.  It must not run
+	// concurrently with Read/Write.
 	Flip() error
 
 	// Close releases the store's resources.  Stores that persist (the
@@ -44,19 +42,11 @@ type BufStore[T Float] interface {
 	Close() error
 }
 
-// sliceBacked is the optional fast-path interface of stores whose
-// planes are directly addressable in RAM: the segmented executor then
-// runs butterfly windows in place and transposes plane-to-plane with no
-// copy through resident buffers.  Planes may be called concurrently.
-type sliceBacked[T Float] interface {
-	Planes() (primary, aux []T)
-}
-
 // SliceStore is the in-RAM BufStore: the caller's slice is the primary
-// plane and the auxiliary plane is allocated lazily on first use (flat,
-// transpose-free schedules never pay for it).  It implements the
-// direct-addressing fast path, so segmented execution over a SliceStore
-// does no buffer copying at all.
+// plane and the auxiliary plane is allocated on the first WriteAux or
+// Flip, so transforms never pay for it.  A flat schedule runs directly
+// on the primary plane; a segmented one gathers its windows through
+// Read and Write like any other store.
 type SliceStore[T Float] struct {
 	primary []T
 	aux     []T
@@ -81,7 +71,7 @@ func (st *SliceStore[T]) check(n, off int) error {
 }
 
 // ensureAux allocates the scratch plane once; safe under concurrent
-// transpose workers.
+// WriteAux calls.
 func (st *SliceStore[T]) ensureAux() {
 	st.auxOnce.Do(func() {
 		if st.aux == nil {
@@ -123,12 +113,6 @@ func (st *SliceStore[T]) Flip() error {
 	st.ensureAux()
 	st.primary, st.aux = st.aux, st.primary
 	return nil
-}
-
-// Planes exposes both planes for the zero-copy fast path.
-func (st *SliceStore[T]) Planes() (primary, aux []T) {
-	st.ensureAux()
-	return st.primary, st.aux
 }
 
 // Close verifies the planes ended in their original parity: an odd

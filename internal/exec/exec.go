@@ -261,18 +261,7 @@ func NewScheduleWith(p *plan.Node, pol codelet.Policy) (*Schedule, error) {
 // recursion.
 func flatten(p *plan.Node, r, s int, pol codelet.Policy, out *[]Stage) {
 	if p.IsLeaf() {
-		m := p.Log2Size()
-		v := pol.Select(m, s)
-		*out = append(*out, Stage{
-			M:       m,
-			R:       r,
-			S:       s,
-			SLog:    log2(s),
-			Blk:     s << uint(m),
-			V:       v,
-			Fused:   pol.ILFuse && v == codelet.Interleaved && m >= 2,
-			Backend: pol.Backend,
-		})
+		*out = append(*out, newStage(p.Log2Size(), r, s, pol))
 		return
 	}
 	kids := p.Children()
@@ -283,6 +272,22 @@ func flatten(p *plan.Node, r, s int, pol codelet.Policy, out *[]Stage) {
 		rLoc /= c.Size()
 		flatten(c, r*rLoc, sLoc*s, pol, out)
 		sLoc *= c.Size()
+	}
+}
+
+// newStage builds the stage I(r) (x) WHT(2^m) (x) I(s) with its kernel
+// variant selected by pol for that shape, on the policy's backend.
+func newStage(m, r, s int, pol codelet.Policy) Stage {
+	v := pol.Select(m, s)
+	return Stage{
+		M:       m,
+		R:       r,
+		S:       s,
+		SLog:    log2(s),
+		Blk:     s << uint(m),
+		V:       v,
+		Fused:   pol.ILFuse && v == codelet.Interleaved && m >= 2,
+		Backend: pol.Backend,
 	}
 }
 

@@ -11,75 +11,54 @@ import (
 //
 // A flat schedule sweeps the whole 2^n vector once per stage.  A
 // segmented schedule regroups the same butterfly DAG into an ordered
-// list of segments, each replicated over every aligned 2^W window of
-// the vector: a StageRunSegment runs a window-local stage list (the
-// flat schedule of one phase of the plan's two-phase form), and a
-// TransposeSegment performs the explicit blocked transpose separating
-// phases, scattering each window — viewed as a 2^P x 2^Q row-major
-// matrix — into the store's auxiliary plane, followed by a plane flip.
-// Transposes come in pairs (out and back), so the result always ends in
-// the primary plane.
+// list of stage-run segments, one per phase of the plan's two-phase
+// form.  Serre & Püschel describe every split-tree algorithm as a
+// sequence of butterfly arrays, each acting on a range of index bits;
+// a segment is a run of such arrays acting on the bits [L, L+W) of the
+// index.  Its stage list is window-local: a stage (M, R, S) with
+// R*S*2^M == 2^W acts on the 2^W values that differ only in those bits,
+// exactly as the flat stage (M, R<<(n-L-W), S<<L) does on the whole
+// vector.
 //
-// The stage shapes inside a StageRunSegment are window-local: a stage
-// (M, R, S) with R*S*2^M == 2^W runs at base w<<W for every window w.
-// Summed over the 2^(n-W) windows this is exactly the flat stage
-// (M, R<<(n-W), S) of the in-RAM twin, so the butterfly work — kernel
-// calls, element pairs, add/sub order — is identical; only the layout
-// the high-phase stages see differs (transposed, hence contiguous),
-// and kernel variants are bitwise-equal by the codelet contract.
+// The executor (segrun.go) runs each segment as gather windows of 2^W
+// rows at stride 2^L, every row a contiguous run of 2^K elements.  The
+// butterflies, and the add/sub order within each, are the flat
+// schedule's; the stride scaling only changes which kernel variant runs
+// them, and variants are bitwise-equal by the codelet contract.
 // Segmented execution is therefore bitwise-equal to the flat schedule
 // of the source plan on every input.
 
-// SegmentKind discriminates the two segment forms.
+// SegmentKind discriminates segment forms.
 type SegmentKind uint8
 
 const (
-	// StageRunSegment runs a window-local stage list over every 2^W
-	// window of the vector (windows are independent; the resident
-	// working set is one window).
+	// StageRunSegment runs a window-local stage list across the index
+	// bits [L, L+W); windows are independent, and the resident working
+	// set is one window.
 	StageRunSegment SegmentKind = iota
-	// TransposeSegment transposes every 2^W window, viewed as a
-	// 2^P x 2^Q row-major matrix, into the auxiliary plane (tile by
-	// tile), after which the executor flips the planes.
+	// TransposeSegment is no longer emitted: gather windows reach every
+	// phase in place, so segmented schedules carry no transposes.  The
+	// kind is kept so code that counts transposes still compiles (and
+	// counts zero).
 	TransposeSegment
 )
 
-// SegTransposeTile is the square tile edge (in elements) of the blocked
-// transpose: tiles are read as runs of whole rows and written as runs
-// of whole transposed rows, so both sides of the permutation move
-// contiguous spans — the shape that keeps an out-of-core store reading
-// and writing at stripe granularity instead of element granularity.
-// internal/machine mirrors this constant for transpose-segment pricing.
-const SegTransposeTile = 128
-
-// Segment is one op of a segmented schedule; see the package comment
-// above for the execution semantics of each kind.
+// Segment is one stage run of a segmented schedule; see the package
+// comment above for its semantics.
 type Segment struct {
 	Kind SegmentKind
 
-	// W is the log2 window size: one instance of the segment covers an
-	// aligned 2^W-element window, replicated 2^(n-W) times across the
-	// vector.
+	// W is the log2 size of the phase: the segment's stages act on
+	// 2^W rows of every window.
 	W int
 
-	// Stages is the window-local stage list of a StageRunSegment
-	// (R*S*2^M == 2^W for every stage).  Nil for transposes.
+	// L is the lowest index bit the phase acts on: a window's rows lie
+	// at stride 2^L.  Phases with L = 0 act on contiguous windows.
+	L int
+
+	// Stages is the window-local stage list (R*S*2^M == 2^W for every
+	// stage), shaped as if the 2^W rows were contiguous elements.
 	Stages []Stage
-
-	// P and Q shape a TransposeSegment: each window is a 2^P x 2^Q
-	// row-major matrix, transposed to 2^Q x 2^P (P+Q == W).  Zero for
-	// stage runs.
-	P, Q int
-}
-
-// Calls returns the kernel calls of one window instance of a stage-run
-// segment (0 for transposes).
-func (sg Segment) Calls() int {
-	total := 0
-	for i := range sg.Stages {
-		total += sg.Stages[i].Calls()
-	}
-	return total
 }
 
 // Segments returns the compiled segment sequence, or nil for a flat
@@ -93,9 +72,8 @@ func (s *Schedule) Segments() []Segment { return s.segments }
 // (out-of-core) execution form alongside its flat stage list.
 func (s *Schedule) IsSegmented() bool { return len(s.segments) > 0 }
 
-// ResidentLog returns the log2 of the largest window any segment keeps
-// resident (the compile-time budget), or the transform size for flat
-// schedules.
+// ResidentLog returns the log2 of the largest phase any segment runs
+// (the compile-time budget), or the transform size for flat schedules.
 func (s *Schedule) ResidentLog() int {
 	if !s.IsSegmented() {
 		return s.n
@@ -126,7 +104,8 @@ func NewSegmentedSchedule(g *plan.SegNode) (*Schedule, error) {
 
 // NewSegmentedScheduleWith compiles a two-phase plan form into a
 // segmented schedule, selecting each stage's kernel variant with pol
-// against its window-local shape.
+// against its window-local shape (the executor re-selects it for the
+// gathered shape it actually runs).
 //
 // The schedule's flat stage list is compiled from the form's flattened
 // twin (SegNode.Flatten), so every in-RAM entry point — Run, the
@@ -148,7 +127,7 @@ func NewSegmentedScheduleWith(g *plan.SegNode, pol codelet.Policy) (*Schedule, e
 		return nil, err
 	}
 	var segs []Segment
-	compileSeg(g, pol, &segs)
+	compileSeg(g, 0, pol, &segs)
 	if len(segs) > 1 {
 		s.segments = segs
 		s.residentLog = g.MaxLocalLog()
@@ -157,25 +136,19 @@ func NewSegmentedScheduleWith(g *plan.SegNode, pol codelet.Policy) (*Schedule, e
 	return s, nil
 }
 
-// compileSeg emits the segment sequence of one segment-tree node.  The
-// recursion is compositional because segments address aligned windows
-// of the full vector: a segment compiled for a 2^w subproblem applies
-// unchanged inside every enclosing context — its windows are simply
-// replicated across the larger vector — so phases nest without any
-// re-basing.  Execution order is lo phase, transpose out, hi phase
-// (on the transposed layout, where its strided accesses have become
-// contiguous), transpose back: exactly the factor order of
-// WHT(2^(a+b)) = (WHT(2^a) (x) I(2^b)) · (I(2^a) (x) WHT(2^b)).
-func compileSeg(g *plan.SegNode, pol codelet.Policy, out *[]Segment) {
+// compileSeg emits the segments of one segment-tree node acting on the
+// index bits [low, low+g.Log2Size()).  A phase node's lo phase takes
+// the low bits and its hi phase the bits above them, and the lo phase
+// runs first: exactly the factor order of
+// WHT(2^(a+b)) = (WHT(2^a) (x) I(2^b)) · (I(2^a) (x) WHT(2^b)), and the
+// order in which the flattened twin's split emits its children.
+func compileSeg(g *plan.SegNode, low int, pol codelet.Policy, out *[]Segment) {
 	if g.IsLocal() {
 		var stages []Stage
 		flatten(g.Local(), 1, 1, pol, &stages)
-		*out = append(*out, Segment{Kind: StageRunSegment, W: g.Log2Size(), Stages: stages})
+		*out = append(*out, Segment{Kind: StageRunSegment, W: g.Log2Size(), L: low, Stages: stages})
 		return
 	}
-	a, b, w := g.Hi().Log2Size(), g.Lo().Log2Size(), g.Log2Size()
-	compileSeg(g.Lo(), pol, out)
-	*out = append(*out, Segment{Kind: TransposeSegment, W: w, P: a, Q: b})
-	compileSeg(g.Hi(), pol, out)
-	*out = append(*out, Segment{Kind: TransposeSegment, W: w, P: b, Q: a})
+	compileSeg(g.Lo(), low, pol, out)
+	compileSeg(g.Hi(), low+g.Lo().Log2Size(), pol, out)
 }

@@ -10,49 +10,61 @@ import (
 
 // The segmented streaming executor.
 //
-// RunSegmented replays a segmented schedule against a BufStore.  Within
-// one segment every work unit — a 2^W butterfly window of a stage run,
-// a SegTransposeTile-square tile of a transpose — touches a disjoint
-// element range, so units stream through a bounded pool of workers:
-// this is the PR 6 window-dependency structure lifted one level, with
-// the degenerate dependency graph the segment barrier induces (every
-// unit of segment i+1 depends on all of segment i, because a transpose
-// is all-to-all across its window).  Each copy-path worker owns one
-// resident buffer, so while one worker waits on store I/O another is
-// deep in butterfly compute — the transpose-I/O/compute overlap an
-// out-of-core run lives on — and the total resident footprint is
-// bounded by workers * max(window, 2 tiles), clamped under
-// SegOptions.ResidentElems.
+// RunSegmented replays a segmented schedule against a BufStore one
+// segment at a time, each segment as gather windows.  A segment acting
+// on the index bits [L, L+W) gathers windows of 2^W rows at stride 2^L,
+// each row a contiguous run of 2^K elements (K <= L): a window holds
+// 2^(W+K) elements, and the windows enumerate the remaining bits,
+// [K, L) and [L+W, n).  A worker reads a window's rows into its buffer,
+// runs the segment's stages there with every stride scaled by 2^K, and
+// writes the rows back where they came from.  Every segment is one read
+// pass and one write pass over the store's primary plane; nothing is
+// transposed and the auxiliary plane is never touched.
 //
-// Stores that expose their planes directly (SliceStore) skip the
-// resident buffers entirely: windows run in place and tiles copy
-// plane-to-plane.
+// Windows are pairwise disjoint, so they stream through a bounded pool
+// of workers, each owning one pooled buffer: while one worker waits on
+// store I/O another is deep in butterfly compute.  Segments run in
+// order, with a barrier between them.
+//
+// K is chosen per call from each worker's share of the resident cap:
+// K = min(L, log2(ResidentElems/workers) - W), floored at 0.  With no
+// cap, K = min(L, max(segMinRunLog, ResidentLog() - W)): a window holds
+// up to the compiled budget's worth of rows, and rows never run shorter
+// than 2^segMinRunLog elements when L allows it.
+
+// segMinRunLog is the log2 of the shortest row run an uncapped call
+// gathers when the phase's bit position allows it (128 elements, 1 KiB
+// of float64 per store call).
+const segMinRunLog = 7
+
+// segPool holds the segmented executor's window buffers across calls.
+var segPool scratchPool
 
 // SegOptions tunes one RunSegmented call.  The zero value uses
-// GOMAXPROCS workers and an uncapped resident pool (one window or two
-// tiles per worker).
+// GOMAXPROCS workers and no resident cap.
 type SegOptions struct {
 	// Workers bounds the streaming pool (<= 0 selects GOMAXPROCS).
 	Workers int
 
 	// ResidentElems caps the executor's own buffering in elements
-	// across all workers (<= 0: no cap).  The cap is enforced by
-	// shrinking the worker pool, never below one worker — a single
-	// window (or tile pair) is the irreducible working set of the
-	// compiled budget.
+	// across all workers (<= 0: no cap).  Each worker's share sets the
+	// row run K of every gather window; a share smaller than one phase
+	// shrinks the worker pool instead, never below one worker — a
+	// single 2^W window is the irreducible working set of the compiled
+	// budget.
 	ResidentElems int
 }
 
 // RunSegmented executes the schedule against the store, streaming
-// segments when the schedule carries them and falling back to the
-// ordinary in-place executors for flat schedules over RAM-backed
-// stores.  Cancellation is polled per window/tile and kernel panics
-// return as *PanicError, as on every other tier.  On error the store
-// contents are unspecified but the store itself remains usable.
+// gather windows when the schedule carries segments and falling back
+// to the ordinary in-place executors for flat schedules over a
+// SliceStore.  Cancellation is polled per window and per stage chunk,
+// and kernel panics return as *PanicError, as on every other tier.  On
+// error the store contents are unspecified but the store itself
+// remains usable.
 //
-// The transform result lands in the store's primary plane (for a
-// SliceStore, the caller's original slice): segments flip planes an
-// even number of times.
+// The result lands in the store's primary plane (for a SliceStore, the
+// caller's original slice).
 func RunSegmented[T Float](ctx context.Context, s *Schedule, store BufStore[T], opt SegOptions) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
@@ -68,17 +80,16 @@ func RunSegmented[T Float](ctx context.Context, s *Schedule, store BufStore[T], 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if !s.IsSegmented() {
-		// Flat schedule: over a RAM-backed store this is exactly the
+		// Flat schedule: over a SliceStore this is exactly the
 		// pre-segmentation engine; over an external store the vector
 		// must fit one resident buffer (the schedule was compiled
 		// without a budget, so its working set is the whole vector).
-		if direct, ok := store.(sliceBacked[T]); ok {
-			x, _ := direct.Planes()
+		if ss, ok := store.(*SliceStore[T]); ok {
 			if workers > 1 {
-				return RunParallelCtx(ctx, s, x, workers)
+				return RunParallelCtx(ctx, s, ss.primary, workers)
 			}
 			kt := newKernelTable[T](s)
-			return runStagesCtx(ctx, s, &kt, x)
+			return runStagesCtx(ctx, s, &kt, ss.primary)
 		}
 		if opt.ResidentElems > 0 && opt.ResidentElems < s.size {
 			return fmt.Errorf("exec: flat schedule of %d elements exceeds resident budget %d; compile a segmented schedule", s.size, opt.ResidentElems)
@@ -93,195 +104,129 @@ func RunSegmented[T Float](ctx context.Context, s *Schedule, store BufStore[T], 
 		}
 		return store.Write(buf, 0)
 	}
-	kt := newKernelTable[T](s)
+
+	// Shape every segment first, so each worker's buffer is taken once,
+	// sized to the largest window that worker runs.
+	gs := make([]gather, len(s.segments))
+	var sizes []int
 	for i := range s.segments {
+		gs[i] = newGather(s, &s.segments[i], workers, opt.ResidentElems)
+		for w := 0; w < gs[i].workers; w++ {
+			if w == len(sizes) {
+				sizes = append(sizes, 0)
+			}
+			sizes[w] = max(sizes[w], gs[i].elems())
+		}
+	}
+	bufs := make([]*[]T, len(sizes))
+	for w, n := range sizes {
+		bufs[w] = getScratch[T](&segPool, n)
+	}
+	defer func() {
+		for _, b := range bufs {
+			putScratch(&segPool, b)
+		}
+	}()
+
+	kt := newKernelTable[T](s)
+	for i := range gs {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		seg := &s.segments[i]
-		var err error
-		switch seg.Kind {
-		case StageRunSegment:
-			err = runSegStages(ctx, s, &kt, seg, store, workers, opt)
-		case TransposeSegment:
-			if err = runSegTranspose(ctx, s, seg, store, workers, opt); err == nil {
-				err = store.Flip()
-			}
-		default:
-			err = fmt.Errorf("exec: unknown segment kind %d", seg.Kind)
-		}
-		if err != nil {
+		if err := runGather(ctx, &kt, &gs[i], store, bufs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runSegWindow runs one segment's stage list on one resident window at
-// the given base, with per-chunk cancellation and panic containment
-// (the same contained chunk the sequential tier uses, so the ExecChunk
-// fault point and *PanicError attribution apply here too).
-func runSegWindow[T Float](ctx context.Context, seg *Segment, sets []*kernelSet[T], x []T, base int) error {
-	for i := range seg.Stages {
-		st := &seg.Stages[i]
-		total := st.R * st.S
-		chunk := total
-		if ctx != nil {
-			chunk = cancelChunkCalls(st)
-		}
-		for lo := 0; lo < total; lo += chunk {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			hi := lo + chunk
-			if hi > total {
-				hi = total
-			}
-			if err := runStageChunkRecover(st, i, sets[i], x, base, lo, hi); err != nil {
-				return err
-			}
+// gather is the run-time shape of one segment: phase bits [l, l+w),
+// rows of 2^k contiguous elements, and the segment's stages with their
+// strides scaled by 2^k for the gathered layout.
+type gather struct {
+	w, l, k int
+	numWin  int // 2^(n-w-k): one window per setting of the other bits
+	workers int
+	stages  []Stage
+}
+
+// newGather shapes one segment under the pool size and resident cap
+// of a call (see the file comment for the rule picking k).  Each
+// stage's variant is re-selected by the schedule's policy for its
+// scaled stride; its backend pin is kept.
+func newGather(s *Schedule, seg *Segment, workers, resident int) gather {
+	k := max(segMinRunLog, s.residentLog-seg.W)
+	if resident > 0 {
+		k = log2(resident/workers) - seg.W
+	}
+	k = max(0, min(k, seg.L))
+	g := gather{w: seg.W, l: seg.L, k: k, numWin: 1 << uint(s.n-seg.W-k)}
+	g.workers = min(workers, g.numWin)
+	if resident > 0 {
+		g.workers = min(g.workers, resident/g.elems())
+	}
+	g.workers = max(g.workers, 1)
+	g.stages = make([]Stage, len(seg.Stages))
+	for i, st := range seg.Stages {
+		g.stages[i] = newStage(st.M, st.R, st.S<<uint(k), s.policy)
+		g.stages[i].Backend = st.Backend
+	}
+	return g
+}
+
+// elems returns the elements of one window, 2^(w+k).
+func (g *gather) elems() int { return 1 << uint(g.w+g.k) }
+
+// base returns the store offset of window id's first row: the low
+// l-k bits of id fill index bits [k, l), the rest fill bits from l+w.
+func (g *gather) base(id int) int {
+	low := uint(g.l - g.k)
+	return (id&(1<<low-1))<<uint(g.k) | (id>>low)<<uint(g.l+g.w)
+}
+
+// gatherIO moves one window between buf and the store through io
+// (the store's Read or Write): one call per row, or a single call when
+// the rows are adjacent (k == l).
+func gatherIO[T Float](g *gather, buf []T, base int, io func([]T, int) error) error {
+	if g.k == g.l {
+		return io(buf, base)
+	}
+	run, stride := 1<<uint(g.k), 1<<uint(g.l)
+	for r, off := 0, base; r < len(buf); r, off = r+run, off+stride {
+		if err := io(buf[r:r+run], off); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runSegStages streams the 2^(n-W) independent windows of a stage-run
-// segment through the worker pool.  Copy-path workers own one window
-// buffer each (read, transform resident, write back); direct-path
-// workers transform in place.
-func runSegStages[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], seg *Segment, store BufStore[T], workers int, opt SegOptions) error {
-	numWin := 1 << uint(s.n-seg.W)
-	winElems := 1 << uint(seg.W)
-
+// runGather streams the windows of one segment through the worker
+// pool: worker w gathers into bufs[w], transforms resident, and
+// scatters back.
+func runGather[T Float](ctx context.Context, kt *kernelTable[T], g *gather, store BufStore[T], bufs []*[]T) error {
 	// Resolve every stage's set before the pool starts, as the
 	// pipelined tier does.
-	sets := make([]*kernelSet[T], len(seg.Stages))
-	for i := range seg.Stages {
-		sets[i] = kt.get(seg.Stages[i].M, seg.Stages[i].Backend)
-	}
-
-	direct, isDirect := store.(sliceBacked[T])
-	if workers > numWin {
-		workers = numWin
-	}
-	if !isDirect && opt.ResidentElems > 0 {
-		if cap := opt.ResidentElems / winElems; workers > cap {
-			workers = cap
-		}
-	}
-	if workers < 1 {
-		workers = 1
+	sets := make([]*kernelSet[T], len(g.stages))
+	for i := range g.stages {
+		sets[i] = kt.get(g.stages[i].M, g.stages[i].Backend)
 	}
 
 	var next atomic.Int64
 	fail := newFailure()
-	work := func() {
-		var buf []T
-		if !isDirect {
-			buf = make([]T, winElems)
-		}
-		for !fail.failed() {
-			w := int(next.Add(1) - 1)
-			if w >= numWin {
-				return
-			}
-			base := w * winElems
-			if isDirect {
-				x, _ := direct.Planes()
-				if err := runSegWindow(ctx, seg, sets, x, base); err != nil {
-					fail.set(err)
-					return
-				}
-				continue
-			}
-			if err := store.Read(buf, base); err != nil {
-				fail.set(err)
-				return
-			}
-			if err := runSegWindow(ctx, seg, sets, buf, 0); err != nil {
-				fail.set(err)
-				return
-			}
-			if err := store.Write(buf, base); err != nil {
-				fail.set(err)
-				return
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return fail.err()
-}
-
-// runSegTranspose streams the tiles of a transpose segment: each
-// SegTransposeTile-square tile of each window is read as whole input
-// rows, transposed resident, and written as whole output rows into the
-// auxiliary plane.  Tiles are pairwise disjoint on both planes, so they
-// parallelize freely; the caller flips the planes afterwards.
-func runSegTranspose[T Float](ctx context.Context, s *Schedule, seg *Segment, store BufStore[T], workers int, opt SegOptions) error {
-	numWin := 1 << uint(s.n-seg.W)
-	rows := 1 << uint(seg.P)
-	cols := 1 << uint(seg.Q)
-	t := SegTransposeTile
-	if t > rows {
-		t = rows
-	}
-	if t > cols {
-		t = cols
-	}
-	tilesR := rows / t
-	tilesC := cols / t
-	totalTiles := numWin * tilesR * tilesC
-
-	direct, isDirect := store.(sliceBacked[T])
-	if workers > totalTiles {
-		workers = totalTiles
-	}
-	if !isDirect && opt.ResidentElems > 0 {
-		if cap := opt.ResidentElems / (2 * t * t); workers > cap {
-			workers = cap
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var next atomic.Int64
-	fail := newFailure()
-	work := func() {
-		var tin, tout []T
-		if !isDirect {
-			tin = make([]T, t*t)
-			tout = make([]T, t*t)
-		}
+	work := func(buf []T) {
+		buf = buf[:g.elems()]
 		for !fail.failed() {
 			id := int(next.Add(1) - 1)
-			if id >= totalTiles {
+			if id >= g.numWin {
 				return
 			}
-			if err := ctxErr(ctx); err != nil {
-				fail.set(err)
-				return
+			base := g.base(id)
+			err := gatherIO(g, buf, base, store.Read)
+			if err == nil {
+				err = runSegWindow(ctx, g.stages, sets, buf)
 			}
-			win := id / (tilesR * tilesC)
-			rem := id % (tilesR * tilesC)
-			tr := rem / tilesC
-			tc := rem % tilesC
-			base := win << uint(seg.W)
-			var err error
-			if isDirect {
-				err = transposeTileDirect(direct, base, rows, cols, t, tr, tc)
-			} else {
-				err = transposeTileCopy(store, tin, tout, base, rows, cols, t, tr, tc)
+			if err == nil {
+				err = gatherIO(g, buf, base, store.Write)
 			}
 			if err != nil {
 				fail.set(err)
@@ -291,60 +236,38 @@ func runSegTranspose[T Float](ctx context.Context, s *Schedule, seg *Segment, st
 	}
 
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	for w := 1; w < g.workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(buf []T) {
 			defer wg.Done()
-			work()
-		}()
+			work(buf)
+		}(*bufs[w])
 	}
-	work()
+	work(*bufs[0])
 	wg.Wait()
 	return fail.err()
 }
 
-// transposeTileDirect moves one tile plane-to-plane in RAM: output row
-// or of the tile gathers input column tc*t+or across the tile's input
-// rows.
-func transposeTileDirect[T Float](direct sliceBacked[T], base, rows, cols, t, tr, tc int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(-1, -1, r)
+// runSegWindow runs a stage list on one resident window, with
+// per-chunk cancellation and panic containment (the same contained
+// chunk the sequential tier uses, so the ExecChunk fault point and
+// *PanicError attribution apply here too).
+func runSegWindow[T Float](ctx context.Context, stages []Stage, sets []*kernelSet[T], x []T) error {
+	for i := range stages {
+		st := &stages[i]
+		total := st.R * st.S
+		chunk := total
+		if ctx != nil {
+			chunk = cancelChunkCalls(st)
 		}
-	}()
-	p, a := direct.Planes()
-	for or := 0; or < t; or++ {
-		src := base + tr*t*cols + tc*t + or
-		dst := base + (tc*t+or)*rows + tr*t
-		for c := 0; c < t; c++ {
-			a[dst+c] = p[src+c*cols]
-		}
-	}
-	return nil
-}
-
-// transposeTileCopy moves one tile through resident buffers: t
-// contiguous input-row runs in, a resident t x t transpose, t
-// contiguous output-row runs out to the auxiliary plane.
-func transposeTileCopy[T Float](store BufStore[T], tin, tout []T, base, rows, cols, t, tr, tc int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(-1, -1, r)
-		}
-	}()
-	for r := 0; r < t; r++ {
-		if err := store.Read(tin[r*t:(r+1)*t], base+(tr*t+r)*cols+tc*t); err != nil {
-			return err
-		}
-	}
-	for or := 0; or < t; or++ {
-		for c := 0; c < t; c++ {
-			tout[or*t+c] = tin[c*t+or]
-		}
-	}
-	for or := 0; or < t; or++ {
-		if err := store.WriteAux(tout[or*t:(or+1)*t], base+(tc*t+or)*rows+tr*t); err != nil {
-			return err
+		for lo := 0; lo < total; lo += chunk {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+			hi := min(lo+chunk, total)
+			if err := runStageChunkRecover(st, i, sets[i], x, 0, lo, hi); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -270,26 +270,29 @@ func transposeOut[T Float](xs [][]T, y []T, size int) {
 	}
 }
 
-// The SoA scratch pools, one per element type.  Buffers are recycled
-// across batch calls so steady-state batch traffic allocates nothing.
-var (
-	soaPool64 sync.Pool // *[]float64
-	soaPool32 sync.Pool // *[]float32
-)
+// scratchPool recycles one executor tier's scratch slices, one pool
+// per element type, so steady-state traffic allocates nothing.
+type scratchPool struct {
+	f64 sync.Pool // *[]float64
+	f32 sync.Pool // *[]float32
+}
 
-// soaScratch returns a pooled scratch slice of at least n elements,
+// soaPool holds the SoA batch tier's lane buffers.
+var soaPool scratchPool
+
+// getScratch returns a pooled scratch slice of at least n elements,
 // sliced to exactly n.
-func soaScratch[T Float](n int) *[]T {
+func getScratch[T Float](sp *scratchPool, n int) *[]T {
 	var zero T
 	if _, ok := any(zero).(float64); ok {
-		if p, _ := soaPool64.Get().(*[]float64); p != nil && cap(*p) >= n {
+		if p, _ := sp.f64.Get().(*[]float64); p != nil && cap(*p) >= n {
 			*p = (*p)[:n]
 			return any(p).(*[]T)
 		}
 		buf := make([]float64, n)
 		return any(&buf).(*[]T)
 	}
-	if p, _ := soaPool32.Get().(*[]float32); p != nil && cap(*p) >= n {
+	if p, _ := sp.f32.Get().(*[]float32); p != nil && cap(*p) >= n {
 		*p = (*p)[:n]
 		return any(p).(*[]T)
 	}
@@ -297,13 +300,13 @@ func soaScratch[T Float](n int) *[]T {
 	return any(&buf).(*[]T)
 }
 
-// soaRelease returns a scratch slice to its pool.
-func soaRelease[T Float](p *[]T) {
+// putScratch returns a scratch slice to its pool.
+func putScratch[T Float](sp *scratchPool, p *[]T) {
 	switch q := any(p).(type) {
 	case *[]float64:
-		soaPool64.Put(q)
+		sp.f64.Put(q)
 	case *[]float32:
-		soaPool32.Put(q)
+		sp.f32.Put(q)
 	}
 }
 
@@ -346,8 +349,8 @@ func runBatchSoA[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], 
 // intact on every exit path.
 func runBatchSoALane[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], xs [][]T) (err error) {
 	lane := len(xs)
-	p := soaScratch[T](s.size * SoALaneDim(lane))
-	defer soaRelease(p)
+	p := getScratch[T](&soaPool, s.size*SoALaneDim(lane))
+	defer putScratch(&soaPool, p)
 	defer func() {
 		if r := recover(); r != nil {
 			err = newPanicError(-1, -1, r)

@@ -169,7 +169,7 @@ func TimeScheduleParallel(s *Schedule, workers int, mode ParallelMode, opt Timin
 // schedule streamed through an in-RAM store by the out-of-core
 // executor — the measurement primitive behind the tuner's resident
 // budget and phase-split sweep.  An in-RAM store prices the segment
-// structure itself (the extra transpose passes, the per-window dispatch)
+// structure itself (the gather copies, the per-window dispatch)
 // without the noise of real disk I/O; the relative ordering of segment
 // shapes is what the sweep needs, and that is store-independent.  The
 // scratch discipline is TimeSchedule's.

@@ -2,7 +2,10 @@
 // segmented transforms: two full-length planes of the logical vector,
 // each striped across fixed-size files in a directory, memory-mapped
 // where the platform allows and accessed through plain file I/O where
-// it does not.
+// it does not.  The segmented executor reads and writes the primary
+// plane only, in gathered rows; the auxiliary plane is created as a
+// sparse file and stays unwritten unless a caller uses WriteAux, so the
+// on-disk format is unchanged and older stores keep opening.
 //
 // The store is deliberately byte-level — it knows element size, not
 // element type — so one implementation serves both f64 and f32
@@ -35,7 +38,7 @@ const (
 )
 
 // DefaultStripeLog is the default log2 stripe size in bytes (4 MiB):
-// large enough that streaming windows and transpose-tile runs rarely
+// large enough that contiguous windows and gathered rows rarely
 // straddle a boundary, small enough that a store stripes across several
 // files at the sizes out-of-core runs care about.
 const DefaultStripeLog = 22
@@ -371,21 +374,16 @@ func (st *Store) Flip() error {
 	return nil
 }
 
-// checksumStripe hashes a stripe's full content with FNV-1a.
+// checksumStripe hashes a stripe's full content with FNV-1a.  It reads
+// through the file, never the mapping: hashing through the mapping
+// would fault every page of both planes into the process, the
+// never-written auxiliary plane included.
 func checksumStripe(s *stripe, size int64) uint64 {
 	h := fnv.New64a()
-	if s.m != nil {
-		h.Write(s.m)
-		return h.Sum64()
-	}
-	buf := make([]byte, 1<<20)
-	var off int64
-	for off < size {
-		n := size - off
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		if err := s.readAt(buf[:n], off); err != nil {
+	buf := make([]byte, min(size, 1<<20))
+	for off := int64(0); off < size; {
+		n := min(size-off, int64(len(buf)))
+		if _, err := s.f.ReadAt(buf[:n], off); err != nil {
 			return 0 // size was verified at open; treat as mismatch
 		}
 		h.Write(buf[:n])

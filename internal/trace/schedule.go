@@ -61,26 +61,11 @@ func (t *Tracer) stageLanes(st exec.Stage) int {
 // calls for the straight-line variants, and the variant's reference
 // stream through the simulated hierarchy.
 func (t *Tracer) stage(st exec.Stage) {
-	t.stagePrice(st, 1)
-	t.stageStream(st, 0)
-}
-
-// stagePrice accumulates the instruction classes and loop instances of
-// numWin executions of one stage (a segmented schedule runs each
-// window-local stage once per resident window).
-func (t *Tracer) stagePrice(st exec.Stage, numWin int64) {
 	cost := &t.mach.Cost
 	ops := cost.StageOpsFused(st.M, st.R, st.S, st.V, st.Fused)
-	ops = cost.SIMDStageOpsShaped(ops, t.stageLanes(st), st.V, st.M, st.S)
-	t.counters.Ops.Add(ops.Scale(numWin))
-	t.counters.LoopInstances += machineStageLoops(st) * numWin
-}
+	t.counters.Ops.Add(cost.SIMDStageOpsShaped(ops, t.stageLanes(st), st.V, st.M, st.S))
+	t.counters.LoopInstances += machineStageLoops(st)
 
-// stageStream feeds one execution of the stage's reference stream into
-// the hierarchy, offset by base (0 for flat schedules; a window base
-// inside a plane for segmented ones), and accounts the stall-term leaf
-// calls of the straight-line variants.
-func (t *Tracer) stageStream(st exec.Stage, base int) {
 	size := 1 << uint(st.M)
 	switch st.V {
 	case codelet.Contiguous:
@@ -88,8 +73,8 @@ func (t *Tracer) stageStream(st exec.Stage, base int) {
 		// strided form, so it contributes to the LeafCalls stall term.
 		t.counters.LeafCalls[st.M] += int64(st.R)
 		for j := 0; j < st.R; j++ {
-			t.leafPass(base+j*st.Blk, 1, size)
-			t.leafPass(base+j*st.Blk, 1, size)
+			t.leafPass(j*st.Blk, 1, size)
+			t.leafPass(j*st.Blk, 1, size)
 		}
 	case codelet.Interleaved:
 		// The streaming kernel has no straight-line dependency chains;
@@ -101,7 +86,7 @@ func (t *Tracer) stageStream(st exec.Stage, base int) {
 		}
 		block := size * st.S
 		for j := 0; j < st.R; j++ {
-			rowBase := base + j*st.Blk
+			rowBase := j * st.Blk
 			for lvl := 0; lvl < passes; lvl++ {
 				t.leafPass(rowBase, 1, block)
 				t.leafPass(rowBase, 1, block)
@@ -110,7 +95,7 @@ func (t *Tracer) stageStream(st exec.Stage, base int) {
 	default:
 		t.counters.LeafCalls[st.M] += int64(st.R) * int64(st.S)
 		for j := 0; j < st.R; j++ {
-			rowBase := base + j*st.Blk
+			rowBase := j * st.Blk
 			for k := 0; k < st.S; k++ {
 				t.leafPass(rowBase+k, st.S, size)
 				t.leafPass(rowBase+k, st.S, size)

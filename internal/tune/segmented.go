@@ -53,7 +53,7 @@ type SegResult struct {
 // and records the winner in the process wisdom store (the "segments" /
 // "resident_budget" entry fields SaveWisdom persists).  Candidates are
 // timed through the streaming executor over an in-RAM store, which
-// prices the segment structure itself — transpose passes and per-window
+// prices the segment structure itself — gather copies and per-window
 // dispatch — on the shape axis the sweep decides; the store backing an
 // actual out-of-core run is the deployment's choice.
 func TuneSegmented(n int, opt SegmentedOptions) (SegResult, error) {
@@ -104,8 +104,8 @@ func TuneSegmented(n int, opt SegmentedOptions) (SegResult, error) {
 		}
 		// The phase-split axis: every explicit hi/lo cut both of whose
 		// phases fit the budget (deeper recursion is the TwoPhase
-		// candidate above; here the single-transpose-pair forms are swept
-		// against each other).
+		// candidate above; here the two-segment forms are swept against
+		// each other).
 		for hi := max(1, n-b); hi <= min(b, n-1); hi++ {
 			lo := n - hi
 			leafHi, leafLo := min(plan.MaxLeafLog, hi), min(plan.MaxLeafLog, lo)

@@ -111,7 +111,7 @@ type Result struct {
 	Plan       *plan.Node     // the measured-fastest plan
 	Policy     codelet.Policy // the variant policy it was fastest under
 	NsPerRun   float64        // its measured median latency
-	BaselineNs float64        // the balanced default's latency from the same run
+	BaselineNs float64        // the balanced default's latency, timed at NsPerRun's effort (the same timing when the default wins)
 	Measured   int            // real timings spent (model pruning, dedup, rematch, policy/batch sweeps included)
 
 	// SoAMinBatch is the measured batch crossover registered for the
@@ -233,6 +233,11 @@ func Tune(n int, opt Options) (Result, error) {
 		}
 		res.NsPerRun = exec.TimeSchedule(incSched, polTiming)
 		measured++
+		if res.Plan.Equal(candidates[0]) && incPol == codelet.DefaultPolicy() {
+			// The incumbent is the balanced default: its fresh timing is
+			// the baseline, so a default result reports no speedup.
+			res.BaselineNs = res.NsPerRun
+		}
 		for _, pol := range backendAxis(opt.Policies) {
 			if pol == incPol {
 				continue // already freshly timed as the incumbent

@@ -60,6 +60,39 @@ func TestTuneSweepKeepsIncumbentAgainstBadPolicies(t *testing.T) {
 	}
 }
 
+// whttune's speedup column is BaselineNs/NsPerRun, so the two must be
+// timed at the same effort: when the result is the balanced default
+// under the default policy, they are one and the same measurement.
+// (They were not: the baseline kept its quick phase-2 timing while the
+// incumbent was re-timed at rematch effort, so an unchanged default
+// plan reported speedups anywhere from 1.3x to 2.8x.)
+func TestTuneBaselineMatchesDefaultResult(t *testing.T) {
+	Reset()
+	defer Reset()
+	opt := quickOpt()
+	opt.Policies = []codelet.Policy{codelet.DefaultPolicy()}
+	opt.NoBatchSweep, opt.NoBackendSweep = true, true
+	// At n = 1 every candidate is small[1], the balanced default; only
+	// the scalar-pinned policy twin can displace the default result.
+	checked := 0
+	for try := 0; try < 8 && checked < 2; try++ {
+		res, err := Tune(1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Plan.Equal(plan.Balanced(1, plan.MaxLeafLog)) || res.Policy != codelet.DefaultPolicy() || res.StageBackends != nil {
+			continue
+		}
+		checked++
+		if res.BaselineNs != res.NsPerRun {
+			t.Fatalf("default result: BaselineNs %.1f != NsPerRun %.1f", res.BaselineNs, res.NsPerRun)
+		}
+	}
+	if checked == 0 {
+		t.Skip("the scalar twin won every run; no default result to check")
+	}
+}
+
 func TestTuneRegistersServingPlanAndWisdom(t *testing.T) {
 	Reset()
 	defer Reset()

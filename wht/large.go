@@ -4,10 +4,11 @@ package wht
 //
 // A segmented schedule regroups a plan's butterfly DAG into the
 // two-phase factorization WHT(2^(a+b)) =
-// (WHT(2^a) (x) I(2^b)) · (I(2^a) (x) WHT(2^b)) — local stage runs over
-// resident windows separated by explicit blocked transposes — so a
-// transform can stream through a bounded resident set while the bulk of
-// the vector lives behind a BufStore (in RAM, or on disk via the
+// (WHT(2^a) (x) I(2^b)) · (I(2^a) (x) WHT(2^b)) — one stage run per
+// phase, each acting on a range of index bits and executed over gather
+// windows of strided rows — so a transform can stream through a bounded
+// resident set, one read and one write pass per phase, while the bulk
+// of the vector lives behind a BufStore (in RAM, or on disk via the
 // striped shard store).  Segmented execution is bitwise-equal to the
 // flat schedule of the same plan on every input.
 
@@ -22,8 +23,8 @@ import (
 	"repro/internal/tune"
 )
 
-// SegForm is a two-phase plan form: a plan regrouped into local phases
-// (each fitting a resident budget) separated by explicit transposes.
+// SegForm is a two-phase plan form: a plan regrouped into local phases,
+// each fitting a resident budget.
 // Build one with TwoPhase or parse the "phase[...]" grammar.
 type SegForm = plan.SegNode
 
@@ -39,7 +40,7 @@ var (
 )
 
 // Segment is one op of a segmented schedule: a window-local stage run
-// or a blocked transpose (see Schedule.Segments).
+// acting on a range of index bits (see Schedule.Segments).
 type Segment = exec.Segment
 
 // BufStore abstracts the two-plane storage a segmented schedule streams
@@ -47,8 +48,8 @@ type Segment = exec.Segment
 // implement it.
 type BufStore[T Float] = exec.BufStore[T]
 
-// SliceStore is the in-RAM BufStore over a caller's slice (the
-// zero-copy fast path of the segmented executor).
+// SliceStore is the in-RAM BufStore over a caller's slice (flat
+// schedules run on it in place).
 type SliceStore[T Float] = exec.SliceStore[T]
 
 // NewSliceStore wraps x as an in-RAM store; the transform result is
@@ -98,10 +99,10 @@ func CompileSegmentedWith(g *SegForm, pol VariantPolicy) (*Schedule, error) {
 	return exec.NewSegmentedScheduleWith(g, pol)
 }
 
-// RunSegmented streams a segmented schedule through a store: butterfly
-// windows and transpose tiles flow through a bounded worker pool so
-// store I/O overlaps compute, with the total resident footprint capped
-// by opt.ResidentElems.  Cancellation is polled per window/tile and
+// RunSegmented streams a segmented schedule through a store: gather
+// windows flow through a bounded worker pool so store I/O overlaps
+// compute, with the total resident footprint capped by
+// opt.ResidentElems.  Cancellation is polled per window and
 // kernel panics return as errors matching ErrKernelPanic.  A nil ctx is
 // allowed.
 func RunSegmented[T Float](ctx context.Context, s *Schedule, store BufStore[T], opt SegOptions) error {
@@ -154,8 +155,7 @@ type LargeOptions struct {
 // TransformLarge computes the WHT of the vector held in store, in
 // place, streaming through a bounded resident set — the entry point for
 // transforms larger than RAM.  The store's length must be a power of
-// two >= 2; the result lands in the store's primary plane (segments
-// flip planes an even number of times).  For repeated same-size calls,
+// two >= 2; the result lands in the store's primary plane.  For repeated same-size calls,
 // compile once (CompileSegmented) and reuse RunSegmented.
 func TransformLarge(ctx context.Context, store BufStore[float64], opt LargeOptions) error {
 	return transformLarge(ctx, store, opt)
