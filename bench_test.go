@@ -8,7 +8,6 @@ package repro
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -297,64 +296,6 @@ func BenchmarkApplyParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkParallelPipeline is the window-pipelined executor's acceptance
-// benchmark: the barrier tier against the dependency-counted pipelined
-// tier on the radix-2^MaxLeafLog plans, the fewest stages an unrolled
-// plan can have (two at n = 16, three at 18 and 20: a contiguous stage
-// feeding full-vector fused-interleaved stages), at the paper's hard
-// sizes.  The log line reports the measured ratio (CI extracts it into
-// BENCH_parallel.json).
-func BenchmarkParallelPipeline(b *testing.B) {
-	maxw := runtime.GOMAXPROCS(0)
-	workerGrid := []int{4}
-	if maxw > 4 {
-		workerGrid = append(workerGrid, maxw)
-	}
-	for _, n := range []int{16, 18, 20} {
-		p := plan.RadixIterative(n, plan.MaxLeafLog)
-		sched := exec.CompileWith(p, codelet.Policy{ILFuse: true})
-		x := make([]float64, 1<<n)
-		for i := range x {
-			x[i] = float64(i&15) - 7.5
-		}
-		for _, workers := range workerGrid {
-			var barrierNs, pipeNs float64
-			for _, tier := range []struct {
-				name string
-				mode exec.ParallelMode
-			}{
-				{"barrier", exec.BarrierParallel},
-				{"pipelined", exec.PipelinedParallel},
-			} {
-				b.Run(fmt.Sprintf("n=%d/workers=%d/%s", n, workers, tier.name), func(b *testing.B) {
-					b.SetBytes(int64(8 << n))
-					// One warm run resolves the kernel table and faults the
-					// pages in before the clock starts.
-					if err := exec.RunParallelMode(sched, x, workers, tier.mode); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := exec.RunParallelMode(sched, x, workers, tier.mode); err != nil {
-							b.Fatal(err)
-						}
-					}
-					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					if tier.mode == exec.BarrierParallel {
-						barrierNs = ns
-					} else {
-						pipeNs = ns
-					}
-				})
-			}
-			if barrierNs > 0 && pipeNs > 0 {
-				b.Logf("n=%d workers=%d: barrier %.0f ns vs pipelined %.0f ns — %.2fx",
-					n, workers, barrierNs, pipeNs, barrierNs/pipeNs)
-			}
-		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // package / SPIRAL: straight-line single-assignment butterflies with all
 // loop and recursion overhead removed.
 //
-// Per log-size it emits three stage-shape variants (see internal/codelet):
+// Per log-size it emits five kernel variants (see internal/codelet):
 //
 //   - strided: the generic x[base + j*stride] kernel;
 //   - contig: the stride-1 specialization, indexing a constant-length
@@ -16,12 +16,10 @@
 //     through the whole base case, every butterfly level a sweep of
 //     unit-stride lane runs; the IL kernel is the special case
 //     lane == stride;
-//   - ilf: the fused interleaved forms — the radix-4 fused streaming
-//     kernel (two butterfly levels per pass) and its radix-8 fused
-//     range form (three levels per pass over a [kLo, kHi) vector
-//     sub-range, the pipelined executor's partial-row path) — with the
-//     pass structure unrolled: constant multiples of s everywhere,
-//     single-trip loops dropped.
+//   - ilf: the fused interleaved form — the radix-4 fused streaming
+//     kernel (two butterfly levels per pass) — with the pass structure
+//     unrolled: constant multiples of s everywhere, single-trip loops
+//     dropped.
 //
 // Everything whtgen emits is scalar pure Go.  The SIMD backend
 // (internal/codelet's AVX2 and NEON assembly) is not generated: it
@@ -97,7 +95,6 @@ func main() {
 	emitTable(&b, *maxLog, suffix, "i", "ILKernels", "ILKernel", want["il"])
 	emitTable(&b, *maxLog, suffix, "so", "SoAKernels", "SoAKernel", want["soa"])
 	emitTable(&b, *maxLog, suffix, "fi", "ILFusedKernels", "ILKernel", want["ilf"])
-	emitTable(&b, *maxLog, suffix, "fir", "ILFusedRangeKernels", "ILRangeKernel", want["ilf"])
 
 	for m := 1; m <= *maxLog; m++ {
 		if want["strided"] {
@@ -114,7 +111,6 @@ func main() {
 		}
 		if want["ilf"] {
 			emitILFusedCodelet(&b, m, *elem, suffix)
-			emitILFusedRangeCodelet(&b, m, *elem, suffix)
 		}
 	}
 
@@ -357,119 +353,6 @@ func emitILFusedCodelet(b *bytes.Buffer, m int, elem, suffix string) {
 			fmt.Fprintf(b, "\t\tq3 := v[blk+%s : blk+%s]\n", sTerm(3*hu), sTerm(4*hu))
 			r4body("\t\t")
 			b.WriteString("\t}\n")
-		}
-	}
-	b.WriteString("}\n\n")
-}
-
-// emitILFusedRangeCodelet writes the fused interleaved range kernel:
-// the radix-8 streaming form restricted to the [kLo, kHi) vector
-// sub-range (the pipelined executor's partial-row path), with the
-// radix-2/radix-4 prologue of GenericILFusedRange when m mod 3 != 0 and
-// every pass bound, pointer step and single-trip loop resolved at
-// generation time.  Bitwise-equal to GenericILFusedRange.
-func emitILFusedRangeCodelet(b *bytes.Buffer, m int, elem, suffix string) {
-	n := 1 << m
-	fmt.Fprintf(b, "// wht%dfir%s computes the [kLo, kHi) vector sub-range of s interleaved\n", n, suffix)
-	fmt.Fprintf(b, "// in-place WHT(%d)s (vector k at x[base+k+j*s]) through radix-8 fused\n", n)
-	fmt.Fprintf(b, "// passes; bitwise-equal to wht%dfi%s over the same range.\n", n, suffix)
-	fmt.Fprintf(b, "func wht%dfir%s(x []%s, base, s, kLo, kHi int) {\n", n, suffix, elem)
-	r2body := func(indent string) {
-		fmt.Fprintf(b, "%sfor k := kLo; k < kHi; k++ {\n", indent)
-		fmt.Fprintf(b, "%s\ta, b := x[lo+k], x[hi+k]\n", indent)
-		fmt.Fprintf(b, "%s\tx[lo+k] = a + b\n", indent)
-		fmt.Fprintf(b, "%s\tx[hi+k] = a - b\n", indent)
-		fmt.Fprintf(b, "%s}\n", indent)
-	}
-	r4body := func(indent string) {
-		fmt.Fprintf(b, "%sfor k := kLo; k < kHi; k++ {\n", indent)
-		fmt.Fprintf(b, "%s\ta, b, c, d := x[p0+k], x[p1+k], x[p2+k], x[p3+k]\n", indent)
-		fmt.Fprintf(b, "%s\te, f := a+b, a-b\n", indent)
-		fmt.Fprintf(b, "%s\tg, hh := c+d, c-d\n", indent)
-		fmt.Fprintf(b, "%s\tx[p0+k], x[p1+k] = e+g, f+hh\n", indent)
-		fmt.Fprintf(b, "%s\tx[p2+k], x[p3+k] = e-g, f-hh\n", indent)
-		fmt.Fprintf(b, "%s}\n", indent)
-	}
-	r8 := func(indent string, hj int) {
-		for i := 1; i < 8; i++ {
-			fmt.Fprintf(b, "%sp%d := p%d + %s\n", indent, i, i-1, sTerm(hj))
-		}
-		fmt.Fprintf(b, "%sfor k := kLo; k < kHi; k++ {\n", indent)
-		fmt.Fprintf(b, "%s\ta0, a1, a2, a3 := x[p0+k], x[p1+k], x[p2+k], x[p3+k]\n", indent)
-		fmt.Fprintf(b, "%s\ta4, a5, a6, a7 := x[p4+k], x[p5+k], x[p6+k], x[p7+k]\n", indent)
-		fmt.Fprintf(b, "%s\tb0, b1 := a0+a1, a0-a1\n", indent)
-		fmt.Fprintf(b, "%s\tb2, b3 := a2+a3, a2-a3\n", indent)
-		fmt.Fprintf(b, "%s\tb4, b5 := a4+a5, a4-a5\n", indent)
-		fmt.Fprintf(b, "%s\tb6, b7 := a6+a7, a6-a7\n", indent)
-		fmt.Fprintf(b, "%s\tc0, c2 := b0+b2, b0-b2\n", indent)
-		fmt.Fprintf(b, "%s\tc1, c3 := b1+b3, b1-b3\n", indent)
-		fmt.Fprintf(b, "%s\tc4, c6 := b4+b6, b4-b6\n", indent)
-		fmt.Fprintf(b, "%s\tc5, c7 := b5+b7, b5-b7\n", indent)
-		fmt.Fprintf(b, "%s\tx[p0+k], x[p4+k] = c0+c4, c0-c4\n", indent)
-		fmt.Fprintf(b, "%s\tx[p1+k], x[p5+k] = c1+c5, c1-c5\n", indent)
-		fmt.Fprintf(b, "%s\tx[p2+k], x[p6+k] = c2+c6, c2-c6\n", indent)
-		fmt.Fprintf(b, "%s\tx[p3+k], x[p7+k] = c3+c7, c3-c7\n", indent)
-		fmt.Fprintf(b, "%s}\n", indent)
-	}
-	hj := 1
-	switch m % 3 {
-	case 1:
-		if n == 2 {
-			b.WriteString("\tlo := base\n")
-			b.WriteString("\thi := lo + s\n")
-			r2body("\t")
-		} else {
-			fmt.Fprintf(b, "\tfor blk := 0; blk < %d; blk += 2 {\n", n)
-			b.WriteString("\t\tlo := base + blk*s\n")
-			b.WriteString("\t\thi := lo + s\n")
-			r2body("\t\t")
-			b.WriteString("\t}\n")
-		}
-		hj = 2
-	case 2:
-		if n == 4 {
-			b.WriteString("\tp0 := base\n")
-		} else {
-			fmt.Fprintf(b, "\tfor blk := 0; blk < %d; blk += 4 {\n", n)
-			b.WriteString("\t\tp0 := base + blk*s\n")
-		}
-		indent := "\t"
-		if n != 4 {
-			indent = "\t\t"
-		}
-		for i := 1; i < 4; i++ {
-			fmt.Fprintf(b, "%sp%d := p%d + s\n", indent, i, i-1)
-		}
-		r4body(indent)
-		if n != 4 {
-			b.WriteString("\t}\n")
-		}
-		hj = 4
-	}
-	for ; hj < n; hj <<= 3 {
-		blkTrip := n / (8 * hj)
-		switch {
-		case blkTrip == 1 && hj == 1:
-			b.WriteString("\t{\n")
-			b.WriteString("\t\tp0 := base\n")
-			r8("\t\t", hj)
-			b.WriteString("\t}\n")
-		case blkTrip == 1:
-			fmt.Fprintf(b, "\tfor j := 0; j < %d; j++ {\n", hj)
-			b.WriteString("\t\tp0 := base + j*s\n")
-			r8("\t\t", hj)
-			b.WriteString("\t}\n")
-		case hj == 1:
-			fmt.Fprintf(b, "\tfor blk := 0; blk < %d; blk += 8 {\n", n)
-			b.WriteString("\t\tp0 := base + blk*s\n")
-			r8("\t\t", hj)
-			b.WriteString("\t}\n")
-		default:
-			fmt.Fprintf(b, "\tfor blk := 0; blk < %d; blk += %d {\n", n, 8*hj)
-			fmt.Fprintf(b, "\t\tfor j := blk; j < blk+%d; j++ {\n", hj)
-			b.WriteString("\t\t\tp0 := base + j*s\n")
-			r8("\t\t\t", hj)
-			b.WriteString("\t\t}\n\t}\n")
 		}
 	}
 	b.WriteString("}\n\n")

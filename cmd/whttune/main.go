@@ -44,7 +44,6 @@ func main() {
 	warmup := flag.Int("warmup", 1, "warmup runs per measurement")
 	repeat := flag.Int("repeat", 3, "timed repetitions per measurement (median reported)")
 	minDur := flag.Duration("mindur", 5*time.Millisecond, "minimum wall time per repetition")
-	parWorkers := flag.Int("parworkers", 0, "worker count for the parallel-mode sweep (0 = GOMAXPROCS; sweep is skipped below 2)")
 	backend := flag.String("backend", "", "process-wide kernel backend override: auto, scalar, or simd (the -flag form of WHT_SIMD)")
 	wisdomPath := flag.String("wisdom", "", "write accumulated wisdom to this file")
 	loadPath := flag.String("load", "", "merge an existing wisdom file before tuning")
@@ -80,7 +79,7 @@ func main() {
 	}
 	fmt.Printf("fingerprint: %s/%s maxprocs=%d isa=%s backend=%s\n\n",
 		fp.OS, fp.Arch, fp.MaxProcs, isaStr, codelet.ActiveBackend())
-	fmt.Printf("%-4s %12s %12s %8s %9s %-9s  %s\n", "n", "tuned ns", "balanced ns", "speedup", "measured", "parallel", "plan")
+	fmt.Printf("%-4s %12s %12s %8s %9s  %s\n", "n", "tuned ns", "balanced ns", "speedup", "measured", "plan")
 	for _, n := range ns {
 		opt := tune.Options{
 			Candidates: *count,
@@ -88,19 +87,13 @@ func main() {
 			Seed:       *seed,
 			Workers:    *workers,
 			Timing:     exec.TimingOptions{Warmup: *warmup, Repeat: *repeat, MinDuration: *minDur},
-
-			ParallelWorkers: *parWorkers,
 		}
 		res, err := tune.Tune(n, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		parMode := res.ParallelMode
-		if parMode == "" {
-			parMode = "auto"
-		}
-		fmt.Printf("%-4d %12.0f %12.0f %7.2fx %9d %-9s  %s\n",
-			n, res.NsPerRun, res.BaselineNs, res.BaselineNs/res.NsPerRun, res.Measured, parMode, res.Plan)
+		fmt.Printf("%-4d %12.0f %12.0f %7.2fx %9d  %s\n",
+			n, res.NsPerRun, res.BaselineNs, res.BaselineNs/res.NsPerRun, res.Measured, res.Plan)
 		if res.StageBackends != nil {
 			specs := make([]string, len(res.StageBackends))
 			for i, b := range res.StageBackends {

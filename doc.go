@@ -17,15 +17,11 @@
 // stage once across the whole lane of vectors as radix-4 fused streams
 // — bitwise-equal to per-vector evaluation and >= 1.3x its throughput
 // at n=16, batch >= 8 (BenchmarkBatchSoA).  Multi-worker runs
-// (wht.RunParallel) pick between two tiers: the barrier pool splits
-// each stage across workers and joins between consecutive stages, while
-// the pipelined tier (wht.PipelinedParallel) replaces the per-stage
-// barriers with dependency-counted window scheduling — the flattened
-// schedule's nondecreasing power-of-two stage blocks nest into aligned
-// windows, so a persistent worker pool retires each window's chunks and
-// releases exactly the dependent windows of the next stage, letting
-// workers cross stage boundaries while slow chunks still drain
-// (BenchmarkParallelPipeline measures the two head to head).  Orthogonal
+// (wht.RunParallel) have one tier: a barrier pool that splits each
+// stage across workers and joins between consecutive stages.  It fans
+// out only from exec.ParallelMinElems (2^18 elements), the measured
+// size where it stops losing to the sequential executor; smaller
+// transforms run inline.  Orthogonal
 // to all of it runs the backend axis: every kernel form ships as pure-Go
 // scalar code plus, on amd64 (AVX2) and arm64 (NEON), hand-written vector
 // assembly for the streaming passes, the SoA lane sweeps, wide strided
@@ -39,14 +35,13 @@
 // shape-aware (machine.SIMDVectorizes/SIMDStageOpsShaped).  The
 // measured-cost autotuner (wht.Tune, cmd/whttune) searches over real
 // timings of compiled schedules — the fused-interleaved policy, the
-// SoA-vs-per-vector batch choice, the barrier-vs-pipelined parallel
-// mode, and the per-stage backend vector (model-prefiltered by
-// machine.DecisiveBackendPreference, contested stages settled by
-// greedy measured flips) included — serves the winner from the
+// SoA-vs-per-vector batch choice, and the per-stage backend vector
+// (model-prefiltered by machine.DecisiveBackendPreference, contested
+// stages settled by greedy measured flips) included — serves the winner from the
 // process-wide schedule cache, and persists it across restarts as a
 // fingerprinted wisdom file (wht.SaveWisdom/LoadWisdom), including the
-// kernel-variant policy, batch crossover, parallel mode, and stage
-// backends the winner was measured under —
+// kernel-variant policy, batch crossover, and stage backends the
+// winner was measured under —
 // the paper's conclusion that search must be driven by measurements,
 // closed end to end.  Its timing loop reinitializes its
 // scratch between chunks, so arbitrarily long measurements of the
@@ -55,13 +50,13 @@
 // For serving, every executor has a context-aware form
 // (wht.RunCtx/RunParallelCtx/RunBatchCtx and friends, wht.TransformCtx
 // and ApplyBatchCtx at the facade): ctx is polled between bounded
-// chunks of kernel calls — window/chunk granularity on the parallel
-// tiers, sub-lanes on the SoA tier — so cancellation takes effect
+// chunks of kernel calls — per worker chunk on the parallel tier,
+// sub-lanes on the SoA tier — so cancellation takes effect
 // within one chunk and returns ctx.Err(); a nil ctx costs nothing over
 // the plain form.  The same entry points contain kernel panics: every
 // worker-pool goroutine recovers, the first failure aborts the run and
 // comes back as a *exec.PanicError (matching wht.ErrKernelPanic) with
-// stage/window attribution, and the pools stay reusable.  Damaged
+// stage attribution, and the pools stay reusable.  Damaged
 // wisdom files fail typed too — wht.ErrCorruptWisdom matches truncated,
 // scrambled, trailing-garbage, and structurally invalid files, while
 // intact files from other machines or format versions return ordinary

@@ -42,15 +42,6 @@ type ILKernel func(x []float64, base, s int)
 // ILKernel32 is the single-precision interleaved kernel.
 type ILKernel32 func(x []float32, base, s int)
 
-// ILRangeKernel computes the [kLo, kHi) vector sub-range of s
-// interleaved in-place WHT(2^m)s (vector k at x[base + k + j*s]) — the
-// range form the pipelined parallel executor calls when a worker's
-// share of a fused interleaved stage covers only part of a j-row.
-type ILRangeKernel func(x []float64, base, s, kLo, kHi int)
-
-// ILRangeKernel32 is the single-precision interleaved range kernel.
-type ILRangeKernel32 func(x []float32, base, s, kLo, kHi int)
-
 // For returns the unrolled strided kernel for log2 size m, or nil if none
 // was generated.
 func For(m int) Kernel {
@@ -116,24 +107,6 @@ func ForILFused32(m int) ILKernel32 {
 		return nil
 	}
 	return ILFusedKernels32[m]
-}
-
-// ForILFusedRange returns the unrolled radix-8 fused interleaved range
-// kernel for log2 size m, or nil.
-func ForILFusedRange(m int) ILRangeKernel {
-	if m < 1 || m > GeneratedMaxLog {
-		return nil
-	}
-	return ILFusedRangeKernels[m]
-}
-
-// ForILFusedRange32 returns the unrolled float32 fused interleaved
-// range kernel, or nil.
-func ForILFusedRange32(m int) ILRangeKernel32 {
-	if m < 1 || m > GeneratedMaxLog {
-		return nil
-	}
-	return ILFusedRangeKernels32[m]
 }
 
 // Generic computes an in-place WHT(2^m) on a strided vector using the

@@ -460,7 +460,7 @@ func SIMDStrided(x []float64, base, s, m int) {
 }
 
 // SIMDStridedRange is SIMDStrided restricted to columns [kLo, kHi) —
-// the partial-row form the parallel executors hand to workers.  A full
+// the partial-row form the parallel executor hands to workers.  A full
 // row that fits in one chunk runs as the interleaved pass program.
 func SIMDStridedRange(x []float64, base, s, kLo, kHi, m int) {
 	chunk := stridedChunkCols(m, s, simdWidth64, stridedChunkTarget64)

@@ -279,9 +279,9 @@ func GenericILFused32(x []float32, base, s, m int) {
 
 // GenericILFusedRange is GenericILFused restricted to the vector
 // sub-range [kLo, kHi) of the s interleaved vectors — the fused
-// counterpart of GenericILRange the pipelined parallel executor uses
-// when a worker's share of a fused interleaved stage covers only part
-// of a j-row.  It fuses three butterfly levels per pass (radix-8, with
+// counterpart of GenericILRange, and the scalar reference of the
+// column-chunked vector strided kernels (SIMDILFusedRange,
+// SIMDStridedRange).  It fuses three butterfly levels per pass (radix-8, with
 // one radix-2 or radix-4 prologue when m mod 3 != 0), so the column
 // slice is streamed ceil(m/3) times where GenericILRange streams it m
 // times.  Fusing only regroups the per-element operation DAG — every

@@ -182,25 +182,23 @@ func TestVariantForOutOfRange(t *testing.T) {
 		ForIL(0) != nil || ForIL(GeneratedMaxLog+1) != nil ||
 		ForContig32(-1) != nil || ForIL32(-1) != nil ||
 		ForILFused(0) != nil || ForILFused(GeneratedMaxLog+1) != nil ||
-		ForILFusedRange(0) != nil || ForILFusedRange(GeneratedMaxLog+1) != nil ||
-		ForILFused32(-1) != nil || ForILFusedRange32(-1) != nil {
+		ForILFused32(-1) != nil {
 		t.Error("variant lookups must return nil outside [1, GeneratedMaxLog]")
 	}
 }
 
 // The generated (unrolled-pass) fused interleaved codelets replace the
 // Generic loop forms on the scalar hot path, so they must be BITWISE
-// equal to them over full rows, full ranges and split ranges — the
-// same contract TestGenericILFusedAndRangeBitwiseEqualGeneric pins for
+// equal to them — the same contract
+// TestGenericILFusedAndRangeBitwiseEqualGeneric pins for
 // the loop forms, transitively anchoring the codelets to the per-column
 // Generic reference.
 func TestGeneratedILFusedCodeletsBitwiseEqualGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	for m := 1; m <= GeneratedMaxLog; m++ {
 		n := 1 << m
-		fk, rk := ForILFused(m), ForILFusedRange(m)
-		fk32, rk32 := ForILFused32(m), ForILFusedRange32(m)
-		if fk == nil || rk == nil || fk32 == nil || rk32 == nil {
+		fk, fk32 := ForILFused(m), ForILFused32(m)
+		if fk == nil || fk32 == nil {
 			t.Fatalf("m=%d: fused codelet tables have nil entries", m)
 		}
 		for _, s := range []int{1, 2, 3, 5, 8} {
@@ -212,16 +210,6 @@ func TestGeneratedILFusedCodeletsBitwiseEqualGeneric(t *testing.T) {
 				got := append([]float64(nil), buf...)
 				fk(got, base, s)
 				assertBitwise64(t, "gen-il-fused", m, base, s, got, want)
-				got2 := append([]float64(nil), buf...)
-				rk(got2, base, s, 0, s)
-				assertBitwise64(t, "gen-il-fused-range-full", m, base, s, got2, want)
-				if s > 1 {
-					split := rng.IntN(s-1) + 1
-					got3 := append([]float64(nil), buf...)
-					rk(got3, base, s, split, s)
-					rk(got3, base, s, 0, split)
-					assertBitwise64(t, "gen-il-fused-range-split", m, base, s, got3, want)
-				}
 
 				buf32 := randomVector32(rng, base+n*s+3)
 				want32 := append([]float32(nil), buf32...)
@@ -230,30 +218,20 @@ func TestGeneratedILFusedCodeletsBitwiseEqualGeneric(t *testing.T) {
 				got32 := append([]float32(nil), buf32...)
 				fk32(got32, base, s)
 				assertBitwise32(t, "gen-il-fused32", m, base, s, got32, want32)
-				got232 := append([]float32(nil), buf32...)
-				rk32(got232, base, s, 0, s)
-				assertBitwise32(t, "gen-il-fused32-range-full", m, base, s, got232, want32)
-				if s > 1 {
-					split := rng.IntN(s-1) + 1
-					got332 := append([]float32(nil), buf32...)
-					rk32(got332, base, s, split, s)
-					rk32(got332, base, s, 0, split)
-					assertBitwise32(t, "gen-il-fused32-range-split", m, base, s, got332, want32)
-				}
 			}
 		}
 	}
 }
 
 // The fused interleaved kernels — the radix-4 full-row form and the
-// radix-8 column-range form the pipelined executor splits rows with —
+// radix-8 column-range form the vector strided range kernels build on —
 // regroup butterfly levels into multi-level passes without changing any
 // per-element operand pairing or order, so both must stay BITWISE equal
 // to the per-column Generic reference: for every size covering all
 // m mod 3 prologue shapes and multiple radix-8 passes, full column
 // ranges and every tested split, both element types.  Full-row and
-// range calls mixing within one stage (what the pipelined executor
-// does) is safe exactly because both equal this one reference.
+// range calls mixing within one stage is safe exactly because both
+// equal this one reference.
 func TestGenericILFusedAndRangeBitwiseEqualGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	for m := 1; m <= 10; m++ {

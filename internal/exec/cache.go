@@ -187,18 +187,16 @@ type tunedEntry struct {
 	plan     *plan.Node
 	policy   codelet.Policy
 	soaMin   int               // batch-width crossover for the SoA tier (see SetSoAMinBatch)
-	parMode  ParallelMode      // parallel executor tier (see SetParallelMode)
 	backends []codelet.Backend // per-stage backend pins (see SetStageBackends), nil: policy backend
 }
 
 // TunedConfig carries every per-size decision a tuner registers alongside
 // its winning plan: the variant policy the plan was measured under, the
-// SoA batch crossover, the parallel executor tier, and the per-stage
-// backend pins.  The zero value is the untuned default for every field.
+// SoA batch crossover, and the per-stage backend pins.  The zero value
+// is the untuned default for every field.
 type TunedConfig struct {
-	Policy       codelet.Policy
-	SoAMinBatch  int
-	ParallelMode ParallelMode
+	Policy      codelet.Policy
+	SoAMinBatch int
 	// StageBackends, when non-nil, pins each compiled stage's codelet
 	// backend (length must match the compiled stage count — compilation
 	// is deterministic, so a tuner's recorded vector always does).  Nil
@@ -237,8 +235,8 @@ func UseTunedPlanFull(p *plan.Node, pol codelet.Policy, soaMinBatch int) error {
 }
 
 // UseTunedPlanWith registers p compiled under the full tuned
-// configuration — variant policy, SoA batch crossover, and parallel
-// executor tier — and seeds the default cache with the compiled schedule.
+// configuration — variant policy, SoA batch crossover, and per-stage
+// backend pins — and seeds the default cache with the compiled schedule.
 // Every field is re-applied whenever ForSize recompiles the tuned plan
 // after an LRU eviction, so the decisions survive for the life of the
 // process.
@@ -248,7 +246,6 @@ func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 		return err
 	}
 	s.SetSoAMinBatch(cfg.SoAMinBatch)
-	s.SetParallelMode(cfg.ParallelMode)
 	var backends []codelet.Backend
 	if len(cfg.StageBackends) > 0 {
 		// Validated before anything is published: a stage-count mismatch
@@ -271,8 +268,7 @@ func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 	// Warm with the schedule's own Log2Size cannot fail.
 	tunedMu.Lock()
 	tunedPlans[s.Log2Size()] = tunedEntry{
-		plan: p, policy: cfg.Policy, soaMin: cfg.SoAMinBatch, parMode: cfg.ParallelMode,
-		backends: backends,
+		plan: p, policy: cfg.Policy, soaMin: cfg.SoAMinBatch, backends: backends,
 	}
 	tunedMu.Unlock()
 	if err := defaultCache.Warm(s.Log2Size(), s); err != nil {
@@ -310,7 +306,7 @@ func TunedConfigFor(n int) (TunedConfig, bool) {
 	tunedMu.RLock()
 	defer tunedMu.RUnlock()
 	e, ok := tunedPlans[n]
-	cfg := TunedConfig{Policy: e.policy, SoAMinBatch: e.soaMin, ParallelMode: e.parMode}
+	cfg := TunedConfig{Policy: e.policy, SoAMinBatch: e.soaMin}
 	if len(e.backends) > 0 {
 		cfg.StageBackends = append([]codelet.Backend(nil), e.backends...)
 	}
@@ -345,7 +341,6 @@ func ForSize(n int) *Schedule {
 		if ok {
 			s := CompileWith(e.plan, e.policy)
 			s.SetSoAMinBatch(e.soaMin)
-			s.SetParallelMode(e.parMode)
 			if len(e.backends) > 0 {
 				// Compilation is deterministic and the vector was validated
 				// against this plan+policy at registration, so re-applying

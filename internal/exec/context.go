@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/codelet"
 	"repro/internal/faultinject"
@@ -18,18 +17,17 @@ import (
 // through here as one mechanism: every entry point gains a *Ctx variant
 // that polls ctx at work-chunk granularity, and every execution chunk —
 // on every tier — runs inside a recover that converts a kernel panic to
-// a *PanicError with stage/window attribution (see errors.go).
+// a *PanicError with stage attribution (see errors.go).
 //
 // Cancellation granularity is one chunk of work per tier: the
 // sequential tier checks between chunks of at most seqCancelElems
 // elements (one interleaved row when rows are larger), the barrier tier
-// between stages and per worker chunk, the pipelined tier before every
-// window chunk, and the SoA tier between sub-lanes, stage passes, and
-// j-rows.  A single kernel call is never interrupted, so a cancelled
-// call returns after at most one chunk of residual work.  On a nil ctx
-// the polls compile to a pointer test and the chunking degenerates to
-// one chunk per stage, so the non-cancellable entry points keep their
-// exact former execution shape.
+// between stages and per worker chunk, and the SoA tier between
+// sub-lanes, stage passes, and j-rows.  A single kernel call is never
+// interrupted, so a cancelled call returns after at most one chunk of
+// residual work.  On a nil ctx the polls compile to a pointer test and
+// the chunking degenerates to one chunk per stage, so the
+// non-cancellable entry points keep their exact former execution shape.
 //
 // On any error return the vector contents are unspecified (some stages
 // may have run), but schedules, caches, and pools all remain valid:
@@ -37,10 +35,10 @@ import (
 // property the fault-injection suite pins.
 
 // seqCancelElems bounds the number of vector elements one cancellation
-// check covers on the sequential tier (and on inline small stages of
-// the barrier tier).  2^14 elements is a few microseconds of butterfly
-// work — far below any plausible request deadline — while the check
-// itself (one atomic load inside ctx.Err) stays amortized over
+// check covers on the sequential tier (which is also RunParallel's
+// path below ParallelMinElems).  2^14 elements is a few microseconds of
+// butterfly work — far below any plausible request deadline — while the
+// check itself (one atomic load inside ctx.Err) stays amortized over
 // thousands of kernel calls.
 const seqCancelElems = 1 << 14
 
@@ -81,7 +79,7 @@ func cancelChunkCalls(st *Stage) int {
 func runStageChunkRecover[T Float](st *Stage, stage int, ks *kernelSet[T], x []T, base, lo, hi int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = newPanicError(stage, -1, r)
+			err = newPanicError(stage, r)
 		}
 	}()
 	faultinject.Fire(faultinject.ExecChunk)
@@ -123,7 +121,7 @@ func runStagesCtx[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T],
 func runVectorCtx[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], x []T) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = newPanicError(-1, -1, r)
+			err = newPanicError(-1, r)
 		}
 	}()
 	faultinject.Fire(faultinject.ExecBatchVector)
@@ -151,20 +149,10 @@ func RunCtx[T Float](ctx context.Context, s *Schedule, x []T) error {
 }
 
 // RunParallelCtx is RunParallel with cancellation and fault
-// containment; the executor tier is the schedule's ParallelMode, as in
-// RunParallel.  Cancellation is honored at chunk granularity on both
-// tiers and every worker recovers panics, so a poisoned run returns a
+// containment.  Cancellation is honored at chunk granularity on both
+// paths and every worker recovers panics, so a poisoned run returns a
 // *PanicError with the pool fully drained and reusable.
 func RunParallelCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	return RunParallelModeCtx(ctx, s, x, workers, s.ParallelMode())
-}
-
-// RunParallelModeCtx is RunParallelMode with cancellation and fault
-// containment (see RunParallelCtx).
-func RunParallelModeCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int, mode ParallelMode) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
 	}
@@ -174,16 +162,7 @@ func RunParallelModeCtx[T Float](ctx context.Context, s *Schedule, x []T, worker
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if mode == AutoParallel {
-		mode = pickParallelMode(s, workers)
-	}
-	if mode == PipelinedParallel {
-		return runPipelined(ctx, s, x, workers)
-	}
-	return runBarrier(ctx, s, x, workers)
+	return runParallel(ctx, s, x, workers)
 }
 
 // RunBatchCtx is RunBatch with cancellation and fault containment: the

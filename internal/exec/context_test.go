@@ -60,10 +60,9 @@ func eachTier(t *testing.T, n int, f func(t *testing.T, tier string, run func(ct
 			return RunCtx(ctx, s, xs[0])
 		}},
 		{"barrier", func(ctx context.Context, xs [][]float64) error {
-			return RunParallelModeCtx(ctx, s, xs[0], 4, BarrierParallel)
-		}},
-		{"pipelined", func(ctx context.Context, xs [][]float64) error {
-			return RunParallelModeCtx(ctx, s, xs[0], 4, PipelinedParallel)
+			// The fan-out itself: RunParallel runs inline below
+			// ParallelMinElems, which the sequential tier covers.
+			return runBarrier(ctx, s, xs[0], 4)
 		}},
 		{"batch", func(ctx context.Context, xs [][]float64) error {
 			return RunBatchParallelCtx(ctx, s, xs, 4)

@@ -9,10 +9,10 @@ import (
 )
 
 // The executor's fault taxonomy.  Every multi-goroutine entry point
-// (RunParallel and its tiers, the batch fanouts, the SoA lanes) and
-// every context-aware entry point contains the faults of the kernels it
+// (RunParallel, the batch fanouts, the SoA lanes) and every
+// context-aware entry point contains the faults of the kernels it
 // runs: a panic on a worker goroutine is recovered where it happens,
-// converted to a *PanicError carrying stage/window attribution and the
+// converted to a *PanicError carrying stage attribution and the
 // panicking goroutine's stack, and returned as the call's error — the
 // process stays up, sibling workers drain, and the pool is reusable for
 // the next call.  Cancellation is reported as the context's own error
@@ -35,9 +35,6 @@ type PanicError struct {
 	// Stage is the index of the schedule stage (or SoA-expanded stage)
 	// that was executing, -1 when the panic happened outside any stage.
 	Stage int
-	// Window is the pipelined tier's window index, -1 on every other
-	// tier.
-	Window int
 	// Value is the recovered panic value.
 	Value any
 	// Stack is the stack of the panicking goroutine, captured at
@@ -50,9 +47,6 @@ func (e *PanicError) Error() string {
 	if e.Stage >= 0 {
 		where = fmt.Sprintf("stage %d", e.Stage)
 	}
-	if e.Window >= 0 {
-		where += fmt.Sprintf(" window %d", e.Window)
-	}
 	return fmt.Sprintf("exec: kernel panic at %s: %v", where, e.Value)
 }
 
@@ -63,16 +57,16 @@ func (e *PanicError) Is(target error) bool { return target == ErrKernelPanic }
 // newPanicError builds the typed error for a recovered panic value.  A
 // panic value that already is a *PanicError passes through unchanged
 // (nested recovery must not re-wrap the attribution).
-func newPanicError(stage, window int, v any) *PanicError {
+func newPanicError(stage int, v any) *PanicError {
 	if pe, ok := v.(*PanicError); ok {
 		return pe
 	}
-	return &PanicError{Stage: stage, Window: window, Value: v, Stack: debug.Stack()}
+	return &PanicError{Stage: stage, Value: v, Stack: debug.Stack()}
 }
 
 // failure collects the first error of a multi-goroutine run and doubles
-// as the abort signal: set closes done exactly once, and workers select
-// on done (or poll failed) to stop picking up work.  The close/receive
+// as the abort signal: set closes done exactly once, and workers poll
+// failed to stop picking up work.  The close/receive
 // pair gives the reader of err a happens-before edge, so no lock is
 // needed on the read side.
 type failure struct {

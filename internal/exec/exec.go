@@ -98,14 +98,6 @@ type Schedule struct {
 	// it per size.
 	soaMin int
 
-	// parMode selects the parallel executor tier RunParallel uses for
-	// this schedule: AutoParallel (the zero value) applies the crossover
-	// heuristic, BarrierParallel pins the per-stage fan-out,
-	// PipelinedParallel pins the dependency-counted window scheduler.
-	// Set before the schedule is shared (SetParallelMode); the tuner's
-	// parallel sweep decides it per size.
-	parMode ParallelMode
-
 	// Segmented (out-of-core) execution form, set only by
 	// NewSegmentedScheduleWith when the two-phase plan form actually
 	// splits: the ordered segment list, the compile-time resident
@@ -312,13 +304,12 @@ func log2(v int) int {
 // narrower than the width and non-unit outer strides keep the per-call
 // scalar strided kernel.
 type kernelSet[T Float] struct {
-	strided      func(x []T, base, stride int)
-	contig       func(x []T, base int)
-	il           func(x []T, base, s int)
-	ilFused      func(x []T, base, s int)
-	ilRange      func(x []T, base, s, kLo, kHi int)
-	ilFusedRange func(x []T, base, s, kLo, kHi int)
-	soa          func(x []T, base, stride, lane int)
+	strided func(x []T, base, stride int)
+	contig  func(x []T, base int)
+	il      func(x []T, base, s int)
+	ilFused func(x []T, base, s int)
+	ilRange func(x []T, base, s, kLo, kHi int)
+	soa     func(x []T, base, stride, lane int)
 
 	stridedVec      func(x []T, base, s int)
 	stridedVecRange func(x []T, base, s, kLo, kHi int)
@@ -332,7 +323,7 @@ type kernelSet[T Float] struct {
 // assertions through any are exact.
 //
 // simd selects the vector backend for the streaming slots (il, ilFused,
-// ilRange, ilFusedRange, soa) — exactly the kernels whose unit-stride
+// ilRange, soa) — exactly the kernels whose unit-stride
 // inner sweeps the vector unit consumes, and bitwise-equal to their
 // scalar forms by the codelet package's contract.  It additionally
 // populates the stridedVec slots (wide strided rows stream gather-free,
@@ -352,9 +343,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
 				codelet.SIMDILRange(x, base, s, kLo, kHi, m)
 			}
-			ks.ilFusedRange = func(x []float64, base, s, kLo, kHi int) {
-				codelet.SIMDILFusedRange(x, base, s, kLo, kHi, m)
-			}
 			ks.soa = func(x []float64, base, stride, lane int) {
 				codelet.SIMDSoA(x, base, stride, lane, m)
 			}
@@ -365,7 +353,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.il = codelet.ForIL(m)
 			ks.soa = codelet.ForSoA(m)
 			ks.ilFused = codelet.ForILFused(m)
-			ks.ilFusedRange = codelet.ForILFusedRange(m)
 			if ks.il == nil {
 				ks.il = func(x []float64, base, s int) { codelet.GenericIL(x, base, s, m) }
 			}
@@ -374,11 +361,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			}
 			if ks.ilFused == nil {
 				ks.ilFused = func(x []float64, base, s int) { codelet.GenericILFused(x, base, s, m) }
-			}
-			if ks.ilFusedRange == nil {
-				ks.ilFusedRange = func(x []float64, base, s, kLo, kHi int) {
-					codelet.GenericILFusedRange(x, base, s, kLo, kHi, m)
-				}
 			}
 		}
 		ks.strided = codelet.For(m)
@@ -411,9 +393,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
 				codelet.SIMDILRange32(x, base, s, kLo, kHi, m)
 			}
-			ks.ilFusedRange = func(x []float32, base, s, kLo, kHi int) {
-				codelet.SIMDILFusedRange32(x, base, s, kLo, kHi, m)
-			}
 			ks.soa = func(x []float32, base, stride, lane int) {
 				codelet.SIMDSoA32(x, base, stride, lane, m)
 			}
@@ -424,7 +403,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			ks.il = codelet.ForIL32(m)
 			ks.soa = codelet.ForSoA32(m)
 			ks.ilFused = codelet.ForILFused32(m)
-			ks.ilFusedRange = codelet.ForILFusedRange32(m)
 			if ks.il == nil {
 				ks.il = func(x []float32, base, s int) { codelet.GenericIL32(x, base, s, m) }
 			}
@@ -433,11 +411,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 			}
 			if ks.ilFused == nil {
 				ks.ilFused = func(x []float32, base, s int) { codelet.GenericILFused32(x, base, s, m) }
-			}
-			if ks.ilFusedRange == nil {
-				ks.ilFusedRange = func(x []float32, base, s, kLo, kHi int) {
-					codelet.GenericILFusedRange32(x, base, s, kLo, kHi, m)
-				}
 			}
 		}
 		ks.strided = codelet.For32(m)

@@ -221,10 +221,16 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 				if err := RunParallel(sched, got, workers); err != nil {
 					t.Fatal(err)
 				}
+				// These sizes are below ParallelMinElems, so RunParallel
+				// runs inline; runBarrier runs the fan-out itself.
+				fan := append([]float64(nil), x...)
+				if err := runBarrier(nil, sched, fan, max(workers, 1)); err != nil {
+					t.Fatal(err)
+				}
 				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d workers=%d plan %s: index %d parallel %v sequential %v",
-							n, workers, p, i, got[i], want[i])
+					if got[i] != want[i] || fan[i] != want[i] {
+						t.Fatalf("n=%d workers=%d plan %s: index %d parallel %v fan-out %v sequential %v",
+							n, workers, p, i, got[i], fan[i], want[i])
 					}
 				}
 			}

@@ -67,7 +67,7 @@ func TestLargeLeafPlansBitwiseEqualInterpret(t *testing.T) {
 
 				for _, workers := range []int{2, 5} {
 					got = append([]float64(nil), x...)
-					if err := RunParallel(sched, got, workers); err != nil {
+					if err := runBarrier(nil, sched, got, workers); err != nil {
 						t.Fatal(err)
 					}
 					assertSame(t, fmt.Sprintf("%s/parallel=%d", name, workers), n, p, got, want)
@@ -84,7 +84,7 @@ func TestLargeLeafPlansBitwiseEqualInterpret(t *testing.T) {
 				MustRun(sched, got32)
 				assertBitwise(t, fmt.Sprintf("%s n=%d plan %s float32", name, n, p), want32, got32)
 				got32 = append([]float32(nil), x32...)
-				if err := RunParallel(sched, got32, 3); err != nil {
+				if err := runBarrier(nil, sched, got32, 3); err != nil {
 					t.Fatal(err)
 				}
 				assertBitwise(t, fmt.Sprintf("%s n=%d plan %s float32 parallel", name, n, p), want32, got32)

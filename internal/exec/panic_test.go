@@ -28,49 +28,36 @@ func TestPanicSequential(t *testing.T) {
 	rerunClean(t, s, n, func(y []float64) error { return RunCtx(context.Background(), s, y) })
 }
 
+// The barrier cases call runBarrier directly: at n = 16 RunParallel
+// runs inline (below ParallelMinElems), and the fan-out path is what
+// must drain its pool after a worker panics.
 func TestPanicBarrier(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 16
 	s := ctxSched(t, n)
 	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(3, "injected kernel fault"))
 	x := ctxInput(n, 2)
-	err := RunParallelModeCtx(context.Background(), s, x, 4, BarrierParallel)
+	err := runBarrier(context.Background(), s, x, 4)
 	assertPanicError(t, err, "barrier")
 	faultinject.Reset()
 	rerunClean(t, s, n, func(y []float64) error {
-		return RunParallelModeCtx(context.Background(), s, y, 4, BarrierParallel)
+		return runBarrier(context.Background(), s, y, 4)
 	})
 }
 
-// The non-ctx RunParallel path must contain panics too — the satellite
-// bugfix this suite pins: before containment, this call killed the
-// process.
+// The non-ctx paths must contain panics too: the fan-out with a nil ctx
+// and RunParallel's inline path below the crossover.
 func TestPanicBarrierNonCtx(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 16
 	s := ctxSched(t, n)
 	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(1, "injected kernel fault"))
 	x := ctxInput(n, 8)
-	err := RunParallelMode(s, x, 4, BarrierParallel)
+	err := runBarrier(nil, s, x, 4)
 	assertPanicError(t, err, "barrier non-ctx")
-}
-
-func TestPanicPipelined(t *testing.T) {
-	defer faultinject.Reset()
-	const n = 16
-	s := ctxSched(t, n)
-	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(4, "injected kernel fault"))
-	x := ctxInput(n, 3)
-	err := RunParallelModeCtx(context.Background(), s, x, 4, PipelinedParallel)
-	assertPanicError(t, err, "pipelined")
-	var pe *PanicError
-	if errors.As(err, &pe) && pe.Window < 0 && len(s.Stages()) >= 2 {
-		t.Errorf("pipelined panic carries no window attribution: %+v", pe)
-	}
-	faultinject.Reset()
-	rerunClean(t, s, n, func(y []float64) error {
-		return RunParallelModeCtx(context.Background(), s, y, 4, PipelinedParallel)
-	})
+	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(1, "injected kernel fault"))
+	err = RunParallel(s, x, 4)
+	assertPanicError(t, err, "RunParallel inline non-ctx")
 }
 
 func TestPanicBatchVector(t *testing.T) {
@@ -126,12 +113,12 @@ func TestPanicPoolReusableInterleaved(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(2, round))
 		y := ctxInput(n, 50)
-		if err := RunParallelCtx(context.Background(), s, y, 4); !errors.Is(err, ErrKernelPanic) {
+		if err := runBarrier(context.Background(), s, y, 4); !errors.Is(err, ErrKernelPanic) {
 			t.Fatalf("round %d: faulting call: err = %v", round, err)
 		}
 		faultinject.Reset()
 		z := append([]float64(nil), x...)
-		if err := RunParallelCtx(context.Background(), s, z, 4); err != nil {
+		if err := runBarrier(context.Background(), s, z, 4); err != nil {
 			t.Fatalf("round %d: clean call: %v", round, err)
 		}
 		for i, v := range want {
@@ -143,21 +130,21 @@ func TestPanicPoolReusableInterleaved(t *testing.T) {
 }
 
 func TestPanicErrorShape(t *testing.T) {
-	pe := newPanicError(3, 7, "boom")
+	pe := newPanicError(3, "boom")
 	if !errors.Is(pe, ErrKernelPanic) {
 		t.Fatal("PanicError does not match ErrKernelPanic")
 	}
-	if pe.Stage != 3 || pe.Window != 7 || pe.Value != "boom" {
+	if pe.Stage != 3 || pe.Value != "boom" {
 		t.Fatalf("attribution lost: %+v", pe)
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("no stack captured")
 	}
-	if msg := pe.Error(); !strings.Contains(msg, "stage 3") || !strings.Contains(msg, "window 7") || !strings.Contains(msg, "boom") {
+	if msg := pe.Error(); !strings.Contains(msg, "stage 3") || !strings.Contains(msg, "boom") {
 		t.Fatalf("error message lacks attribution: %q", msg)
 	}
 	// Nested recovery must pass the original through un-rewrapped.
-	if again := newPanicError(9, 9, pe); again != pe {
+	if again := newPanicError(9, pe); again != pe {
 		t.Fatal("nested recovery re-wrapped the PanicError")
 	}
 }

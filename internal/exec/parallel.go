@@ -10,26 +10,38 @@ import (
 	"repro/internal/codelet"
 )
 
-// Parallel fan-out thresholds.  A stage fans out when it offers enough
-// independent calls to split (R*S >= FanoutCalls) and enough total work to
-// pay for the barrier (R*S*2^M >= FanoutElems elements touched).  The old
-// tree walker could only fan out at the root node's stages; a schedule is
-// flat, so every stage anywhere in the former tree is a fan-out candidate.
+// ParallelMinElems is the transform size, in elements, from which
+// RunParallel fans stages out over its workers; smaller transforms run
+// on the caller's goroutine through the sequential executor.  Every
+// stage of a flat schedule touches all N elements (R*2^M*S = N), so one
+// whole-schedule test replaces a per-stage gate.  The value is the
+// measured crossover of the barrier fan-out against the sequential
+// executor at 2 workers on a 2-vCPU AVX2 host (TimeSchedule against
+// TimeScheduleParallel on ForSize(n), alternating pairs, n = 14..22):
+// fanning out cost 1.7-7.2x at n = 14..16 and 1.3-1.4x at n = 17, tied
+// at n = 18 (0.90-1.04x) and won from n = 19 up (0.57-0.87x).  Worker
+// counts above 2 and other ISAs were not measured.
+const ParallelMinElems = 1 << 18
+
+// ParallelMode names an executor tier for RunParallelMode.  There is one
+// parallel tier, so both modes run RunParallel; the names remain for
+// callers that pin a tier explicitly.
+type ParallelMode uint8
+
 const (
-	// FanoutCalls is the minimum number of kernel calls in a stage before
-	// the parallel executor splits it across workers.
-	FanoutCalls = 8
-	// FanoutElems is the minimum number of vector elements a stage touches
-	// before splitting is worth a barrier (~one L1's worth of butterflies).
-	FanoutElems = 1 << 13
+	// BarrierParallel is the per-stage barrier fan-out.
+	BarrierParallel ParallelMode = iota
+	// PipelinedParallel is a compatibility name for BarrierParallel.
+	PipelinedParallel
 )
 
 // RunParallel executes the schedule with the R*S independent kernel calls
-// of each sufficiently large stage distributed over a worker pool.  Within
-// a stage all calls touch pairwise disjoint strided vectors, so they can
-// run concurrently; stages are separated by a barrier because stage i+1
-// reads what stage i wrote.  Small stages run inline through the same
-// runStageRange path as the sequential executor.
+// of each stage distributed over a worker pool.  Within a stage all
+// calls touch pairwise disjoint strided vectors, so they can run
+// concurrently; stages are separated by a barrier because stage i+1
+// reads what stage i wrote.  Below ParallelMinElems, or with one worker,
+// the schedule runs inline through the sequential executor, where the
+// fan-out would cost more than it saves.
 //
 // Splitting is variant-correct: workers receive disjoint ranges of the
 // flattened (j, k) space, and runStageRange executes each range with the
@@ -41,53 +53,43 @@ const (
 // so every worker runs full IL kernels instead of paying the slower
 // ilRange partial-row form at each chunk seam.
 //
-// The executor behind RunParallel is selected per schedule: the
-// window-pipelined tier (pipeline.go) replaces the per-stage barriers
-// with dependency-counted window scheduling when the schedule's
-// registered ParallelMode — or, under AutoParallel, the crossover
-// heuristic — says it pays; this function is the barrier tier both are
-// measured against.
-//
 // workers <= 0 selects GOMAXPROCS.
 func RunParallel[T Float](s *Schedule, x []T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	return RunParallelMode(s, x, workers, s.ParallelMode())
-}
-
-// RunParallelMode is RunParallel with the executor tier pinned: Barrier
-// runs the per-stage fan-out below, Pipelined the dependency-counted
-// window scheduler, and Auto the crossover heuristic (pickParallelMode).
-// All tiers compute bitwise-identical results; the choice is purely a
-// performance one, which the tuner's parallel sweep measures per size.
-func RunParallelMode[T Float](s *Schedule, x []T, workers int, mode ParallelMode) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
 	}
 	if len(x) != s.size {
 		return fmt.Errorf("exec: vector length %d does not match schedule size %d", len(x), s.size)
 	}
+	return runParallel(nil, s, x, workers)
+}
+
+// RunParallelMode is RunParallel; the mode is ignored (see ParallelMode).
+func RunParallelMode[T Float](s *Schedule, x []T, workers int, _ ParallelMode) error {
+	return RunParallel(s, x, workers)
+}
+
+// runParallel is the body behind RunParallel and RunParallelCtx once
+// the arguments are validated: the crossover test, then either the
+// contained sequential executor or the barrier fan-out.
+func runParallel[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if mode == AutoParallel {
-		mode = pickParallelMode(s, workers)
+	if workers == 1 || s.size < ParallelMinElems {
+		kt := newKernelTable[T](s)
+		return runStagesCtx(ctx, s, &kt, x)
 	}
-	if mode == PipelinedParallel {
-		return runPipelined(nil, s, x, workers)
-	}
-	return runBarrier(nil, s, x, workers)
+	return runBarrier(ctx, s, x, workers)
 }
 
 // runBarrier is the barrier tier's body: per stage, fan the flattened
-// call range out over fresh goroutines and wait.  Every goroutine —
-// and the inline small-stage path — runs its chunk inside a recover, so
-// a panicking kernel surfaces as the call's *PanicError after the
-// stage's pool has fully drained (wg.Wait always completes: recovery
-// happens inside the worker, before wg.Done).  A non-nil ctx is polled
-// between stages, per worker chunk, and at seqCancelElems granularity
-// on the inline path.
+// call range out over fresh goroutines and wait.  Every goroutine runs
+// its chunk inside a recover, so a panicking kernel surfaces as the
+// call's *PanicError after the stage's pool has fully drained (wg.Wait
+// always completes: recovery happens inside the worker, before
+// wg.Done).  A non-nil ctx is polled between stages and per worker
+// chunk.
 func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	kt := newKernelTable[T](s)
 	for i := range s.stages {
@@ -97,28 +99,6 @@ func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) e
 		st := &s.stages[i]
 		ks := kt.get(st.M, st.Backend)
 		total := st.R * st.S
-		// The element count is computed in 64 bits: total<<M can exceed
-		// int on 32-bit hosts for large stage shapes, and a wrapped gate
-		// would run a huge stage inline (or split a tiny one).
-		if workers == 1 || total < FanoutCalls || int64(total)<<uint(st.M) < FanoutElems {
-			chunk := total
-			if ctx != nil {
-				chunk = cancelChunkCalls(st)
-			}
-			for lo := 0; lo < total; lo += chunk {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				hi := lo + chunk
-				if hi > total {
-					hi = total
-				}
-				if err := runStageChunkRecover(st, i, ks, x, 0, lo, hi); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		chunk := (total + workers - 1) / workers
 		if st.V == codelet.Interleaved && st.R >= workers {
 			// Row-align the chunks: ceil(R/workers) whole rows per worker

@@ -204,8 +204,8 @@ func gatherIO[T Float](g *gather, buf []T, base int, io func([]T, int) error) er
 // pool: worker w gathers into bufs[w], transforms resident, and
 // scatters back.
 func runGather[T Float](ctx context.Context, kt *kernelTable[T], g *gather, store BufStore[T], bufs []*[]T) error {
-	// Resolve every stage's set before the pool starts, as the
-	// pipelined tier does.
+	// Resolve every stage's set before the pool starts, so workers
+	// index a slice instead of resolving backends per window.
 	sets := make([]*kernelSet[T], len(g.stages))
 	for i := range g.stages {
 		sets[i] = kt.get(g.stages[i].M, g.stages[i].Backend)

@@ -13,7 +13,7 @@ import (
 // simdBasePolicies is the policy grid the SIMD equivalence sweep pins
 // the backend axis onto: the shapes whose streaming slots the vector
 // tier replaces (interleaved, fused radix-4, and — through the
-// pipelined executor — the range forms).
+// parallel fan-out's partial rows — the range forms).
 func simdBasePolicies() []codelet.Policy {
 	return []codelet.Policy{
 		codelet.DefaultPolicy(),
@@ -81,12 +81,12 @@ func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Polic
 	}
 	assertBatchEqual(t, label+"/strided", [][]T{gotBuf}, [][]T{wantBuf})
 
-	// The parallel tiers: barrier always, and at pipeline-regime sizes
-	// the auto heuristic routes through the window scheduler, whose
-	// chunked calls are the range kernels' only exec-level entry.
+	// The parallel fan-out, called directly so the small sizes split
+	// too: its partial-row chunks are the range kernels' exec-level
+	// entry.
 	for _, workers := range []int{2, 5} {
 		got = append([]T(nil), x...)
-		if err := RunParallel(simd, got, workers); err != nil {
+		if err := runBarrier(nil, simd, got, workers); err != nil {
 			t.Fatal(err)
 		}
 		assertBatchEqual(t, fmt.Sprintf("%s/parallel-%d", label, workers), [][]T{got}, [][]T{want})
@@ -114,7 +114,7 @@ func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Polic
 // sizes from the codelet range through the out-of-cache regime, lane
 // widths around and off the vector width, unaligned strided access,
 // both element types, and every engine.  Dense small sizes sweep the
-// full grid; the large sizes spot-check the pipelined executor with
+// full grid; the large sizes spot-check the out-of-cache regime with
 // thinned axes to bound the suite's runtime.
 func TestSIMDBackendBitwiseEqualsScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 103))
@@ -226,7 +226,7 @@ func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.P
 
 	for _, workers := range []int{2, 5} {
 		run = append([]T(nil), x...)
-		if err := RunParallel(mixed, run, workers); err != nil {
+		if err := runBarrier(nil, mixed, run, workers); err != nil {
 			t.Fatal(err)
 		}
 		assertBatchEqual(t, fmt.Sprintf("%s/parallel-%d", label, workers), [][]T{run}, [][]T{want})
@@ -385,7 +385,7 @@ func TestSIMDProcessOverrideForcedOnAndOff(t *testing.T) {
 		assertSame(t, fmt.Sprintf("forced-%v/run", backend), n, p, got, want)
 
 		got = append([]float64(nil), x...)
-		if err := RunParallel(s, got, 4); err != nil {
+		if err := runBarrier(nil, s, got, 4); err != nil {
 			t.Fatal(err)
 		}
 		assertSame(t, fmt.Sprintf("forced-%v/parallel", backend), n, p, got, want)

@@ -184,7 +184,7 @@ func soaRun[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], y []T
 func soaRunStage[T Float](ctx context.Context, st *Stage, stage int, ks *kernelSet[T], y []T, ld, lane int, useLane bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = newPanicError(stage, -1, r)
+			err = newPanicError(stage, r)
 		}
 	}()
 	sEff := st.S * ld
@@ -353,7 +353,7 @@ func runBatchSoALane[T Float](ctx context.Context, s *Schedule, kt *kernelTable[
 	defer putScratch(&soaPool, p)
 	defer func() {
 		if r := recover(); r != nil {
-			err = newPanicError(-1, -1, r)
+			err = newPanicError(-1, r)
 		}
 	}()
 	faultinject.Fire(faultinject.ExecSoALane)

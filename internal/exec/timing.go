@@ -148,17 +148,16 @@ func timeScheduleOn(s *Schedule, x []float64, opt TimingOptions) float64 {
 }
 
 // TimeScheduleParallel measures the real per-run latency of the schedule
-// through the parallel executor with the tier pinned to mode and the
-// worker count pinned to workers (workers <= 0 selects GOMAXPROCS) — the
-// measurement primitive behind the tuner's barrier-vs-pipelined parallel
-// sweep.  The scratch discipline is TimeSchedule's: reinitialized between
-// timed chunks, outside the timed region.
-func TimeScheduleParallel(s *Schedule, workers int, mode ParallelMode, opt TimingOptions) float64 {
+// through RunParallel with the worker count pinned to workers (workers
+// <= 0 selects GOMAXPROCS) — the measurement behind ParallelMinElems.
+// The scratch discipline is TimeSchedule's: reinitialized between timed
+// chunks, outside the timed region.
+func TimeScheduleParallel(s *Schedule, workers int, opt TimingOptions) float64 {
 	opt = opt.withDefaults()
 	x := make([]float64, s.Size())
 	return timeChunked(opt, s.Log2Size(), func(k int) {
 		for i := 0; i < k; i++ {
-			if err := RunParallelMode(s, x, workers, mode); err != nil {
+			if err := RunParallel(s, x, workers); err != nil {
 				panic(err)
 			}
 		}

@@ -48,7 +48,7 @@ func TestVariantDispatchBitwiseEqualsInterpret(t *testing.T) {
 
 				for _, workers := range []int{2, 5} {
 					got = append([]float64(nil), x...)
-					if err := RunParallel(sched, got, workers); err != nil {
+					if err := runBarrier(nil, sched, got, workers); err != nil {
 						t.Fatal(err)
 					}
 					assertSame(t, name+"/parallel", n, p, got, want)

@@ -35,8 +35,8 @@ import (
 // API: tests arm it, production code fires it.
 const (
 	// ExecChunk fires before every executor work chunk: the sequential
-	// context-aware tier's cancellation chunks, each barrier-pool worker
-	// chunk, and each pipelined-window chunk.  A hook that panics here
+	// context-aware tier's cancellation chunks and each barrier-pool
+	// worker chunk.  A hook that panics here
 	// lands inside the executor's per-worker recovery.
 	ExecChunk = "exec.chunk"
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The full pipeline at Quick scale must reproduce the paper's qualitative
+// The full figure chain at Quick scale must reproduce the paper's qualitative
 // findings.  These tests are the executable form of EXPERIMENTS.md.
 
 func TestCanonicalSweepQualitative(t *testing.T) {
@@ -150,7 +150,7 @@ func TestPruneCurvesApproachLimit(t *testing.T) {
 
 // Jitter ablation: the deterministic per-plan jitter is the virtual
 // machine's stand-in for the unexplained variance the paper attributes to
-// register spills and pipeline effects.  Without it, the in-cache
+// register spills and instruction scheduling.  Without it, the in-cache
 // correlation becomes essentially perfect — which is exactly what the
 // paper does NOT observe — so this test guards the design choice.
 func TestJitterAblation(t *testing.T) {

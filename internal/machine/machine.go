@@ -472,7 +472,6 @@ type Machine struct {
 
 	Cost  CostModel
 	Cycle CycleModel
-	Par   ParallelCost
 
 	ClockHz float64 // nominal clock, used only to convert measured wall time
 }
@@ -554,16 +553,6 @@ func VirtualOpteron224() *Machine {
 			// instruction count; this value reproduces its correlation
 			// levels (rho ~ 0.96 in cache, ~0.77 out of cache).
 			JitterFrac: 0.32,
-		},
-		Par: ParallelCost{
-			// ~2 microseconds to create and schedule a goroutine, ~1 for a
-			// WaitGroup join, tens of nanoseconds for an atomic counter
-			// update, ~100 ns for a buffered channel round trip — all at
-			// the preset's 1.8 GHz clock.
-			SpawnCycles:   3600,
-			BarrierCycles: 1800,
-			WindowCycles:  70,
-			ChunkCycles:   180,
 		},
 		ClockHz: 1.8e9,
 	}

@@ -110,31 +110,6 @@ func TestSIMDStageOpsPricesVectorThroughput(t *testing.T) {
 	}
 }
 
-func TestDecisivePreference(t *testing.T) {
-	p := ParallelCost{SpawnCycles: 100, BarrierCycles: 50, WindowCycles: 1, ChunkCycles: 2}
-	// 4 stages, 8 workers: barrier = 4*(800+50) = 3400.
-	// Pipelined with 16 windows, 32 chunks = 800 + 16 + 64 = 880: ratio
-	// ~3.9 — pipelined and decisive.
-	pipe, decisive := p.DecisivePreference(4, 16, 32, 8)
-	if !pipe || !decisive {
-		t.Fatalf("4-stage shape: got pipelined=%v decisive=%v, want both", pipe, decisive)
-	}
-	if !p.PreferPipelined(4, 16, 32, 8) {
-		t.Fatal("DecisivePreference and PreferPipelined disagree")
-	}
-	// 1 stage, huge chunk count: barrier = 850, pipelined = 800 + 1000 +
-	// 4000 = 5800: barrier wins decisively.
-	pipe, decisive = p.DecisivePreference(1, 1000, 2000, 8)
-	if pipe || !decisive {
-		t.Fatalf("chunk-heavy shape: got pipelined=%v decisive=%v, want barrier decisive", pipe, decisive)
-	}
-	// Near parity: barrier = 850, pipelined = 800 + 10 + 40 = 850 — no
-	// preference is decisive at ratio 1.
-	if _, decisive = p.DecisivePreference(1, 10, 20, 8); decisive {
-		t.Fatal("parity shape must not be decisive")
-	}
-}
-
 func TestLeafOpsStructure(t *testing.T) {
 	cost := VirtualOpteron224().Cost
 	for m := 1; m <= 8; m++ {

@@ -124,7 +124,7 @@ func (m *metrics) snapshot() Metrics {
 //
 //	ladderFull       — tuned schedule, auto backends, SoA batch + parallel tiers
 //	ladderScalar     — scalar-pinned schedule, batch + barrier tiers (sheds the
-//	                   SIMD kernels and the pipelined scheduler)
+//	                   SIMD kernels)
 //	ladderSequential — scalar-pinned schedule, sequential per-vector execution
 //	                   (sheds every pool; one request's fault cannot touch
 //	                   another's)
@@ -282,7 +282,6 @@ func (s *Server) class(n int) *sizeClass {
 	pol := codelet.DefaultPolicy()
 	pol.Backend = codelet.ScalarBackend
 	sc.scalar = exec.CompileWith(plan.Balanced(n, plan.MaxLeafLog), pol)
-	sc.scalar.SetParallelMode(exec.BarrierParallel)
 	s.batcherWg.Add(1)
 	go func() {
 		defer s.batcherWg.Done()

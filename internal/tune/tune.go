@@ -11,8 +11,6 @@ package tune
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -59,13 +57,6 @@ type Options struct {
 	// settled by greedy measured flips.  A mixed vector only displaces
 	// the uniform-policy incumbent on a strictly faster measurement.
 	NoBackendSweep bool
-
-	// ParallelWorkers is the worker count the parallel-mode sweep
-	// measures under (default runtime.GOMAXPROCS(0)); NoParallelSweep
-	// skips the sweep and leaves the size heuristic in charge of the
-	// barrier-vs-pipelined choice.
-	ParallelWorkers int
-	NoParallelSweep bool
 }
 
 // DefaultBatchWidths is the batch-width grid the SoA sweep measures:
@@ -125,18 +116,6 @@ type Result struct {
 	// tier), or lost to the uniform policy backend.  Its length matches
 	// the winner's compiled stage count.
 	StageBackends []codelet.Backend
-
-	// ParallelMode is the measured multi-worker dispatch registered for
-	// the winner: "barrier" or "pipelined", "" when the sweep was
-	// skipped or moot (the size heuristic stays in charge).
-	ParallelMode string
-
-	// ParallelPrefiltered reports that the parallel-mode sweep skipped
-	// the losing tier's measurement because the machine model's
-	// control-plane margin was decisive
-	// (machine.ParallelCost.DecisivePreference); ParallelMode then
-	// carries the model's pick, confirmed by the single measurement.
-	ParallelPrefiltered bool
 }
 
 // rematchTiming doubles the measurement effort for the final head-to-head
@@ -308,77 +287,13 @@ func Tune(n int, opt Options) (Result, error) {
 		res.Measured = measured
 	}
 
-	// Phase 6: parallel-mode sweep — the per-stage-barrier pool against
-	// the dependency-counted window pipeline at the deployment's worker
-	// count.  Only meaningful when the pipelined tier could ever run
-	// (at least two workers and a multi-stage plan); the faster mode is
-	// pinned on the registered schedule and recorded in wisdom, so
-	// RunParallel at this size serves the measured choice instead of the
-	// size heuristic.
-	if !opt.NoParallelSweep {
-		workers := opt.ParallelWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s, err := tunedSchedule(res)
-		if err != nil {
-			return Result{}, fmt.Errorf("tune: %w", err)
-		}
-		if workers >= 2 && len(s.Stages()) >= 2 {
-			parTiming := rematchTiming(opt.Timing)
-			// Model prefilter: the machine model prices both tiers'
-			// control planes from the schedule's pipeline shape, and when
-			// the margin is decisive (DecisiveParallelMargin) the losing
-			// tier's measurement is skipped — the model is a prefilter,
-			// and the surviving tier is still measured for the recorded
-			// latency.  Skipping the barrier tier is additionally gated on
-			// the pipelined tier's size regime (PipelineMinElems): below
-			// it the control plane is not the dominant term and the
-			// barrier tier stays in the running regardless of the model.
-			measureBar, measurePipe := true, true
-			if windows, chunks, ok := exec.PipeShape(s, workers); ok {
-				pipe, decisive := mach.Par.DecisivePreference(len(s.Stages()), windows, chunks, workers)
-				if decisive {
-					if pipe {
-						measureBar = s.Size() < exec.PipelineMinElems
-					} else {
-						measurePipe = false
-					}
-					res.ParallelPrefiltered = !measureBar || !measurePipe
-				}
-			}
-			barNs, pipeNs := math.Inf(1), math.Inf(1)
-			if measureBar {
-				barNs = exec.TimeScheduleParallel(s, workers, exec.BarrierParallel, parTiming)
-				measured++
-			}
-			if measurePipe {
-				pipeNs = exec.TimeScheduleParallel(s, workers, exec.PipelinedParallel, parTiming)
-				measured++
-			}
-			res.ParallelMode = exec.BarrierParallel.String()
-			if pipeNs < barNs {
-				res.ParallelMode = exec.PipelinedParallel.String()
-			}
-			res.Measured = measured
-		}
-	}
-
-	parMode, ok := exec.ParseParallelMode(res.ParallelMode)
-	if !ok {
-		return Result{}, fmt.Errorf("tune: unknown parallel mode %q", res.ParallelMode)
-	}
 	if err := exec.UseTunedPlanWith(res.Plan, exec.TunedConfig{
-		Policy: res.Policy, SoAMinBatch: res.SoAMinBatch, ParallelMode: parMode,
-		StageBackends: res.StageBackends,
+		Policy: res.Policy, SoAMinBatch: res.SoAMinBatch, StageBackends: res.StageBackends,
 	}); err != nil {
 		return Result{}, fmt.Errorf("tune: %w", err)
 	}
 	store := processWisdom()
-	tuned := wisdom.Tuned{
-		Policy: res.Policy, SoAMinBatch: res.SoAMinBatch,
-		ParallelMode: res.ParallelMode, StageBackends: res.StageBackends,
-	}
+	tuned := wisdom.Tuned{Policy: res.Policy, SoAMinBatch: res.SoAMinBatch, StageBackends: res.StageBackends}
 	if _, err := store.RecordFull(wisdom.Float64, res.Plan, tuned, res.NsPerRun); err != nil {
 		return Result{}, fmt.Errorf("tune: %w", err)
 	}
@@ -568,15 +483,8 @@ func LoadWisdom(path string) error {
 			continue
 		}
 		tc := e.Tuned()
-		mode, ok := exec.ParseParallelMode(tc.ParallelMode)
-		if !ok {
-			return fmt.Errorf("tune: unknown parallel mode %q", tc.ParallelMode)
-		}
 		p := plan.MustParse(e.Plan)
-		cfg := exec.TunedConfig{
-			Policy: tc.Policy, SoAMinBatch: tc.SoAMinBatch, ParallelMode: mode,
-			StageBackends: tc.StageBackends,
-		}
+		cfg := exec.TunedConfig{Policy: tc.Policy, SoAMinBatch: tc.SoAMinBatch, StageBackends: tc.StageBackends}
 		s, err := exec.NewScheduleWith(p, tc.Policy)
 		if err != nil {
 			return fmt.Errorf("tune: wisdom entry n=%d: %w", e.N, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // quickOpt keeps tuning runs fast enough for the test suite while still
-// exercising the full pipeline (sample, model filter, real timing).
+// exercising every phase (sample, model filter, real timing).
 func quickOpt() Options {
 	return Options{
 		Candidates: 8,
@@ -204,12 +205,33 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 func TestTunedBlockPlanRoundTrip(t *testing.T) {
 	Reset()
 	defer Reset()
-	fixture, err := os.ReadFile(filepath.Join("..", "wisdom", "testdata", "block_leaf_v1.json"))
+	path := refingerprint(t, "block_leaf_v1.json")
+	if err := LoadWisdom(path); err != nil {
+		t.Fatalf("LoadWisdom: %v", err)
+	}
+	if p, ok := exec.TunedPlan(10); !ok || !p.Equal(plan.MustParse("split[small[5],small[5]]")) {
+		t.Fatalf("TunedPlan(10) = (%v, %v), want the ordinary entry", p, ok)
+	}
+	if p, ok := exec.TunedPlan(18); ok {
+		t.Fatalf("block-leaf entry registered as %v", p)
+	}
+	if Wisdom().Len() != 1 {
+		t.Fatalf("process wisdom holds %d entries, want 1", Wisdom().Len())
+	}
+	if got, want := exec.ForSize(18).String(), exec.Compile(plan.Balanced(18, plan.MaxLeafLog)).String(); got != want {
+		t.Fatalf("ForSize(18) serves %s, want the default %s", got, want)
+	}
+}
+
+// refingerprint copies a wisdom package fixture to a temp file under
+// this process's fingerprint, which LoadWisdom requires; the entries
+// are untouched.
+func refingerprint(t *testing.T, name string) string {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("..", "wisdom", "testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-fingerprint the fixture for this process, which LoadWisdom
-	// requires; the entries are untouched.
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(fixture, &doc); err != nil {
 		t.Fatal(err)
@@ -225,20 +247,51 @@ func TestTunedBlockPlanRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadWisdom(path); err != nil {
+	return path
+}
+
+// A wisdom file written while the engine had two parallel tiers pins
+// "barrier" or "pipelined" per entry.  LoadWisdom accepts it, serves
+// every float64 entry's plan and knobs, and SaveWisdom re-writes the
+// file without the retired field.
+func TestLoadWisdomLegacyParallelMode(t *testing.T) {
+	Reset()
+	defer Reset()
+	if err := LoadWisdom(refingerprint(t, "parallel_mode_v1.json")); err != nil {
 		t.Fatalf("LoadWisdom: %v", err)
 	}
-	if p, ok := exec.TunedPlan(10); !ok || !p.Equal(plan.MustParse("split[small[5],small[5]]")) {
-		t.Fatalf("TunedPlan(10) = (%v, %v), want the ordinary entry", p, ok)
+	for _, c := range []struct {
+		n    int
+		plan string
+		cfg  exec.TunedConfig
+	}{
+		{12, "split[small[6],small[6]]", exec.TunedConfig{Policy: codelet.DefaultPolicy(), SoAMinBatch: 8}},
+		{14, "split[small[6],small[8]]", exec.TunedConfig{Policy: codelet.Policy{ILMinS: 8, ILFuse: true}, SoAMinBatch: -1}},
+	} {
+		p := plan.MustParse(c.plan)
+		if got, ok := exec.TunedPlan(c.n); !ok || !got.Equal(p) {
+			t.Fatalf("TunedPlan(%d) = (%v, %v), want %s", c.n, got, ok, c.plan)
+		}
+		if cfg, ok := exec.TunedConfigFor(c.n); !ok || cfg.Policy != c.cfg.Policy || cfg.SoAMinBatch != c.cfg.SoAMinBatch {
+			t.Fatalf("TunedConfigFor(%d) = (%+v, %v), want %+v", c.n, cfg, ok, c.cfg)
+		}
+		if got, want := exec.ForSize(c.n).String(), exec.CompileWith(p, c.cfg.Policy).String(); got != want {
+			t.Fatalf("ForSize(%d) serves %s, want %s", c.n, got, want)
+		}
 	}
-	if p, ok := exec.TunedPlan(18); ok {
-		t.Fatalf("block-leaf entry registered as %v", p)
+	if Wisdom().Len() != 3 {
+		t.Fatalf("process wisdom holds %d entries, want 3", Wisdom().Len())
 	}
-	if Wisdom().Len() != 1 {
-		t.Fatalf("process wisdom holds %d entries, want 1", Wisdom().Len())
+	path := filepath.Join(t.TempDir(), "resaved.json")
+	if err := SaveWisdom(path); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := exec.ForSize(18).String(), exec.Compile(plan.Balanced(18, plan.MaxLeafLog)).String(); got != want {
-		t.Fatalf("ForSize(18) serves %s, want the default %s", got, want)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "parallel_mode") {
+		t.Fatalf("re-saved wisdom kept parallel_mode:\n%s", data)
 	}
 }
 
@@ -310,85 +363,6 @@ func TestTunedBatchCrossoverSurvivesWisdomRoundTrip(t *testing.T) {
 	}
 }
 
-// The wisdom format's parallel-mode spellings and the executor's parser
-// are maintained as mirrors (wisdom must not import exec); this test is
-// the pin.  Every spelling wisdom accepts must parse, and every
-// executor mode must serialize to a spelling that round-trips.
-func TestWisdomParallelModeSpellingsMatchExec(t *testing.T) {
-	for _, s := range []string{"", "auto", "barrier", "pipelined"} {
-		if _, ok := exec.ParseParallelMode(s); !ok {
-			t.Errorf("wisdom-accepted spelling %q does not parse in exec", s)
-		}
-	}
-	for _, m := range []exec.ParallelMode{exec.AutoParallel, exec.BarrierParallel, exec.PipelinedParallel} {
-		got, ok := exec.ParseParallelMode(m.String())
-		if !ok || got != m {
-			t.Errorf("mode %v round-trips to (%v, %v)", m, got, ok)
-		}
-	}
-}
-
-// Phase 6 registers a measured barrier/pipelined decision on the
-// serving schedule and in wisdom, and the decision survives a wisdom
-// round-trip into a fresh registry.
-func TestTuneParallelSweepRegistersMode(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.ParallelWorkers = 2
-	opt.NoBatchSweep = true
-	res, err := Tune(12, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ParallelMode != "barrier" && res.ParallelMode != "pipelined" {
-		t.Fatalf("parallel sweep produced mode %q", res.ParallelMode)
-	}
-	wantMode, _ := exec.ParseParallelMode(res.ParallelMode)
-	if cfg, ok := exec.TunedConfigFor(12); !ok || cfg.ParallelMode != wantMode {
-		t.Fatalf("registered config = (%+v, %v), want mode %v", cfg, ok, wantMode)
-	}
-	if got := exec.ForSize(12).ParallelMode(); got != wantMode {
-		t.Fatalf("serving schedule carries mode %v, want %v", got, wantMode)
-	}
-
-	path := filepath.Join(t.TempDir(), "wisdom.json")
-	if err := SaveWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	Reset()
-	if got := exec.ForSize(12).ParallelMode(); got != exec.AutoParallel {
-		t.Fatalf("reset left mode %v registered", got)
-	}
-	exec.ResetTunedPlans() // drop the balanced schedule the check above cached
-	if err := LoadWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := exec.ForSize(12).ParallelMode(); got != wantMode {
-		t.Fatalf("after LoadWisdom mode = %v, tuner measured %v", got, wantMode)
-	}
-}
-
-// The sweep respects NoParallelSweep and single-worker deployments:
-// both leave the heuristic ("" mode) in charge.
-func TestTuneParallelSweepSkips(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.NoParallelSweep = true
-	opt.NoBatchSweep = true
-	if res, err := Tune(10, opt); err != nil || res.ParallelMode != "" {
-		t.Fatalf("NoParallelSweep: (%q, %v), want empty mode", res.ParallelMode, err)
-	}
-	Reset()
-	opt = quickOpt()
-	opt.ParallelWorkers = 1
-	opt.NoBatchSweep = true
-	if res, err := Tune(10, opt); err != nil || res.ParallelMode != "" {
-		t.Fatalf("one worker: (%q, %v), want empty mode", res.ParallelMode, err)
-	}
-}
-
 // backendAxis widens Auto-backend policies with scalar-pinned twins on
 // SIMD hosts and is the identity elsewhere; pinned policies never gain
 // twins and the output carries no duplicates.
@@ -443,7 +417,6 @@ func TestTuneBackendSweepRoundTrip(t *testing.T) {
 	const n = 10
 	opt := quickOpt()
 	opt.NoBatchSweep = true
-	opt.NoParallelSweep = true
 	opt.Policies = []codelet.Policy{
 		{Backend: codelet.ScalarBackend},
 		{Backend: codelet.SIMDBackend},
@@ -508,52 +481,4 @@ func backendsEqual(a, b []codelet.Backend) bool {
 		}
 	}
 	return true
-}
-
-// The phase-7 prefilter must agree with the model it consults: Result
-// reports a skipped measurement exactly when DecisivePreference is
-// decisive for the registered schedule's pipeline shape (gated on the
-// pipelined size regime), and a prefiltered result's mode is the
-// model's pick.
-func TestTuneParallelPrefilterConsistency(t *testing.T) {
-	Reset()
-	defer Reset()
-	for _, n := range []int{12, 17} {
-		Reset()
-		opt := quickOpt()
-		opt.ParallelWorkers = 2
-		opt.NoBatchSweep = true
-		res, err := Tune(n, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := exec.NewScheduleWith(res.Plan, res.Policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPrefiltered, wantPipe := false, false
-		if windows, chunks, ok := exec.PipeShape(s, 2); ok {
-			pipe, decisive := machine.VirtualOpteron224().Par.DecisivePreference(len(s.Stages()), windows, chunks, 2)
-			if decisive {
-				wantPipe = pipe
-				if pipe {
-					wantPrefiltered = s.Size() >= exec.PipelineMinElems
-				} else {
-					wantPrefiltered = true
-				}
-			}
-		}
-		if res.ParallelPrefiltered != wantPrefiltered {
-			t.Fatalf("n=%d: ParallelPrefiltered=%v, model says %v", n, res.ParallelPrefiltered, wantPrefiltered)
-		}
-		if wantPrefiltered {
-			wantMode := "barrier"
-			if wantPipe {
-				wantMode = "pipelined"
-			}
-			if res.ParallelMode != wantMode {
-				t.Fatalf("n=%d: prefiltered mode %q, model picked %q", n, res.ParallelMode, wantMode)
-			}
-		}
-	}
 }

@@ -13,12 +13,12 @@ import (
 // so they can run concurrently; stages are separated by a barrier because
 // stage i+1 reads what stage i wrote.
 //
-// Because the plan is compiled to a flat schedule first, fan-out is
-// schedule-aware: any stage large enough to split does, wherever its leaf
-// sat in the tree — not only the stages of the root node, as the old
-// tree-walking evaluator was limited to.  Stages below the fan-out grain
-// run inline through the same compiled executor, so sequential and
-// parallel execution share one code path.
+// Because the plan is compiled to a flat schedule first, every stage
+// splits, wherever its leaf sat in the tree — not only the stages of the
+// root node, as the old tree-walking evaluator was limited to.
+// Transforms below exec.ParallelMinElems run inline through the same
+// compiled executor, so sequential and parallel execution share one
+// code path.
 //
 // workers <= 0 selects GOMAXPROCS.
 func ApplyParallel(p *plan.Node, x []float64, workers int) error {

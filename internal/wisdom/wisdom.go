@@ -23,18 +23,20 @@
 // fields round-trip the kernel-variant selection policy (codelet.Policy)
 // the plan was measured under; files without them load with the default
 // policy, so pre-variant version-1 files remain valid.  Further
-// optional per-entry fields: "soa_min_batch" (the SoA batch crossover),
-// "parallel_mode" ("barrier" or "pipelined" to pin the multi-worker
-// dispatch tier), and the out-of-core pair "segments" /
-// "resident_budget" (the measured two-phase segmented form in the
-// plan.ParseSeg grammar and the log2 resident-window budget it fits).
-// All are omitted when untuned, so older version-1 files keep loading.
+// optional per-entry fields: "soa_min_batch" (the SoA batch crossover)
+// and the out-of-core pair "segments" / "resident_budget" (the measured
+// two-phase segmented form in the plan.ParseSeg grammar and the log2
+// resident-window budget it fits).  All are omitted when untuned, so
+// older version-1 files keep loading.
 //
 // Version-1 files written while the engine had a looped block-kernel
 // leaf tier may carry plans with leaves in (plan.MaxLeafLog,
 // retiredLeafMax] and a "block_parts" field.  The decoder drops the
 // unknown "block_parts" key, and LoadFor skips each such entry on its
 // own (see parseRetiredPlan), so the rest of the file still loads.
+// Files written while the engine had two parallel tiers may carry a
+// "parallel_mode" field; LoadFor checks its spelling and drops it (see
+// storedEntry), and Save never writes it.
 //
 // The optional "stage_backends" field records the tuner's per-stage
 // backend pins (exec.Schedule.SetStageBackends): one spelling per
@@ -202,12 +204,6 @@ type Entry struct {
 	// selects SoA for batches of at least k vectors.
 	SoAMinBatch int `json:"soa_min_batch,omitempty"`
 
-	// ParallelMode is the measured multi-worker dispatch for this plan:
-	// "" or "auto" (absent) keeps the size heuristic, "barrier" pins the
-	// per-stage-barrier tier, "pipelined" pins the dependency-counted
-	// window scheduler.  The spellings are exec.ParseParallelMode's.
-	ParallelMode string `json:"parallel_mode,omitempty"`
-
 	// Segments records the measured-fastest two-phase segmented form for
 	// out-of-core execution of this size, in the plan.ParseSeg grammar
 	// ("phase[...]").  Absent means no out-of-core tuning was run.  The
@@ -238,20 +234,17 @@ func (e Entry) Tuned() Tuned {
 	return Tuned{
 		Policy:        e.Policy(),
 		SoAMinBatch:   e.SoAMinBatch,
-		ParallelMode:  e.ParallelMode,
 		StageBackends: decodeStageBackends(e.StageBackends),
 	}
 }
 
 // Tuned bundles the tuning knobs beyond the plan itself that a
 // measurement was taken under: the kernel-variant policy, the SoA batch
-// crossover (Entry.SoAMinBatch), the parallel dispatch mode
-// (Entry.ParallelMode), and the per-stage backend pins (nil when the
-// uniform policy backend governs).
+// crossover (Entry.SoAMinBatch), and the per-stage backend pins (nil
+// when the uniform policy backend governs).
 type Tuned struct {
 	Policy        codelet.Policy
 	SoAMinBatch   int
-	ParallelMode  string
 	StageBackends []codelet.Backend
 }
 
@@ -311,10 +304,18 @@ func validBackend(s string) error {
 	return nil
 }
 
-// validParallelMode accepts the spellings exec.ParseParallelMode does:
-// absent/auto (heuristic), barrier, pipelined.  Mirrored here rather
-// than imported so the wisdom format does not depend on the executor;
-// the tune package's tests pin the two in agreement.
+// storedEntry is an Entry as a version-1 file may hold it.  Files
+// written while the engine had a second parallel tier
+// carry a "parallel_mode" pin per entry.  The engine now has one
+// parallel tier, so LoadFor ignores the pin; it still rejects a
+// spelling no healthy Save ever wrote.
+type storedEntry struct {
+	Entry
+	ParallelMode string `json:"parallel_mode"`
+}
+
+// validParallelMode accepts the spellings Save once wrote for the
+// retired "parallel_mode" field.
 func validParallelMode(s string) error {
 	switch s {
 	case "", "auto", "barrier", "pipelined":
@@ -481,9 +482,6 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 	if nsPerRun <= 0 {
 		return false, fmt.Errorf("wisdom: non-positive measurement %g", nsPerRun)
 	}
-	if err := validParallelMode(tc.ParallelMode); err != nil {
-		return false, err
-	}
 	// A Backend outside the declared constants has no spelling and would
 	// poison the file on save.
 	if err := validBackend(encodeBackend(tc.Policy.Backend)); err != nil {
@@ -498,7 +496,6 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 		ILMinS: tc.Policy.ILMinS, StridedOnly: tc.Policy.StridedOnly, ILFuse: tc.Policy.ILFuse,
 		Backend:       encodeBackend(tc.Policy.Backend),
 		SoAMinBatch:   tc.SoAMinBatch,
-		ParallelMode:  tc.ParallelMode,
 		StageBackends: sb,
 	}
 	w.mu.Lock()
@@ -633,17 +630,18 @@ func (w *Wisdom) Merge(other *Wisdom) error {
 	return nil
 }
 
-// file is the serialized form.
-type file struct {
+// file is the serialized form: Save writes file[Entry], LoadFor reads
+// file[storedEntry].
+type file[E any] struct {
 	Version     int         `json:"version"`
 	Fingerprint Fingerprint `json:"fingerprint"`
-	Entries     []Entry     `json:"entries"`
+	Entries     []E         `json:"entries"`
 }
 
 // Save writes the store to path as versioned JSON (atomically: a temp
 // file in the same directory renamed over the target).
 func (w *Wisdom) Save(path string) error {
-	f := file{Version: FormatVersion, Fingerprint: w.fp, Entries: w.Entries()}
+	f := file[Entry]{Version: FormatVersion, Fingerprint: w.fp, Entries: w.Entries()}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return fmt.Errorf("wisdom: %w", err)
@@ -714,7 +712,7 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 	// the document (a partial overwrite or concatenated writes — content
 	// Unmarshal would reject with the same opaque SyntaxError).
 	dec := json.NewDecoder(bytes.NewReader(data))
-	var f file
+	var f file[storedEntry]
 	if err := dec.Decode(&f); err != nil {
 		reason := "malformed JSON"
 		var syn *json.SyntaxError
@@ -739,7 +737,8 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 	sameArch := f.Fingerprint.Arch == fp.Arch
 	sameISA := sameArch && f.Fingerprint.ISA == fp.ISA
 	w := NewFor(fp)
-	for i, e := range f.Entries {
+	for i, se := range f.Entries {
+		e := se.Entry
 		if err := validType(e.Type); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
@@ -759,7 +758,7 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 		if p.Log2Size() != e.N {
 			return nil, corruptEntry(path, i, fmt.Errorf("plan size 2^%d does not match n=%d", p.Log2Size(), e.N))
 		}
-		if err := validParallelMode(e.ParallelMode); err != nil {
+		if err := validParallelMode(se.ParallelMode); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
 		if err := validBackend(e.Backend); err != nil {

@@ -279,39 +279,40 @@ func TestRecordTunedRoundTripsSoAMinBatch(t *testing.T) {
 	}
 }
 
-// RecordFull round-trips the parallel mode and SoA crossover; a
-// "block_parts" field left in a version-1 file by the removed
-// block-kernel tier is read, ignored, and gone after the next save.
+// A version-1 file written while the engine had two parallel tiers
+// loads with its "parallel_mode" pins ignored and every other knob
+// intact, and re-saves without the field; a "block_parts" field left by
+// the removed block-kernel tier is likewise read, ignored, and gone
+// after the next save.
 func TestRecordFullRoundTripsParallelMode(t *testing.T) {
-	w := New()
-	p := plan.MustParse("split[split[small[3],small[4]],small[8]]")
-	tc := Tuned{
-		Policy:       codelet.Policy{ILFuse: true},
-		SoAMinBatch:  4,
-		ParallelMode: "pipelined",
-	}
-	if _, err := w.RecordFull(Float64, p, tc, 1000); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "w.json")
-	if err := w.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parallel_mode_v1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = []byte(strings.Replace(string(data), `"parallel_mode"`, `"block_parts": {"13": [5, 8]}, "parallel_mode"`, 1))
+	if !strings.Contains(string(fixture), `"pipelined"`) || !strings.Contains(string(fixture), `"barrier"`) {
+		t.Fatal("fixture lost its parallel_mode pins")
+	}
+	data := []byte(strings.Replace(string(fixture), `"parallel_mode"`, `"block_parts": {"13": [5, 8]}, "parallel_mode"`, 1))
+	path := filepath.Join(t.TempDir(), "w.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Load(path)
+	r, err := LoadFor(path, fixtureFP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := r.Entries()[0].Tuned()
-	if got.ParallelMode != "pipelined" || got.SoAMinBatch != 4 || !got.Policy.ILFuse {
-		t.Fatalf("round-tripped tuning %+v, want %+v", got, tc)
+	if r.Len() != 3 {
+		t.Fatalf("loaded %d entries, want 3", r.Len())
+	}
+	byN := map[int]Entry{}
+	for _, e := range r.Entries() {
+		byN[e.N] = e
+	}
+	if got := byN[14].Tuned(); got.SoAMinBatch != -1 || !got.Policy.ILFuse || got.Policy.ILMinS != 8 {
+		t.Fatalf("pipelined entry tuning = %+v", got)
+	}
+	if got := byN[12].Tuned(); got.SoAMinBatch != 8 || got.Policy != codelet.DefaultPolicy() {
+		t.Fatalf("barrier entry tuning = %+v", got)
 	}
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
@@ -319,8 +320,10 @@ func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	if data, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "block_parts") {
-		t.Fatalf("re-saved file kept block_parts:\n%s", data)
+	for _, key := range []string{"parallel_mode", "block_parts"} {
+		if strings.Contains(string(data), key) {
+			t.Fatalf("re-saved file kept %s:\n%s", key, data)
+		}
 	}
 
 	// Untuned entries omit the optional fields on disk (version-1 compat
@@ -336,7 +339,7 @@ func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	if data, err = os.ReadFile(p2); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "parallel_mode") {
+	if strings.Contains(string(data), "soa_min_batch") {
 		t.Fatalf("untuned entry serialized optional fields:\n%s", data)
 	}
 }
@@ -345,7 +348,6 @@ func TestRecordFullRejectsBadTuning(t *testing.T) {
 	w := New()
 	p := plan.MustParse("split[small[6],small[8]]")
 	for _, tc := range []Tuned{
-		{ParallelMode: "windowed"},                             // unknown mode spelling
 		{Policy: codelet.Policy{Backend: codelet.Backend(99)}}, // backend with no spelling
 	} {
 		if _, err := w.RecordFull(Float64, p, tc, 1000); err == nil {
@@ -357,8 +359,10 @@ func TestRecordFullRejectsBadTuning(t *testing.T) {
 	}
 }
 
-// A bad parallel mode is corrupt; a "block_parts" field, whatever it
-// holds, is a leftover of the removed block-kernel tier and is ignored.
+// A bad spelling of the retired "parallel_mode" field is corrupt; the
+// spellings Save once wrote are ignored.  A "block_parts" field,
+// whatever it holds, is a leftover of the removed block-kernel tier and
+// is ignored.
 func TestLoadRejectsBadParallelMode(t *testing.T) {
 	dir := t.TempDir()
 	base := `{"version":1,"fingerprint":%s,"entries":[{%s}]}`

@@ -1,8 +1,10 @@
 package wht_test
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/wht"
 )
 
@@ -21,5 +23,38 @@ func TestTransformAllocFree(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { wht.Transform32(x32) }); a != 0 {
 			t.Errorf("n=%d: %v allocs per Transform32, want 0", n, a)
 		}
+	}
+}
+
+// TestRunParallelBelowCrossoverAllocatesNothing pins the crossover: a
+// transform below exec.ParallelMinElems runs RunParallel on the
+// caller's goroutine through the sequential executor, so once the
+// schedule is cached it spawns no goroutine, allocates nothing, and
+// matches exec.Run bit for bit.
+func TestRunParallelBelowCrossoverAllocatesNothing(t *testing.T) {
+	const n = 14
+	if 1<<n >= exec.ParallelMinElems {
+		t.Fatalf("n=%d is not below the crossover %d", n, exec.ParallelMinElems)
+	}
+	s := wht.ScheduleForSize(n)
+	x := make([]float64, 1<<n)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	want := append([]float64(nil), x...)
+	if err := exec.Run(s, want); err != nil {
+		t.Fatal(err)
+	}
+	got := append([]float64(nil), x...)
+	if err := wht.RunParallel(s, got, 2); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: RunParallel %v, Run %v", i, got[i], want[i])
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { wht.RunParallel(s, got, 2) }); a != 0 {
+		t.Errorf("%v allocs per RunParallel at n=%d with 2 workers, want 0", a, n)
 	}
 }

@@ -236,9 +236,8 @@ func RunCtx[T Float](ctx context.Context, s *Schedule, x []T) error {
 
 // ErrKernelPanic is the sentinel every contained kernel panic matches
 // (errors.Is).  The concrete error is a *PanicError carrying the stage
-// index, pipeline window (-1 outside the pipelined tier), the panic
-// value, and the goroutine stack — blast-radius attribution for one
-// poisoned request.
+// index, the panic value, and the goroutine stack — blast-radius
+// attribution for one poisoned request.
 var ErrKernelPanic = exec.ErrKernelPanic
 
 // PanicError is the typed error a recovered kernel panic returns.
@@ -254,50 +253,20 @@ type PanicError = exec.PanicError
 var ErrCorruptWisdom = wisdom.ErrCorrupt
 
 // RunParallel is Run with the schedule's stages executed by a worker
-// pool (workers <= 0 selects GOMAXPROCS).  The parallel tier is chosen
-// by the schedule's ParallelMode: a tuned mode when wisdom recorded
-// one, otherwise a size heuristic picks between the per-stage-barrier
-// pool and the dependency-counted window pipeline.
+// pool (workers <= 0 selects GOMAXPROCS), one barrier between
+// consecutive stages.  Transforms below 2^18 elements (the measured
+// crossover, exec.ParallelMinElems), or calls with one worker, run on
+// the caller's goroutine, where fanning out costs more than it saves.
 func RunParallel[T Float](s *Schedule, x []T, workers int) error {
 	return exec.RunParallel(s, x, workers)
 }
 
-// ParallelMode selects the multi-worker execution tier of RunParallel:
-// AutoParallel (the size heuristic), BarrierParallel (a barrier between
-// consecutive stages), or PipelinedParallel (window-granular dependency
-// counting lets workers cross stage boundaries without barriers).
-type ParallelMode = exec.ParallelMode
-
-// The parallel execution tiers.
-const (
-	AutoParallel      = exec.AutoParallel
-	BarrierParallel   = exec.BarrierParallel
-	PipelinedParallel = exec.PipelinedParallel
-)
-
-// ParseParallelMode parses the wisdom-file spellings of a parallel
-// mode: "", "auto", "barrier", "pipelined".
-var ParseParallelMode = exec.ParseParallelMode
-
-// RunParallelMode is RunParallel with the tier forced, overriding the
-// schedule's mode: the measurement primitive behind the tuner's
-// parallel sweep and the executor equivalence tests.
-func RunParallelMode[T Float](s *Schedule, x []T, workers int, mode ParallelMode) error {
-	return exec.RunParallelMode(s, x, workers, mode)
-}
-
 // RunParallelCtx is RunParallel with cooperative cancellation and
-// per-worker panic containment: every pool goroutine (barrier and
-// pipelined tiers alike) recovers, the first failure aborts the rest of
-// the run, and the pool is reusable afterwards.
+// per-worker panic containment: every pool goroutine recovers, the
+// first failure aborts the rest of the run, and the pool is reusable
+// afterwards.
 func RunParallelCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	return exec.RunParallelCtx(ctx, s, x, workers)
-}
-
-// RunParallelModeCtx is RunParallelMode with cancellation and panic
-// containment (see RunParallelCtx).
-func RunParallelModeCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int, mode ParallelMode) error {
-	return exec.RunParallelModeCtx(ctx, s, x, workers, mode)
 }
 
 // RunBatch executes one schedule over many vectors in place.  When the
