@@ -19,9 +19,15 @@
 // at n=16, batch >= 8 (BenchmarkBatchSoA).  Multi-worker runs
 // (wht.RunParallel) have one tier: a barrier pool that splits each
 // stage across workers and joins between consecutive stages.  It fans
-// out only from exec.ParallelMinElems (2^18 elements), the measured
-// size where it stops losing to the sequential executor; smaller
-// transforms run inline.  Orthogonal
+// out only from exec.ParallelMinElems (2^17 elements, two cache
+// blocks), the measured size where it stops losing to the sequential
+// executor; smaller transforms run inline.  Both executors are cache
+// blocked above 2^16 elements (a block of 512 KiB of float64, the L2 of
+// the host it was measured on): the leading stages whose rows fit a
+// block run block by block — the parallel tier hands whole blocks to
+// workers with no barrier — and vector-bank interleaved rows wider
+// than a block stream in column panels of about 32 KB, which together
+// halve the time of the default n = 22 schedule at 2 workers.  Orthogonal
 // to all of it runs the backend axis: every kernel form ships as pure-Go
 // scalar code plus, on amd64 (AVX2) and arm64 (NEON), hand-written vector
 // assembly for the streaming passes, the SoA lane sweeps, wide strided

@@ -11,21 +11,26 @@ import (
 // TestRunAllocFree pins allocation-free dispatch: a sequential Run of a
 // default schedule builds its kernel table on the stack and takes the
 // kernel sets from the process-wide banks, so it allocates nothing on
-// either backend.
+// either backend — also above one cache block (n > cacheBlockLog), where
+// the blocked prefix and the paneled wide rows run.
 func TestRunAllocFree(t *testing.T) {
 	defer codelet.SetBackend(codelet.ActiveBackend())
 	for _, b := range []codelet.Backend{codelet.AutoBackend, codelet.ScalarBackend} {
 		codelet.SetBackend(b)
-		for n := 6; n <= 16; n++ {
+		for n := 6; n <= 20; n++ {
+			runs := 10
+			if n > 16 {
+				runs = 2 // milliseconds per run; a per-run allocation shows at any count
+			}
 			// The default schedule, and the radix-2^MaxLeafLog one that
 			// runs the largest leaf at every stage.
 			for _, s := range []*Schedule{ForSize(n), Compile(plan.RadixIterative(n, plan.MaxLeafLog))} {
 				x := make([]float64, 1<<n)
 				x32 := make([]float32, 1<<n)
-				if a := testing.AllocsPerRun(10, func() { MustRun(s, x) }); a != 0 {
+				if a := testing.AllocsPerRun(runs, func() { MustRun(s, x) }); a != 0 {
 					t.Errorf("%v n=%d %s float64: %v allocs per Run, want 0", b, n, s, a)
 				}
-				if a := testing.AllocsPerRun(10, func() { MustRun(s, x32) }); a != 0 {
+				if a := testing.AllocsPerRun(runs, func() { MustRun(s, x32) }); a != 0 {
 					t.Errorf("%v n=%d %s float32: %v allocs per Run, want 0", b, n, s, a)
 				}
 			}

@@ -23,11 +23,15 @@ import (
 // sequential tier checks between chunks of at most seqCancelElems
 // elements (one interleaved row when rows are larger), the barrier tier
 // between stages and per worker chunk, and the SoA tier between
-// sub-lanes, stage passes, and j-rows.  A single kernel call is never
-// interrupted, so a cancelled call returns after at most one chunk of
-// residual work.  On a nil ctx the polls compile to a pointer test and
-// the chunking degenerates to one chunk per stage, so the
-// non-cancellable entry points keep their exact former execution shape.
+// sub-lanes, stage passes, and j-rows.  Above one cache block both the
+// sequential and the barrier tier run the blocked prefix (see
+// blockedPrefix) with one check per block: 2^cacheBlockLog elements
+// through every prefix stage, each worker finishing the block it is
+// in.  A single kernel call is never interrupted, so a cancelled call
+// returns after at most one chunk of residual work.  On a nil ctx the
+// polls compile to a pointer test and the chunking degenerates to one
+// chunk per stage (per block and stage in the prefix), so the
+// non-cancellable entry points run the same calls in the same order.
 //
 // On any error return the vector contents are unspecified (some stages
 // may have run), but schedules, caches, and pools all remain valid:
@@ -36,10 +40,13 @@ import (
 
 // seqCancelElems bounds the number of vector elements one cancellation
 // check covers on the sequential tier (which is also RunParallel's
-// path below ParallelMinElems).  2^14 elements is a few microseconds of
-// butterfly work — far below any plausible request deadline — while the
-// check itself (one atomic load inside ctx.Err) stays amortized over
-// thousands of kernel calls.
+// path below ParallelMinElems) outside the blocked prefix.  2^14
+// elements is a few microseconds of butterfly work — far below any
+// plausible request deadline — while the check itself (one atomic load
+// inside ctx.Err) stays amortized over thousands of kernel calls.  In
+// the blocked prefix one check covers a whole cache block through every
+// prefix stage: 2^cacheBlockLog elements times at most cacheBlockLog
+// stages, under a millisecond of work.
 const seqCancelElems = 1 << 14
 
 // ctxErr polls a nilable context.
@@ -88,10 +95,21 @@ func runStageChunkRecover[T Float](st *Stage, stage int, ks *kernelSet[T], x []T
 }
 
 // runStagesCtx is the sequential contained executor behind RunCtx and
-// the batch executors' per-vector path: stages in schedule order,
-// cancellation checked every cancel chunk, panics recovered per chunk.
+// the batch executors' per-vector path: the blocked prefix block by
+// block with cancellation checked per block, then the remaining stages
+// in schedule order with cancellation checked every cancel chunk;
+// panics are recovered per chunk.
 func runStagesCtx[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T], x []T) error {
-	for i := range s.stages {
+	p := blockedPrefix(s)
+	for b := 0; p > 0 && b < s.size>>cacheBlockLog; b++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if err := runBlockCtx(s, kt, x, p, b); err != nil {
+			return err
+		}
+	}
+	for i := p; i < len(s.stages); i++ {
 		st := &s.stages[i]
 		ks := kt.get(st.M, st.Backend)
 		total := st.R * st.S

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +171,48 @@ func TestCtxMidRunCancel(t *testing.T) {
 			}
 		}
 	})
+	t.Run("prefix", cancelInPrefix)
+}
+
+// cancelInPrefix is the mid-run cancel inside the blocked prefix: above
+// one cache block the sequential and barrier tiers poll ctx per block,
+// so a cancel at the first chunk runs at most the rest of the block
+// each worker is in — p chunks per worker for a prefix of p stages —
+// and the schedule stays reusable.
+func cancelInPrefix(t *testing.T) {
+	const n = cacheBlockLog + 3 // 8 blocks: more than the barrier's workers
+	s := ctxSched(t, n)
+	p := blockedPrefix(s)
+	if p < 2 {
+		t.Fatalf("%s: blocked prefix %d, want at least two stages", s, p)
+	}
+	for _, tier := range []struct {
+		name    string
+		workers int
+		run     func(ctx context.Context, x []float64) error
+	}{
+		{"sequential", 1, func(ctx context.Context, x []float64) error { return RunCtx(ctx, s, x) }},
+		{"barrier", 4, func(ctx context.Context, x []float64) error { return runBarrier(ctx, s, x, 4) }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var chunks atomic.Int64
+			faultinject.Set(faultinject.ExecChunk, func() {
+				chunks.Add(1)
+				cancel()
+			})
+			if err := tier.run(ctx, ctxInput(n, 5)); err != context.Canceled {
+				t.Fatalf("cancel in the prefix: err = %v, want context.Canceled", err)
+			}
+			if got, bound := chunks.Load(), int64(p*tier.workers); got > bound {
+				t.Fatalf("%d chunks ran after a cancel at the first; one block per worker is %d", got, bound)
+			}
+			faultinject.Reset()
+			rerunClean(t, s, n, func(y []float64) error { return tier.run(context.Background(), y) })
+		})
+	}
 }
 
 func TestCtxDeadline(t *testing.T) {

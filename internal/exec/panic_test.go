@@ -26,6 +26,25 @@ func TestPanicSequential(t *testing.T) {
 	assertPanicError(t, err, "sequential")
 	faultinject.Reset()
 	rerunClean(t, s, n, func(y []float64) error { return RunCtx(context.Background(), s, y) })
+
+	// Above one cache block the blocked prefix runs block by block,
+	// every stage of a block as one contained chunk: the k-th chunk is
+	// stage (k-1) mod p of block (k-1)/p, and the panic must name it.
+	const nb = cacheBlockLog + 1
+	sb := ctxSched(t, nb)
+	p := blockedPrefix(sb)
+	if p < 2 {
+		t.Fatalf("%s: blocked prefix %d, want at least two stages", sb, p)
+	}
+	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(p+2, "injected kernel fault"))
+	err = RunCtx(context.Background(), sb, ctxInput(nb, 3))
+	assertPanicError(t, err, "sequential prefix")
+	var pe *PanicError
+	if errors.As(err, &pe); pe.Stage != 1 {
+		t.Fatalf("chunk %d (block 1, stage 1) panicked as stage %d", p+2, pe.Stage)
+	}
+	faultinject.Reset()
+	rerunClean(t, sb, nb, func(y []float64) error { return RunCtx(context.Background(), sb, y) })
 }
 
 // The barrier cases call runBarrier directly: at n = 16 RunParallel
@@ -42,6 +61,27 @@ func TestPanicBarrier(t *testing.T) {
 	faultinject.Reset()
 	rerunClean(t, s, n, func(y []float64) error {
 		return runBarrier(context.Background(), s, y, 4)
+	})
+
+	// Above one cache block the fan-out starts with the blocked prefix,
+	// whose workers take blocks without barriers: a fault there must
+	// drain them all and name a prefix stage.
+	const nb = cacheBlockLog + 2
+	sb := ctxSched(t, nb)
+	p := blockedPrefix(sb)
+	if p < 2 {
+		t.Fatalf("%s: blocked prefix %d, want at least two stages", sb, p)
+	}
+	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(p+1, "injected kernel fault"))
+	err = runBarrier(context.Background(), sb, ctxInput(nb, 4), 4)
+	assertPanicError(t, err, "barrier prefix")
+	var pe *PanicError
+	if errors.As(err, &pe); pe.Stage < 0 || pe.Stage >= p {
+		t.Fatalf("fault in the prefix named stage %d, want one of the %d prefix stages", pe.Stage, p)
+	}
+	faultinject.Reset()
+	rerunClean(t, sb, nb, func(y []float64) error {
+		return runBarrier(context.Background(), sb, y, 4)
 	})
 }
 

@@ -17,11 +17,14 @@ import (
 // whole-schedule test replaces a per-stage gate.  The value is the
 // measured crossover of the barrier fan-out against the sequential
 // executor at 2 workers on a 2-vCPU AVX2 host (TimeSchedule against
-// TimeScheduleParallel on ForSize(n), alternating pairs, n = 14..22):
-// fanning out cost 1.7-7.2x at n = 14..16 and 1.3-1.4x at n = 17, tied
-// at n = 18 (0.90-1.04x) and won from n = 19 up (0.57-0.87x).  Worker
+// the fan-out on ForSize(n), alternating pairs, n = 14..22).  It is two
+// cache blocks: from there the blocked prefix hands each worker whole
+// blocks with no barrier between stages.  Fanning out cost 3.2-8.9x at
+// n = 14..16, where the schedule fits one block and every stage pays a
+// barrier, won 11 of 12 pairs at n = 17 (median 0.80x), and won every
+// pair from n = 18 up (0.60-0.89x at 18, 0.42-0.65x at 19..22).  Worker
 // counts above 2 and other ISAs were not measured.
-const ParallelMinElems = 1 << 18
+const ParallelMinElems = 1 << 17
 
 // ParallelMode names an executor tier for RunParallelMode.  There is one
 // parallel tier, so both modes run RunParallel; the names remain for
@@ -39,9 +42,11 @@ const (
 // of each stage distributed over a worker pool.  Within a stage all
 // calls touch pairwise disjoint strided vectors, so they can run
 // concurrently; stages are separated by a barrier because stage i+1
-// reads what stage i wrote.  Below ParallelMinElems, or with one worker,
-// the schedule runs inline through the sequential executor, where the
-// fan-out would cost more than it saves.
+// reads what stage i wrote.  The leading stages whose rows fit a cache
+// block need no barrier: workers take whole blocks and run each through
+// all of them (see blockedPrefix).  Below ParallelMinElems, or with one
+// worker, the schedule runs inline through the sequential executor,
+// where the fan-out would cost more than it saves.
 //
 // Splitting is variant-correct: workers receive disjoint ranges of the
 // flattened (j, k) space, and runStageRange executes each range with the
@@ -83,16 +88,28 @@ func runParallel[T Float](ctx context.Context, s *Schedule, x []T, workers int) 
 	return runBarrier(ctx, s, x, workers)
 }
 
-// runBarrier is the barrier tier's body: per stage, fan the flattened
-// call range out over fresh goroutines and wait.  Every goroutine runs
-// its chunk inside a recover, so a panicking kernel surfaces as the
-// call's *PanicError after the stage's pool has fully drained (wg.Wait
-// always completes: recovery happens inside the worker, before
-// wg.Done).  A non-nil ctx is polled between stages and per worker
-// chunk.
+// runBarrier is the barrier tier's body.  The blocked prefix runs
+// first, with no barrier: workers take cache blocks through fanOut and
+// run every prefix stage on each (blocks are disjoint, and within one
+// the stages run in order).  Then, per remaining stage, it fans the
+// flattened call range out over fresh goroutines and waits.  Every
+// goroutine runs its chunks inside a recover, so a panicking
+// kernel surfaces as the call's *PanicError after the pool has fully
+// drained (wg.Wait always completes: recovery happens inside the
+// worker, before wg.Done).  A non-nil ctx is polled per block, between
+// stages and per worker chunk.
 func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	kt := newKernelTable[T](s)
-	for i := range s.stages {
+	p := blockedPrefix(s)
+	if p > 0 {
+		err := fanOut(ctx, workers, s.size>>cacheBlockLog, func(_, b int) error {
+			return runBlockCtx(s, &kt, x, p, b)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for i := p; i < len(s.stages); i++ {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
@@ -156,9 +173,9 @@ func RunBatchParallel[T Float](s *Schedule, xs [][]T, workers int) error {
 }
 
 // runBatchParallel is the shared body behind RunBatchParallel and
-// RunBatchParallelCtx: per-vector fan-out with an atomic work counter,
-// each worker containing its own panics (runVectorCtx) and the first
-// error aborting the remaining hand-outs.
+// RunBatchParallelCtx: per-vector fanOut, each vector containing its
+// own panics (runVectorCtx) and the first error aborting the remaining
+// hand-outs.
 func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -169,48 +186,46 @@ func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, worke
 		// amortized across the worker's lane.
 		return runBatchSoAParallel(ctx, s, xs, workers)
 	}
-	if workers == 1 || len(xs) < 2 {
-		kt := newKernelTable[T](s)
-		for _, x := range xs {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			if err := runVectorCtx(ctx, s, &kt, x); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
+	kt := newKernelTable[T](s)
+	return fanOut(ctx, workers, len(xs), func(_, i int) error {
+		return runVectorCtx(ctx, s, &kt, xs[i])
+	})
+}
+
+// fanOut runs work(w, i) for every i in [0, n) on min(workers, n)
+// workers, the caller's goroutine among them, which take indices from
+// an atomic counter; w < workers names the worker, for per-worker
+// buffers.  ctx is polled before each item, and the first error stops
+// the hand-outs and is returned once every worker has exited.  work
+// contains its own panics.
+func fanOut(ctx context.Context, workers, n int, work func(w, i int) error) error {
 	var next atomic.Int64
 	fail := newFailure()
+	run := func(w int) {
+		for !fail.failed() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := ctxErr(ctx); err != nil {
+				fail.set(err)
+				return
+			}
+			if err := work(w, i); err != nil {
+				fail.set(err)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kt := newKernelTable[T](s)
-			for {
-				if fail.failed() {
-					return
-				}
-				if err := ctxErr(ctx); err != nil {
-					fail.set(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				if err := runVectorCtx(ctx, s, &kt, xs[i]); err != nil {
-					fail.set(err)
-					return
-				}
-			}
+			run(w)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	return fail.err()
 }

@@ -54,13 +54,74 @@ func RunStrided[T Float](s *Schedule, x []T, base, stride int) error {
 	return nil
 }
 
+// cacheBlockLog is the log2 of the cache block, in elements, that the
+// flat executors localize their work to.  Above one block, the leading
+// stages whose rows fit a block run block by block (blockedPrefix), and
+// vector-bank interleaved rows wider than a block stream in column
+// panels (runStageRange).  2^16 elements is 512 KiB of float64.  On
+// the 2-vCPU AVX2 host it was measured on, a sweep of 14..19 over
+// ForSize(20) and ForSize(22), sequential and at 2 workers, put 14 and
+// 15 within 7% of 16 (but 15 23% slower at n = 22 with 2 workers) and
+// 17..19 3-23% slower.
+const cacheBlockLog = 16
+
+// blockedPrefix returns how many leading stages of s run block by
+// block: the stages whose rows (Blk) fit one cache block, or 0 when the
+// whole schedule fits one.  Flattened stages have nondecreasing Blk, so
+// those stages form a prefix, and a cache block holds whole rows of
+// each of them — the prefix may run block after block, each block
+// through every prefix stage, with every stage still reading only what
+// the stages before it wrote.  A block holds two leaves of
+// plan.MaxLeafLog, so above one block the prefix has at least two
+// stages.
+func blockedPrefix(s *Schedule) int {
+	if s.size <= 1<<cacheBlockLog {
+		return 0
+	}
+	p := 0
+	for p < len(s.stages) && s.stages[p].Blk <= 1<<cacheBlockLog {
+		p++
+	}
+	return p
+}
+
+// blockCalls returns the flattened call range of stage st that lies in
+// cache block b: 2^(cacheBlockLog-M) calls, the whole rows inside it.
+func blockCalls(st *Stage, b int) (lo, hi int) {
+	c := 1 << uint(cacheBlockLog-st.M)
+	return b * c, (b + 1) * c
+}
+
+// runBlockCtx runs the blocked prefix, stages [0, p), on cache block b
+// of x, each stage's calls as one contained chunk (so a kernel panic
+// names its stage).
+func runBlockCtx[T Float](s *Schedule, kt *kernelTable[T], x []T, p, b int) error {
+	for i := range s.stages[:p] {
+		st := &s.stages[i]
+		lo, hi := blockCalls(st, b)
+		if err := runStageChunkRecover(st, i, kt.get(st.M, st.Backend), x, 0, lo, hi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runStages replays the whole schedule at (base, stride) with a
 // caller-provided kernel table, so multi-vector drivers (Apply2D, batch)
-// resolve kernels once.  stride == 1 takes the variant-dispatch path;
-// other strides run every stage through the strided kernel.
+// resolve kernels once.  stride == 1 takes the variant-dispatch path,
+// with the blocked prefix run block by block; other strides run every
+// stage through the strided kernel.
 func runStages[T Float](s *Schedule, kt *kernelTable[T], x []T, base, stride int) {
 	if stride == 1 {
-		for i := range s.stages {
+		p := blockedPrefix(s)
+		for b := 0; p > 0 && b < s.size>>cacheBlockLog; b++ {
+			for i := range s.stages[:p] {
+				st := &s.stages[i]
+				lo, hi := blockCalls(st, b)
+				runStageRange(st, kt.get(st.M, st.Backend), x, base, lo, hi)
+			}
+		}
+		for i := p; i < len(s.stages); i++ {
 			st := &s.stages[i]
 			runStageRange(st, kt.get(st.M, st.Backend), x, base, 0, st.R*st.S)
 		}
@@ -88,6 +149,15 @@ func runStageRange[T Float](st *Stage, ks *kernelSet[T], x []T, base, lo, hi int
 			ks.contig(x, base+j*st.Blk)
 		}
 	case codelet.Interleaved:
+		if ks.stridedVec != nil && st.Blk > 1<<cacheBlockLog {
+			// A row wider than a cache block: the vector strided walker
+			// streams it in column panels of about 32 KB, finishing
+			// every level of a panel before the next, where the
+			// whole-row pass program would sweep the row once per
+			// level pair.
+			runStageRangeStridedVec(st, ks, x, base, lo, hi)
+			return
+		}
 		full := ks.il
 		if st.Fused {
 			// The fused kernel computes bit-identical results, so full and

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // The segmented streaming executor.
@@ -211,41 +209,17 @@ func runGather[T Float](ctx context.Context, kt *kernelTable[T], g *gather, stor
 		sets[i] = kt.get(g.stages[i].M, g.stages[i].Backend)
 	}
 
-	var next atomic.Int64
-	fail := newFailure()
-	work := func(buf []T) {
-		buf = buf[:g.elems()]
-		for !fail.failed() {
-			id := int(next.Add(1) - 1)
-			if id >= g.numWin {
-				return
-			}
-			base := g.base(id)
-			err := gatherIO(g, buf, base, store.Read)
-			if err == nil {
-				err = runSegWindow(ctx, g.stages, sets, buf)
-			}
-			if err == nil {
-				err = gatherIO(g, buf, base, store.Write)
-			}
-			if err != nil {
-				fail.set(err)
-				return
-			}
+	return fanOut(ctx, g.workers, g.numWin, func(w, id int) error {
+		buf := (*bufs[w])[:g.elems()]
+		base := g.base(id)
+		if err := gatherIO(g, buf, base, store.Read); err != nil {
+			return err
 		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 1; w < g.workers; w++ {
-		wg.Add(1)
-		go func(buf []T) {
-			defer wg.Done()
-			work(buf)
-		}(*bufs[w])
-	}
-	work(*bufs[0])
-	wg.Wait()
-	return fail.err()
+		if err := runSegWindow(ctx, g.stages, sets, buf); err != nil {
+			return err
+		}
+		return gatherIO(g, buf, base, store.Write)
+	})
 }
 
 // runSegWindow runs a stage list on one resident window, with

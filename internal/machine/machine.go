@@ -159,7 +159,13 @@ func (c CostModel) fusedILOps(m, s int) OpCounts {
 // bookkeeping.  The strided and contiguous variants issue one kernel call
 // per (j, k) resp. j index; the interleaved variant issues one composite
 // call per j-row.  Fused interleaved stages (Policy.ILFuse) are priced by
-// StageOpsFused.
+// StageOpsFused.  Stages are priced one at a time in breadth-first
+// order, each as a whole-vector sweep.  Above 2^16 elements the
+// executors are cache blocked: the blocked prefix issues the same calls
+// in another order, and a vector-bank interleaved row wider than a
+// block runs as the strided row walker's column panels instead of
+// whole-row passes.  Neither is modeled here; both show up only in
+// what the host measures.
 func (c CostModel) StageOps(m, r, s int, v codelet.Variant) OpCounts {
 	return c.StageOpsFused(m, r, s, v, false)
 }

@@ -23,6 +23,14 @@ import (
 // Model-guided search driven by these counters therefore sees the same
 // stage-shape landscape the measured coster does.
 //
+// The stream is still the breadth-first stage order: each stage sweeps
+// the whole vector before the next begins.  The executors are cache
+// blocked above 2^16 elements — the stages whose rows fit a block run
+// block by block, and vector-bank interleaved rows wider than a block
+// stream in column panels — so at those sizes the simulated misses
+// overstate what the host incurs; that gap belongs in the
+// model-vs-host residuals, not in this walk.
+//
 // Stages pinned to the SIMD backend price at vector throughput through
 // SIMDStageOpsShaped — per stage, so a mixed-pin schedule
 // (exec.Schedule.SetStageBackends) prices each stage on its own

@@ -16,9 +16,11 @@ import (
 // Because the plan is compiled to a flat schedule first, every stage
 // splits, wherever its leaf sat in the tree — not only the stages of the
 // root node, as the old tree-walking evaluator was limited to.
-// Transforms below exec.ParallelMinElems run inline through the same
-// compiled executor, so sequential and parallel execution share one
-// code path.
+// Above one cache block the leading stages whose rows fit a block run
+// block by block instead, with no barrier between them.  Transforms
+// below exec.ParallelMinElems (2^17 elements, the measured crossover at
+// 2 workers) run inline through the same compiled executor, so
+// sequential and parallel execution share one code path.
 //
 // workers <= 0 selects GOMAXPROCS.
 func ApplyParallel(p *plan.Node, x []float64, workers int) error {

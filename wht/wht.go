@@ -253,10 +253,12 @@ type PanicError = exec.PanicError
 var ErrCorruptWisdom = wisdom.ErrCorrupt
 
 // RunParallel is Run with the schedule's stages executed by a worker
-// pool (workers <= 0 selects GOMAXPROCS), one barrier between
-// consecutive stages.  Transforms below 2^18 elements (the measured
-// crossover, exec.ParallelMinElems), or calls with one worker, run on
-// the caller's goroutine, where fanning out costs more than it saves.
+// pool (workers <= 0 selects GOMAXPROCS): the leading stages whose rows
+// fit a cache block run block by block with no barrier, then one
+// barrier separates each later stage from the next.  Transforms below
+// 2^17 elements (the measured crossover, exec.ParallelMinElems), or
+// calls with one worker, run on the caller's goroutine, where fanning
+// out costs more than it saves.
 func RunParallel[T Float](s *Schedule, x []T, workers int) error {
 	return exec.RunParallel(s, x, workers)
 }
