@@ -23,7 +23,7 @@ import (
 	"repro/internal/theory"
 	"repro/internal/trace"
 	"repro/internal/tune"
-	"repro/internal/wht"
+	"repro/wht"
 )
 
 // benchCfg is the scaled configuration the benchmarks run at; the shapes
@@ -220,6 +220,13 @@ func BenchmarkTheoryMoments(b *testing.B) {
 
 // --- Transform engine benchmarks (real execution, not simulation) ---
 
+// apply is wht.Apply failing the benchmark on error.
+func apply(b *testing.B, p *plan.Node, x []float64) {
+	if err := wht.Apply(p, x); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkTransform(b *testing.B) {
 	mach := machine.VirtualOpteron224()
 	for _, n := range []int{10, 14, 18, 20} {
@@ -231,7 +238,7 @@ func BenchmarkTransform(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(8 << n))
 			for i := 0; i < b.N; i++ {
-				wht.MustApply(best.Plan, x)
+				apply(b, best.Plan, x)
 			}
 		})
 	}
@@ -254,7 +261,7 @@ func BenchmarkCanonicalPlans(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(8 << n))
 			for i := 0; i < b.N; i++ {
-				wht.MustApply(p, x)
+				apply(b, p, x)
 			}
 		})
 	}
@@ -274,32 +281,13 @@ func BenchmarkLeafSizeAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("radix2^%d", k), func(b *testing.B) {
 			b.SetBytes(int64(8 << n))
 			for i := 0; i < b.N; i++ {
-				wht.MustApply(p, x)
+				apply(b, p, x)
 			}
 		})
 	}
 }
 
-func BenchmarkApplyParallel(b *testing.B) {
-	const n = 20
-	p := plan.Balanced(n, 6)
-	x := make([]float64, 1<<n)
-	for i := range x {
-		x[i] = float64(i & 63)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(8 << n))
-			for i := 0; i < b.N; i++ {
-				if err := wht.ApplyParallel(p, x, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Compiled engine: walker vs compiled, batch throughput, plan cache ---
+// --- Compiled engine: walker vs compiled, SoA batches, SIMD kernels ---// --- Compiled engine: walker vs compiled, batch throughput, plan cache ---
 
 // Walker-vs-compiled on the canonical plans.  "interpret" walks the tree
 // on every call (the pre-refactor engine); "compiled" runs a precompiled
@@ -341,57 +329,6 @@ func BenchmarkWalkerVsCompiled(b *testing.B) {
 	}
 }
 
-// Batch throughput: one schedule amortized over a batch of vectors versus
-// re-invoking Apply per vector, sequentially and fanned out across
-// vectors — the repeated-traffic serving shape.
-func BenchmarkBatchThroughput(b *testing.B) {
-	const n, batchSize = 14, 32
-	p := plan.Balanced(n, 6)
-	sched := exec.Compile(p)
-	batch := make([][]float64, batchSize)
-	for i := range batch {
-		batch[i] = make([]float64, 1<<n)
-		for j := range batch[i] {
-			batch[i][j] = float64((i + j) & 31)
-		}
-	}
-	bytes := int64(8 << n * batchSize)
-	b.Run("interpret-per-vector", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			for _, x := range batch {
-				if err := exec.Interpret(p, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("apply-per-vector", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			for _, x := range batch {
-				wht.MustApply(p, x)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			if err := exec.RunBatch(sched, batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch-parallel", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			if err := exec.RunBatchParallel(sched, batch, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // SoA batch tier versus the per-vector batch path: the same schedule
 // over the same batch, run vector by vector (every stage pass repaid
 // per vector) and in structure-of-arrays form (each stage pass
@@ -403,7 +340,9 @@ func BenchmarkBatchSoA(b *testing.B) {
 		{14, 8}, {16, 8}, {16, 32}, {17, 16}, {18, 16}, {18, 32},
 	} {
 		p := plan.Balanced(cfg.n, plan.MaxLeafLog)
-		sched := exec.Compile(p)
+		aos, soa := exec.Compile(p), exec.Compile(p)
+		aos.SetSoAMinBatch(-1) // pin the per-vector path
+		soa.SetSoAMinBatch(1)  // pin the SoA tier
 		batch := make([][]float64, cfg.lane)
 		for i := range batch {
 			batch[i] = make([]float64, 1<<cfg.n)
@@ -414,62 +353,26 @@ func BenchmarkBatchSoA(b *testing.B) {
 		bytes := int64(8 << cfg.n * cfg.lane)
 		name := fmt.Sprintf("n=%d/lane=%d", cfg.n, cfg.lane)
 		var aosNs, soaNs float64
-		b.Run(name+"/aos", func(b *testing.B) {
+		// Each run starts with one warm batch, which populates the pooled
+		// scratch so single-shot CI iterations do not time the first
+		// allocation + page faults.
+		run := func(b *testing.B, s *exec.Schedule, workers int) float64 {
 			b.SetBytes(bytes)
-			aos := exec.Compile(p)
-			aos.SetSoAMinBatch(-1) // pin the per-vector path
-			if err := exec.RunBatch(aos, batch); err != nil {
+			if err := exec.RunBatch(nil, s, batch, workers); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := exec.RunBatch(aos, batch); err != nil {
+				if err := exec.RunBatch(nil, s, batch, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
-			aosNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		b.Run(name+"/soa", func(b *testing.B) {
-			b.SetBytes(bytes)
-			// One warm run populates the pooled scratch so single-shot CI
-			// iterations do not time the first allocation + page faults.
-			if err := exec.RunBatchSoA(sched, batch); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec.RunBatchSoA(sched, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			soaNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		b.Run(name+"/soa-parallel", func(b *testing.B) {
-			b.SetBytes(bytes)
-			if err := exec.RunBatchSoAParallel(sched, batch, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec.RunBatchSoAParallel(sched, batch, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/aos-parallel", func(b *testing.B) {
-			b.SetBytes(bytes)
-			aos := exec.Compile(p)
-			aos.SetSoAMinBatch(-1)
-			if err := exec.RunBatchParallel(aos, batch, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec.RunBatchParallel(aos, batch, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		}
+		b.Run(name+"/aos", func(b *testing.B) { aosNs = run(b, aos, 1) })
+		b.Run(name+"/soa", func(b *testing.B) { soaNs = run(b, soa, 1) })
+		b.Run(name+"/soa-parallel", func(b *testing.B) { run(b, soa, 0) })
+		b.Run(name+"/aos-parallel", func(b *testing.B) { run(b, aos, 0) })
 		if aosNs > 0 && soaNs > 0 {
 			b.Logf("%s: aos %.0f ns vs soa %.0f ns — %.2fx", name, aosNs, soaNs, aosNs/soaNs)
 		}
@@ -546,14 +449,15 @@ func BenchmarkSIMDKernels(b *testing.B) {
 		ns := map[string]float64{}
 		for _, bk := range backends {
 			sched := exec.CompileWith(p, codelet.Policy{Backend: bk.bk})
+			sched.SetSoAMinBatch(1) // pin the SoA tier
 			b.Run(name+"/"+bk.name, func(b *testing.B) {
 				b.SetBytes(bytes)
-				if err := exec.RunBatchSoA(sched, batch); err != nil {
+				if err := exec.RunBatch(nil, sched, batch, 1); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := exec.RunBatchSoA(sched, batch); err != nil {
+					if err := exec.RunBatch(nil, sched, batch, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -735,30 +639,6 @@ func BenchmarkPrunedSearchWorkers(b *testing.B) {
 	}
 }
 
-// The schedule cache behind Transform: repeated default-size calls hit the
-// LRU and skip planning and compilation entirely.
-func BenchmarkTransformScheduleCache(b *testing.B) {
-	const n = 12
-	x := make([]float64, 1<<n)
-	for i := range x {
-		x[i] = float64(i & 7)
-	}
-	b.Run("cached", func(b *testing.B) {
-		b.SetBytes(int64(8 << n))
-		for i := 0; i < b.N; i++ {
-			if err := wht.Transform(x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("replan-each-call", func(b *testing.B) {
-		b.SetBytes(int64(8 << n))
-		for i := 0; i < b.N; i++ {
-			wht.MustApply(plan.Balanced(n, plan.MaxLeafLog), x)
-		}
-	})
-}
-
 // --- Simulator and search cost benchmarks ---
 
 func BenchmarkVirtualMeasurementWHT18(b *testing.B) {
@@ -828,32 +708,6 @@ func BenchmarkPrefetchAblation(b *testing.B) {
 			b.Logf("n=18 L1 misses: iterative=%d left=%d", iter, left)
 		})
 	}
-}
-
-// Float32 vs float64 engines on identical plans (real execution).
-func BenchmarkElementTypeAblation(b *testing.B) {
-	const n = 16
-	p := plan.Balanced(n, 6)
-	x64 := make([]float64, 1<<n)
-	x32 := make([]float32, 1<<n)
-	for i := range x64 {
-		x64[i] = float64(i & 31)
-		x32[i] = float32(i & 31)
-	}
-	b.Run("float64", func(b *testing.B) {
-		b.SetBytes(int64(8 << n))
-		for i := 0; i < b.N; i++ {
-			wht.MustApply(p, x64)
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		b.SetBytes(int64(4 << n))
-		for i := 0; i < b.N; i++ {
-			if err := wht.Apply32(p, x32); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // DP arity ablation: wider splits enlarge the candidate set; the bench

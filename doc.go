@@ -10,14 +10,14 @@
 // codelet of at most 2^8 points (wht.MaxLeafLog), so every stage is one
 // butterfly array of that size — the space of stage sequences Serre &
 // Püschel characterize.  Batch traffic has its own execution shape: the
-// SoA tier (wht.RunBatchSoA, auto-selected by
-// RunBatch/ApplyBatch past a measured crossover) transposes the batch
+// SoA tier (selected by wht.RunBatch past a measured crossover, or
+// pinned with Schedule.SetSoAMinBatch) transposes the batch
 // into structure-of-arrays layout (power-of-two lanes padded by one
 // element so tile columns never alias in low cache sets) and runs every
 // stage once across the whole lane of vectors as radix-4 fused streams
 // — bitwise-equal to per-vector evaluation and >= 1.3x its throughput
 // at n=16, batch >= 8 (BenchmarkBatchSoA).  Multi-worker runs
-// (wht.RunParallel) have one tier: a barrier pool that splits each
+// (wht.RunCtx with workers > 1) have one tier: a barrier pool that splits each
 // stage across workers and joins between consecutive stages.  It fans
 // out only from exec.ParallelMinElems (2^17 elements, two cache
 // blocks), the measured size where it stops losing to the sequential
@@ -53,13 +53,13 @@
 // scratch between chunks, so arbitrarily long measurements of the
 // unnormalized (data-doubling) transform stay finite.
 //
-// For serving, every executor has a context-aware form
-// (wht.RunCtx/RunParallelCtx/RunBatchCtx and friends, wht.TransformCtx
-// and ApplyBatchCtx at the facade): ctx is polled between bounded
+// For serving, the executor has one contained entry point per data
+// shape, wht.RunCtx for a vector and wht.RunBatch for a batch, each
+// taking a context and a worker count: ctx is polled between bounded
 // chunks of kernel calls — per worker chunk on the parallel tier,
-// sub-lanes on the SoA tier — so cancellation takes effect
-// within one chunk and returns ctx.Err(); a nil ctx costs nothing over
-// the plain form.  The same entry points contain kernel panics: every
+// sub-lanes on the SoA tier — so cancellation takes effect within one
+// chunk and returns ctx.Err(); a nil ctx skips the polling.  Both
+// contain kernel panics, nil ctx included: every
 // worker-pool goroutine recovers, the first failure aborts the run and
 // comes back as a *exec.PanicError (matching wht.ErrKernelPanic) with
 // stage attribution, and the pools stay reusable.  Damaged

@@ -70,13 +70,14 @@ func main() {
 	}
 	fmt.Println("compiled run:  ", y)
 
-	// A whole batch of vectors shares one schedule (wht.ApplyBatch
-	// compiles and runs in one call).
+	// A whole batch of vectors shares one schedule; RunBatch takes a
+	// context (nil: not cancellable) and a worker count (1: the
+	// caller's goroutine).
 	batch := make([][]float64, 4)
 	for i := range batch {
 		batch[i] = append([]float64(nil), orig...)
 	}
-	if err := wht.ApplyBatch(p, batch); err != nil {
+	if err := wht.RunBatch(nil, sched, batch, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("batch of", len(batch), "vectors transformed; first:", batch[0])

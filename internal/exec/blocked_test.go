@@ -148,7 +148,7 @@ func pinStages(t *testing.T, s *Schedule, mode int) {
 
 // checkBlocked runs s on a copy of x with w workers and demands the
 // walker's result: one worker through Run, RunCtx and an offset
-// RunStrided, more through the barrier fan-out itself (RunParallel runs
+// RunStrided, more through the barrier fan-out itself (RunCtx runs
 // inline below ParallelMinElems).
 func checkBlocked[T Float](t *testing.T, s *Schedule, w int, x, want []T, label string) {
 	t.Helper()
@@ -157,7 +157,7 @@ func checkBlocked[T Float](t *testing.T, s *Schedule, w int, x, want []T, label 
 		MustRun(s, got)
 		assertBitwise(t, label+" Run", want, got)
 		copy(got, x)
-		if err := RunCtx(context.Background(), s, got); err != nil {
+		if err := RunCtx(context.Background(), s, got, 1); err != nil {
 			t.Fatal(err)
 		}
 		assertBitwise(t, label+" RunCtx", want, got)

@@ -209,37 +209,16 @@ var (
 	tunedPlans = map[int]tunedEntry{}
 )
 
-// UseTunedPlan registers p (compiled under the default variant policy) as
-// the preferred plan behind ForSize for its size; see UseTunedPlanPolicy.
-func UseTunedPlan(p *plan.Node) error {
-	return UseTunedPlanPolicy(p, codelet.DefaultPolicy())
-}
-
-// UseTunedPlanPolicy registers p, compiled under pol, as the preferred
-// plan behind ForSize for its size and seeds the default cache with its
-// compiled schedule, so the next Transform at that length is served from
-// the tuned plan with zero build work.  The plan is validated and
-// compiled before anything is published.
-func UseTunedPlanPolicy(p *plan.Node, pol codelet.Policy) error {
-	return UseTunedPlanFull(p, pol, 0)
-}
-
-// UseTunedPlanFull is UseTunedPlanPolicy carrying the tuner's batch
-// crossover decision as well: soaMinBatch is planted on the compiled
-// schedule (and re-applied whenever ForSize recompiles the tuned plan),
-// so batch traffic at that size picks the SoA tier exactly where the
-// sweep measured it faster.  soaMinBatch 0 keeps the default heuristic,
-// negative disables SoA selection.
-func UseTunedPlanFull(p *plan.Node, pol codelet.Policy, soaMinBatch int) error {
-	return UseTunedPlanWith(p, TunedConfig{Policy: pol, SoAMinBatch: soaMinBatch})
-}
-
-// UseTunedPlanWith registers p compiled under the full tuned
-// configuration — variant policy, SoA batch crossover, and per-stage
-// backend pins — and seeds the default cache with the compiled schedule.
+// UseTunedPlanWith registers p as the preferred plan behind ForSize for
+// its size, compiled under the full tuned configuration — variant
+// policy, SoA batch crossover, and per-stage backend pins — and seeds
+// the default cache with the compiled schedule, so the next Transform
+// at that length is served from the tuned plan with zero build work.
+// The plan is validated and compiled before anything is published.
 // Every field is re-applied whenever ForSize recompiles the tuned plan
 // after an LRU eviction, so the decisions survive for the life of the
-// process.
+// process.  The zero TunedConfig registers p under the default policy
+// and crossover.
 func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 	s, err := NewScheduleWith(p, cfg.Policy)
 	if err != nil {
@@ -283,34 +262,18 @@ func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 	return nil
 }
 
-// TunedPlan returns the plan registered for log-size n, if any.
-func TunedPlan(n int) (*plan.Node, bool) {
+// TunedConfigFor returns the plan and full tuned configuration
+// registered for log-size n; ok is false (nil plan, zero config) when
+// the size is untuned.
+func TunedConfigFor(n int) (p *plan.Node, cfg TunedConfig, ok bool) {
 	tunedMu.RLock()
 	defer tunedMu.RUnlock()
 	e, ok := tunedPlans[n]
-	return e.plan, ok
-}
-
-// TunedPolicy returns the variant policy registered alongside the tuned
-// plan for log-size n (the default policy when the size is untuned).
-func TunedPolicy(n int) (codelet.Policy, bool) {
-	tunedMu.RLock()
-	defer tunedMu.RUnlock()
-	e, ok := tunedPlans[n]
-	return e.policy, ok
-}
-
-// TunedConfigFor returns the full tuned configuration registered for
-// log-size n (the zero config when the size is untuned).
-func TunedConfigFor(n int) (TunedConfig, bool) {
-	tunedMu.RLock()
-	defer tunedMu.RUnlock()
-	e, ok := tunedPlans[n]
-	cfg := TunedConfig{Policy: e.policy, SoAMinBatch: e.soaMin}
+	cfg = TunedConfig{Policy: e.policy, SoAMinBatch: e.soaMin}
 	if len(e.backends) > 0 {
 		cfg.StageBackends = append([]codelet.Backend(nil), e.backends...)
 	}
-	return cfg, ok
+	return e.plan, cfg, ok
 }
 
 // ResetTunedPlans drops every registered tuned plan and purges the
@@ -331,7 +294,7 @@ func DefaultCacheStats() CacheStats {
 
 // ForSize returns the process-wide cached schedule for WHT(2^n): the
 // tuned plan compiled under its tuned variant policy when one has been
-// registered (UseTunedPlanPolicy, typically via a wisdom file), the
+// registered (UseTunedPlanWith, typically via a wisdom file), the
 // balanced codelet-leaved default otherwise.
 func ForSize(n int) *Schedule {
 	return defaultCache.Get(n, func() *Schedule {

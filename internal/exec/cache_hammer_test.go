@@ -62,7 +62,6 @@ func TestScheduleCacheHammerServePattern(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < perWorker; i++ {
 			for _, n := range sizes {
-				TunedPlan(n)
 				TunedConfigFor(n)
 			}
 			DefaultCacheStats()
@@ -75,7 +74,7 @@ func TestScheduleCacheHammerServePattern(t *testing.T) {
 	// registry-before-warm ordering in UseTunedPlanWith is what makes
 	// this hold even when an LRU eviction races the registration).
 	for _, n := range sizes {
-		if _, ok := TunedPlan(n); !ok {
+		if _, _, ok := TunedConfigFor(n); !ok {
 			t.Fatalf("size %d lost its tuned plan", n)
 		}
 		s := ForSize(n)

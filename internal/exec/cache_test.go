@@ -190,7 +190,7 @@ func TestScheduleCacheWarmRejectsMismatch(t *testing.T) {
 	if got.Log2Size() != 10 {
 		t.Fatalf("Get(10) served a 2^%d schedule", got.Log2Size())
 	}
-	if err := RunBatch(got, [][]float64{make([]float64, 1<<10)}); err != nil {
+	if err := RunBatch(nil, got, [][]float64{make([]float64, 1<<10)}, 1); err != nil {
 		t.Fatalf("serving path broken after rejected warm: %v", err)
 	}
 	// A matching warm still works.
@@ -206,7 +206,7 @@ func TestUseTunedPlanFullRoundTripsSoAMin(t *testing.T) {
 	ResetTunedPlans()
 	defer ResetTunedPlans()
 	p := plan.MustParse("split[small[6],small[8]]")
-	if err := UseTunedPlanFull(p, codelet.DefaultPolicy(), 4); err != nil {
+	if err := UseTunedPlanWith(p, TunedConfig{SoAMinBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ForSize(14).SoAMinBatch(); got != 4 {
@@ -222,11 +222,11 @@ func TestForSizePrefersTunedPlan(t *testing.T) {
 	ResetTunedPlans()
 	defer ResetTunedPlans()
 	tuned := plan.MustParse("split[small[4],small[6]]")
-	if err := UseTunedPlan(tuned); err != nil {
+	if err := UseTunedPlanWith(tuned, TunedConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := TunedPlan(10); !ok || !p.Equal(tuned) {
-		t.Fatalf("TunedPlan(10) = %v, %v", p, ok)
+	if p, _, ok := TunedConfigFor(10); !ok || !p.Equal(tuned) {
+		t.Fatalf("TunedConfigFor(10) plan = %v, %v", p, ok)
 	}
 	got := ForSize(10)
 	want := Compile(tuned)
@@ -247,10 +247,10 @@ func TestForSizePrefersTunedPlan(t *testing.T) {
 }
 
 func TestUseTunedPlanRejectsInvalid(t *testing.T) {
-	if err := UseTunedPlan(nil); err == nil {
+	if err := UseTunedPlanWith(nil, TunedConfig{}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
-	if err := UseTunedPlan(new(plan.Node)); err == nil {
+	if err := UseTunedPlanWith(new(plan.Node), TunedConfig{}); err == nil {
 		t.Fatal("invalid plan accepted")
 	}
 }
@@ -281,7 +281,7 @@ func TestUseTunedPlanWithStageBackends(t *testing.T) {
 	check("warmed")
 	defaultCache.Purge()
 	check("recompiled")
-	if cfg, ok := TunedConfigFor(14); !ok || len(cfg.StageBackends) != 2 ||
+	if _, cfg, ok := TunedConfigFor(14); !ok || len(cfg.StageBackends) != 2 ||
 		cfg.StageBackends[0] != codelet.ScalarBackend || cfg.StageBackends[1] != codelet.SIMDBackend {
 		t.Fatalf("TunedConfigFor = %+v, %v", cfg, ok)
 	}

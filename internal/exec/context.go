@@ -14,9 +14,9 @@ import (
 // executors were never asked for: a request must be cancellable without
 // abandoning the goroutine that runs it, and a poisoned request must
 // not take the worker pool or the process with it.  Both are threaded
-// through here as one mechanism: every entry point gains a *Ctx variant
-// that polls ctx at work-chunk granularity, and every execution chunk —
-// on every tier — runs inside a recover that converts a kernel panic to
+// through here as one mechanism: RunCtx and RunBatch poll ctx at
+// work-chunk granularity, and every execution chunk — on every tier —
+// runs inside a recover that converts a kernel panic to
 // a *PanicError with stage attribution (see errors.go).
 //
 // Cancellation granularity is one chunk of work per tier: the
@@ -30,8 +30,8 @@ import (
 // in.  A single kernel call is never interrupted, so a cancelled call
 // returns after at most one chunk of residual work.  On a nil ctx the
 // polls compile to a pointer test and the chunking degenerates to one
-// chunk per stage (per block and stage in the prefix), so the
-// non-cancellable entry points run the same calls in the same order.
+// chunk per stage (per block and stage in the prefix), so a nil-ctx
+// call runs the same kernel calls in the same order as Run.
 //
 // On any error return the vector contents are unspecified (some stages
 // may have run), but schedules, caches, and pools all remain valid:
@@ -39,8 +39,8 @@ import (
 // property the fault-injection suite pins.
 
 // seqCancelElems bounds the number of vector elements one cancellation
-// check covers on the sequential tier (which is also RunParallel's
-// path below ParallelMinElems) outside the blocked prefix.  2^14
+// check covers on the sequential tier (RunCtx's path with one worker
+// or below ParallelMinElems) outside the blocked prefix.  2^14
 // elements is a few microseconds of butterfly work — far below any
 // plausible request deadline — while the check itself (one atomic load
 // inside ctx.Err) stays amortized over thousands of kernel calls.  In
@@ -146,31 +146,20 @@ func runVectorCtx[T Float](ctx context.Context, s *Schedule, kt *kernelTable[T],
 	return runStagesCtx(ctx, s, kt, x)
 }
 
-// RunCtx is Run with cancellation and fault containment: it polls ctx
-// between work chunks (returning ctx.Err() within one chunk of a
-// cancellation) and converts a kernel panic to a *PanicError instead of
-// unwinding into the caller.  A nil ctx disables the polling but keeps
-// the containment.  On error the contents of x are unspecified; x, the
-// schedule, and all caches remain reusable.
-func RunCtx[T Float](ctx context.Context, s *Schedule, x []T) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	if len(x) != s.size {
-		return fmt.Errorf("exec: vector length %d does not match schedule size %d", len(x), s.size)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	kt := newKernelTable[T](s)
-	return runStagesCtx(ctx, s, &kt, x)
-}
-
-// RunParallelCtx is RunParallel with cancellation and fault
-// containment.  Cancellation is honored at chunk granularity on both
-// paths and every worker recovers panics, so a poisoned run returns a
-// *PanicError with the pool fully drained and reusable.
-func RunParallelCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
+// RunCtx executes the schedule in place on x with cancellation and
+// fault containment: it polls ctx between work chunks (returning
+// ctx.Err() within one chunk of a cancellation) and converts a kernel
+// panic to a *PanicError instead of unwinding into the caller.  A nil
+// ctx disables the polling but keeps the containment.
+//
+// workers <= 0 selects GOMAXPROCS.  With one worker, or below
+// ParallelMinElems, the schedule runs on the caller's goroutine;
+// otherwise its stages fan out over the barrier pool (see
+// ParallelMinElems and runBarrier), every worker recovering its own
+// panics so a poisoned run returns with the pool drained.  On error
+// the contents of x are unspecified; x, the schedule, and all caches
+// remain reusable.
+func RunCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
 	}
@@ -183,41 +172,23 @@ func RunParallelCtx[T Float](ctx context.Context, s *Schedule, x []T, workers in
 	return runParallel(ctx, s, x, workers)
 }
 
-// RunBatchCtx is RunBatch with cancellation and fault containment: the
-// SoA tier is auto-selected exactly as in RunBatch, cancellation is
-// polled between chunks/lanes, and kernel panics return as *PanicError.
-// On error some vectors may be transformed and others not (or half);
-// the batch memory, schedule, and scratch pools remain reusable.
-func RunBatchCtx[T Float](ctx context.Context, s *Schedule, xs [][]T) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	kt := newKernelTable[T](s)
-	if s.soaSelect(len(xs)) {
-		return runBatchSoA(ctx, s, &kt, xs)
-	}
-	for _, x := range xs {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		if err := runVectorCtx(ctx, s, &kt, x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunBatchParallelCtx is RunBatchParallel with cancellation and fault
-// containment (see RunBatchCtx); workers <= 0 selects GOMAXPROCS.
-func RunBatchParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
+// RunBatch executes one schedule over many vectors in place, with the
+// cancellation and containment of RunCtx — the serving shape, where
+// one default-size transform handles a stream of requests.  Every
+// vector must have the schedule's length; the batch is validated up
+// front so either all vectors are transformed or none are (barring a
+// cancellation or a panic, after which some vectors may be transformed
+// and others not, or half).
+//
+// When the batch width and the schedule's shape favor it (see
+// Schedule.SoAMinBatch and the tuner's batch sweep), the batch runs
+// through the SoA tier — one pass per stage across a whole lane of
+// vectors instead of per vector — computing bitwise the same results.
+// Otherwise each vector is one work item.  workers <= 0 selects
+// GOMAXPROCS; with one worker the batch runs on the caller's
+// goroutine, otherwise the workers take whole vectors (or contiguous
+// SoA lanes), with no barriers.
+func RunBatch[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
 	}
@@ -230,45 +201,4 @@ func RunBatchParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, wo
 		return err
 	}
 	return runBatchParallel(ctx, s, xs, workers)
-}
-
-// RunBatchSoACtx is RunBatchSoA with cancellation and fault containment
-// (see RunBatchCtx).
-func RunBatchSoACtx[T Float](ctx context.Context, s *Schedule, xs [][]T) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	kt := newKernelTable[T](s)
-	return runBatchSoA(ctx, s, &kt, xs)
-}
-
-// RunBatchSoAParallelCtx is RunBatchSoAParallel with cancellation and
-// fault containment (see RunBatchCtx); workers <= 0 selects GOMAXPROCS.
-func RunBatchSoAParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	return runBatchSoAParallel(ctx, s, xs, workers)
 }

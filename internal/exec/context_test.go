@@ -26,6 +26,19 @@ func ctxSched(t testing.TB, n int) *Schedule {
 	return Compile(plan.Balanced(n, plan.MaxLeafLog))
 }
 
+// layoutSched is ctxSched with RunBatch's layout pinned: soa routes
+// every batch through the SoA tier, !soa every batch per vector.
+func layoutSched(t testing.TB, n int, soa bool) *Schedule {
+	t.Helper()
+	s := ctxSched(t, n)
+	if soa {
+		s.SetSoAMinBatch(1)
+	} else {
+		s.SetSoAMinBatch(-1)
+	}
+	return s
+}
+
 // ctxInput returns a deterministic pseudo-random vector of 2^n elements.
 func ctxInput(n int, seed uint64) []float64 {
 	rng := rand.New(rand.NewPCG(seed, 42))
@@ -53,26 +66,30 @@ func ctxRef(t testing.TB, s *Schedule, x []float64) []float64 {
 // error; single-vector tiers use xs[0].
 func eachTier(t *testing.T, n int, f func(t *testing.T, tier string, run func(ctx context.Context, xs [][]float64) error)) {
 	s := ctxSched(t, n)
+	perVec, soa := layoutSched(t, n, false), layoutSched(t, n, true)
 	tiers := []struct {
 		name string
 		run  func(ctx context.Context, xs [][]float64) error
 	}{
 		{"sequential", func(ctx context.Context, xs [][]float64) error {
-			return RunCtx(ctx, s, xs[0])
+			return RunCtx(ctx, s, xs[0], 1)
 		}},
 		{"barrier", func(ctx context.Context, xs [][]float64) error {
-			// The fan-out itself: RunParallel runs inline below
+			// The fan-out itself: RunCtx runs inline below
 			// ParallelMinElems, which the sequential tier covers.
 			return runBarrier(ctx, s, xs[0], 4)
 		}},
 		{"batch", func(ctx context.Context, xs [][]float64) error {
-			return RunBatchParallelCtx(ctx, s, xs, 4)
+			return RunBatch(ctx, perVec, xs, 1)
+		}},
+		{"batch-parallel", func(ctx context.Context, xs [][]float64) error {
+			return RunBatch(ctx, perVec, xs, 4)
 		}},
 		{"soa", func(ctx context.Context, xs [][]float64) error {
-			return RunBatchSoACtx(ctx, s, xs)
+			return RunBatch(ctx, soa, xs, 1)
 		}},
 		{"soa-parallel", func(ctx context.Context, xs [][]float64) error {
-			return RunBatchSoAParallelCtx(ctx, s, xs, 4)
+			return RunBatch(ctx, soa, xs, 4)
 		}},
 	}
 	for _, tier := range tiers {
@@ -191,7 +208,7 @@ func cancelInPrefix(t *testing.T) {
 		workers int
 		run     func(ctx context.Context, x []float64) error
 	}{
-		{"sequential", 1, func(ctx context.Context, x []float64) error { return RunCtx(ctx, s, x) }},
+		{"sequential", 1, func(ctx context.Context, x []float64) error { return RunCtx(ctx, s, x, 1) }},
 		{"barrier", 4, func(ctx context.Context, x []float64) error { return runBarrier(ctx, s, x, 4) }},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
@@ -221,27 +238,33 @@ func TestCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	x := ctxInput(n, 3)
-	if err := RunCtx(ctx, s, x); !errors.Is(err, context.DeadlineExceeded) {
+	if err := RunCtx(ctx, s, x, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 func TestCtxValidation(t *testing.T) {
 	s := ctxSched(t, 10)
-	if err := RunCtx(nil, s, make([]float64, 7)); err == nil {
+	if err := RunCtx(nil, s, make([]float64, 7), 1); err == nil {
 		t.Fatal("short vector accepted")
 	}
-	if err := RunCtx(nil, nil, make([]float64, 1024)); err == nil {
+	if err := RunCtx(nil, nil, make([]float64, 1024), 1); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
-	if err := RunBatchCtx[float64](nil, s, [][]float64{make([]float64, 1024), make([]float64, 3)}); err == nil {
-		t.Fatal("ragged batch accepted")
+	if err := RunBatch[float64](nil, nil, nil, 1); err == nil {
+		t.Fatal("nil schedule accepted for a batch")
 	}
-	// Empty batches are a no-op on every batch tier.
-	if err := RunBatchCtx[float64](nil, s, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	if err := RunBatchSoAParallelCtx[float64](nil, s, nil, 4); err != nil {
-		t.Fatalf("empty SoA batch: %v", err)
+	// Ragged batches are rejected and empty ones are a no-op, in either
+	// layout and at any worker count.
+	for _, soa := range []bool{false, true} {
+		ls := layoutSched(t, 10, soa)
+		for _, w := range []int{1, 4} {
+			if err := RunBatch(nil, ls, [][]float64{make([]float64, 1024), make([]float64, 3)}, w); err == nil {
+				t.Fatalf("soa=%v workers=%d: ragged batch accepted", soa, w)
+			}
+			if err := RunBatch[float64](nil, ls, nil, w); err != nil {
+				t.Fatalf("soa=%v workers=%d: empty batch: %v", soa, w, err)
+			}
+		}
 	}
 }

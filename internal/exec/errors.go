@@ -8,14 +8,13 @@ import (
 	"sync/atomic"
 )
 
-// The executor's fault taxonomy.  Every multi-goroutine entry point
-// (RunParallel, the batch fanouts, the SoA lanes) and every
-// context-aware entry point contains the faults of the kernels it
-// runs: a panic on a worker goroutine is recovered where it happens,
-// converted to a *PanicError carrying stage attribution and the
-// panicking goroutine's stack, and returned as the call's error — the
-// process stays up, sibling workers drain, and the pool is reusable for
-// the next call.  Cancellation is reported as the context's own error
+// The executor's fault taxonomy.  RunCtx, RunBatch and RunSegmented
+// contain the faults of the kernels they run on every tier (the barrier
+// pool, the batch fan-out, the SoA lanes), nil ctx included: a panic on
+// a worker goroutine is recovered where it happens, converted to a
+// *PanicError carrying stage attribution and the panicking goroutine's
+// stack, and returned as the call's error — the process stays up,
+// sibling workers drain, and the pool is reusable for the next call.  Cancellation is reported as the context's own error
 // (context.Canceled / context.DeadlineExceeded), never wrapped, so
 // errors.Is works directly against the ctx.
 //

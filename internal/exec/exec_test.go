@@ -164,7 +164,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := RunBatch(sched, batch); err != nil {
+	if err := RunBatch(nil, sched, batch, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range batch {
@@ -176,7 +176,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 
 	bad := [][]float64{make([]float64, 1<<n), make([]float64, 4)}
-	if err := RunBatch(sched, bad); err == nil {
+	if err := RunBatch(nil, sched, bad, 1); err == nil {
 		t.Fatal("ragged batch accepted")
 	}
 }
@@ -193,7 +193,7 @@ func TestRunBatchParallelMatchesSequential(t *testing.T) {
 			want[i] = append([]float64(nil), batch[i]...)
 			MustRun(sched, want[i])
 		}
-		if err := RunBatchParallel(sched, batch, workers); err != nil {
+		if err := RunBatch(nil, sched, batch, workers); err != nil {
 			t.Fatal(err)
 		}
 		for i := range batch {
@@ -218,11 +218,11 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 			MustRun(sched, want)
 			for _, workers := range []int{0, 1, 2, 5} {
 				got := append([]float64(nil), x...)
-				if err := RunParallel(sched, got, workers); err != nil {
+				if err := RunCtx(nil, sched, got, workers); err != nil {
 					t.Fatal(err)
 				}
-				// These sizes are below ParallelMinElems, so RunParallel
-				// runs inline; runBarrier runs the fan-out itself.
+				// These sizes are below ParallelMinElems, so RunCtx runs
+				// inline; runBarrier runs the fan-out itself.
 				fan := append([]float64(nil), x...)
 				if err := runBarrier(nil, sched, fan, max(workers, 1)); err != nil {
 					t.Fatal(err)

@@ -74,7 +74,7 @@ func TestLargeLeafPlansBitwiseEqualInterpret(t *testing.T) {
 				}
 
 				batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-				if err := RunBatch(sched, batch); err != nil {
+				if err := RunBatch(nil, sched, batch, 1); err != nil {
 					t.Fatal(err)
 				}
 				assertSame(t, name+"/batch", n, p, batch[0], want)

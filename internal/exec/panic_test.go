@@ -22,10 +22,10 @@ func TestPanicSequential(t *testing.T) {
 	s := ctxSched(t, n)
 	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(2, "injected kernel fault"))
 	x := ctxInput(n, 1)
-	err := RunCtx(context.Background(), s, x)
+	err := RunCtx(context.Background(), s, x, 1)
 	assertPanicError(t, err, "sequential")
 	faultinject.Reset()
-	rerunClean(t, s, n, func(y []float64) error { return RunCtx(context.Background(), s, y) })
+	rerunClean(t, s, n, func(y []float64) error { return RunCtx(context.Background(), s, y, 1) })
 
 	// Above one cache block the blocked prefix runs block by block,
 	// every stage of a block as one contained chunk: the k-th chunk is
@@ -37,18 +37,18 @@ func TestPanicSequential(t *testing.T) {
 		t.Fatalf("%s: blocked prefix %d, want at least two stages", sb, p)
 	}
 	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(p+2, "injected kernel fault"))
-	err = RunCtx(context.Background(), sb, ctxInput(nb, 3))
+	err = RunCtx(context.Background(), sb, ctxInput(nb, 3), 1)
 	assertPanicError(t, err, "sequential prefix")
 	var pe *PanicError
 	if errors.As(err, &pe); pe.Stage != 1 {
 		t.Fatalf("chunk %d (block 1, stage 1) panicked as stage %d", p+2, pe.Stage)
 	}
 	faultinject.Reset()
-	rerunClean(t, sb, nb, func(y []float64) error { return RunCtx(context.Background(), sb, y) })
+	rerunClean(t, sb, nb, func(y []float64) error { return RunCtx(context.Background(), sb, y, 1) })
 }
 
-// The barrier cases call runBarrier directly: at n = 16 RunParallel
-// runs inline (below ParallelMinElems), and the fan-out path is what
+// The barrier cases call runBarrier directly: at n = 16 RunCtx runs
+// inline (below ParallelMinElems), and the fan-out path is what
 // must drain its pool after a worker panics.
 func TestPanicBarrier(t *testing.T) {
 	defer faultinject.Reset()
@@ -85,8 +85,8 @@ func TestPanicBarrier(t *testing.T) {
 	})
 }
 
-// The non-ctx paths must contain panics too: the fan-out with a nil ctx
-// and RunParallel's inline path below the crossover.
+// The nil-ctx paths must contain panics too: the fan-out with a nil ctx
+// and RunCtx's inline path below the crossover.
 func TestPanicBarrierNonCtx(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 16
@@ -96,22 +96,22 @@ func TestPanicBarrierNonCtx(t *testing.T) {
 	err := runBarrier(nil, s, x, 4)
 	assertPanicError(t, err, "barrier non-ctx")
 	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(1, "injected kernel fault"))
-	err = RunParallel(s, x, 4)
-	assertPanicError(t, err, "RunParallel inline non-ctx")
+	err = RunCtx(nil, s, x, 4)
+	assertPanicError(t, err, "RunCtx inline nil ctx")
 }
 
 func TestPanicBatchVector(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 14
-	s := ctxSched(t, n)
+	s := layoutSched(t, n, false)
 	faultinject.Set(faultinject.ExecBatchVector, faultinject.PanicAfter(5, "injected kernel fault"))
 	xs := ctxBatch(n)
-	err := RunBatchParallelCtx(context.Background(), s, xs, 4)
+	err := RunBatch(context.Background(), s, xs, 4)
 	assertPanicError(t, err, "batch")
 	faultinject.Reset()
 	xs2 := ctxBatch(n)
 	want := ctxRef(t, s, xs2[5])
-	if err := RunBatchParallelCtx(context.Background(), s, xs2, 4); err != nil {
+	if err := RunBatch(context.Background(), s, xs2, 4); err != nil {
 		t.Fatalf("batch rerun after panic: %v", err)
 	}
 	for i, v := range want {
@@ -124,21 +124,49 @@ func TestPanicBatchVector(t *testing.T) {
 func TestPanicSoALane(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 14
-	s := ctxSched(t, n)
+	s := layoutSched(t, n, true)
 	faultinject.Set(faultinject.ExecSoALane, faultinject.PanicAfter(1, "injected kernel fault"))
 	xs := ctxBatch(n)
-	err := RunBatchSoACtx(context.Background(), s, xs)
+	err := RunBatch(context.Background(), s, xs, 1)
 	assertPanicError(t, err, "soa")
 	faultinject.Reset()
 	xs2 := ctxBatch(n)
 	want := ctxRef(t, s, xs2[0])
-	if err := RunBatchSoAParallelCtx(context.Background(), s, xs2, 4); err != nil {
+	if err := RunBatch(context.Background(), s, xs2, 4); err != nil {
 		t.Fatalf("soa rerun after panic: %v", err)
 	}
 	for i, v := range want {
 		if xs2[0][i] != v {
 			t.Fatalf("soa rerun: vector 0 wrong at %d", i)
 		}
+	}
+}
+
+// A nil ctx turns off polling, never containment: a kernel panic in a
+// one-worker RunBatch on the caller's goroutine comes back as a
+// *PanicError under either layout, and the schedule stays usable.
+func TestPanicBatchNilCtx(t *testing.T) {
+	defer faultinject.Reset()
+	const n = 12
+	for _, c := range []struct {
+		name  string
+		soa   bool
+		point string
+	}{
+		{"per-vector", false, faultinject.ExecBatchVector},
+		{"soa", true, faultinject.ExecSoALane},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			s := layoutSched(t, n, c.soa)
+			faultinject.Set(c.point, faultinject.PanicAfter(1, "injected kernel fault"))
+			err := RunBatch(nil, s, ctxBatch(n), 1)
+			assertPanicError(t, err, c.name)
+			faultinject.Reset()
+			rerunClean(t, s, n, func(y []float64) error {
+				return RunBatch(nil, s, [][]float64{y}, 1)
+			})
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,7 @@ import (
 )
 
 // ParallelMinElems is the transform size, in elements, from which
-// RunParallel fans stages out over its workers; smaller transforms run
+// RunCtx fans stages out over its workers; smaller transforms run
 // on the caller's goroutine through the sequential executor.  Every
 // stage of a flat schedule touches all N elements (R*2^M*S = N), so one
 // whole-schedule test replaces a per-stage gate.  The value is the
@@ -27,8 +26,8 @@ import (
 const ParallelMinElems = 1 << 17
 
 // ParallelMode names an executor tier for RunParallelMode.  There is one
-// parallel tier, so both modes run RunParallel; the names remain for
-// callers that pin a tier explicitly.
+// parallel tier, so both modes run RunCtx; the names remain for callers
+// that pin a tier explicitly (the benchmark's vector-large spans).
 type ParallelMode uint8
 
 const (
@@ -38,45 +37,15 @@ const (
 	PipelinedParallel
 )
 
-// RunParallel executes the schedule with the R*S independent kernel calls
-// of each stage distributed over a worker pool.  Within a stage all
-// calls touch pairwise disjoint strided vectors, so they can run
-// concurrently; stages are separated by a barrier because stage i+1
-// reads what stage i wrote.  The leading stages whose rows fit a cache
-// block need no barrier: workers take whole blocks and run each through
-// all of them (see blockedPrefix).  Below ParallelMinElems, or with one
-// worker, the schedule runs inline through the sequential executor,
-// where the fan-out would cost more than it saves.
-//
-// Splitting is variant-correct: workers receive disjoint ranges of the
-// flattened (j, k) space, and runStageRange executes each range with the
-// stage's compiled kernel variant — full interleaved rows through the
-// unrolled IL kernel, partial rows through its range form, so an
-// interleaved stage with R == 1 (the large-S shape that benefits most)
-// still splits across all workers.  When an interleaved stage has at
-// least one row per worker, chunk boundaries are aligned to whole rows
-// so every worker runs full IL kernels instead of paying the slower
-// ilRange partial-row form at each chunk seam.
-//
-// workers <= 0 selects GOMAXPROCS.
-func RunParallel[T Float](s *Schedule, x []T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	if len(x) != s.size {
-		return fmt.Errorf("exec: vector length %d does not match schedule size %d", len(x), s.size)
-	}
-	return runParallel(nil, s, x, workers)
-}
-
-// RunParallelMode is RunParallel; the mode is ignored (see ParallelMode).
+// RunParallelMode is RunCtx with a nil ctx; the mode is ignored (see
+// ParallelMode).
 func RunParallelMode[T Float](s *Schedule, x []T, workers int, _ ParallelMode) error {
-	return RunParallel(s, x, workers)
+	return RunCtx(nil, s, x, workers)
 }
 
-// runParallel is the body behind RunParallel and RunParallelCtx once
-// the arguments are validated: the crossover test, then either the
-// contained sequential executor or the barrier fan-out.
+// runParallel is RunCtx's body once the arguments are validated: the
+// crossover test, then either the contained sequential executor or the
+// barrier fan-out.
 func runParallel[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -92,8 +61,20 @@ func runParallel[T Float](ctx context.Context, s *Schedule, x []T, workers int) 
 // first, with no barrier: workers take cache blocks through fanOut and
 // run every prefix stage on each (blocks are disjoint, and within one
 // the stages run in order).  Then, per remaining stage, it fans the
-// flattened call range out over fresh goroutines and waits.  Every
-// goroutine runs its chunks inside a recover, so a panicking
+// flattened call range out over fresh goroutines and waits: within a
+// stage all calls touch pairwise disjoint strided vectors, and stage
+// i+1 reads what stage i wrote.
+//
+// Splitting is variant-correct: workers receive disjoint ranges of the
+// flattened (j, k) space, and runStageRange executes each range with the
+// stage's compiled kernel variant — full interleaved rows through the
+// unrolled IL kernel, partial rows through its range form, so an
+// interleaved stage with R == 1 still splits across all workers.  When
+// an interleaved stage has at least one row per worker, chunk
+// boundaries are aligned to whole rows so every worker runs full IL
+// kernels.
+//
+// Every goroutine runs its chunks inside a recover, so a panicking
 // kernel surfaces as the call's *PanicError after the pool has fully
 // drained (wg.Wait always completes: recovery happens inside the
 // worker, before wg.Done).  A non-nil ctx is polled per block, between
@@ -154,28 +135,12 @@ func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) e
 	return nil
 }
 
-// RunBatchParallel transforms a batch of vectors with one schedule,
-// fanning out across vectors (each worker runs whole transforms
-// sequentially).  For batches this beats per-stage fan-out: there are no
-// barriers and each worker streams through its own vectors.
-//
-// workers <= 0 selects GOMAXPROCS.
-func RunBatchParallel[T Float](s *Schedule, xs [][]T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	return runBatchParallel(nil, s, xs, workers)
-}
-
-// runBatchParallel is the shared body behind RunBatchParallel and
-// RunBatchParallelCtx: per-vector fanOut, each vector containing its
-// own panics (runVectorCtx) and the first error aborting the remaining
-// hand-outs.
+// runBatchParallel is RunBatch's body once the arguments are
+// validated: the SoA lanes when soaSelect picks them, otherwise a
+// per-vector fanOut, each vector containing its own panics
+// (runVectorCtx) and the first error aborting the remaining hand-outs.
+// Fanning out across whole vectors needs no barriers: each worker
+// streams through its own transforms.
 func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -46,10 +46,10 @@ func checkParallel(t *testing.T, label string, sched *Schedule, x64 []float64, x
 // TestRunParallelBitwiseEquivalence pins the contract of the parallel
 // tier: it is bitwise equal to the sequential executor — not merely
 // close.  The barrier subtest runs the fan-out itself (runBarrier, which
-// RunParallel only reaches from ParallelMinElems up) across sizes, plan
+// RunCtx only reaches from ParallelMinElems up) across sizes, plan
 // shapes, variant policies, worker counts and both element types; run
 // under -race it doubles as the memory-model check of the per-stage
-// barrier.  The crossover subtest runs RunParallel on both sides of
+// barrier.  The crossover subtest runs RunCtx on both sides of
 // ParallelMinElems.
 func TestRunParallelBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 15))
@@ -106,8 +106,8 @@ func TestRunParallelBitwiseEquivalence(t *testing.T) {
 			x64, x32 := input(n)
 			for _, workers := range []int{1, 2, 4} {
 				checkParallel(t, fmt.Sprintf("n=%d workers %d", n, workers), sched, x64, x32,
-					func(x []float64) error { return RunParallel(sched, x, workers) },
-					func(x []float32) error { return RunParallel(sched, x, workers) })
+					func(x []float64) error { return RunCtx(nil, sched, x, workers) },
+					func(x []float32) error { return RunCtx(nil, sched, x, workers) })
 			}
 		}
 	})

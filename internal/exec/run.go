@@ -237,32 +237,3 @@ func runStageRangeStrided[T Float](st *Stage, kern func([]T, int, int), x []T, b
 		}
 	}
 }
-
-// RunBatch executes one schedule over many vectors in place, amortizing
-// the compiled schedule and kernel resolution across the batch — the
-// serving shape where one default-size transform handles a stream of
-// requests.  Every vector must have the schedule's length; the batch is
-// validated up front so either all vectors are transformed or none are.
-//
-// When the batch width and the schedule's shape favor it (see
-// Schedule.SoAMinBatch and the tuner's batch sweep), the batch runs
-// through the SoA tier — one pass per stage across the whole lane of
-// vectors instead of per vector — computing bitwise the same results.
-func RunBatch[T Float](s *Schedule, xs [][]T) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	kt := newKernelTable[T](s)
-	if s.soaSelect(len(xs)) {
-		return runBatchSoA(nil, s, &kt, xs)
-	}
-	for _, x := range xs {
-		runStages(s, &kt, x, 0, 1)
-	}
-	return nil
-}

@@ -170,13 +170,7 @@ func gridCase[T Float](t *testing.T, seg, flat *Schedule, opt SegOptions) {
 	}
 
 	want := append([]T(nil), in...)
-	var err error
-	if opt.Workers > 1 {
-		err = RunParallel(flat, want, opt.Workers)
-	} else {
-		err = Run(flat, want)
-	}
-	if err != nil {
+	if err := RunCtx(nil, flat, want, opt.Workers); err != nil {
 		t.Fatal(err)
 	}
 

@@ -83,11 +83,7 @@ func RunSegmented[T Float](ctx context.Context, s *Schedule, store BufStore[T], 
 		// must fit one resident buffer (the schedule was compiled
 		// without a budget, so its working set is the whole vector).
 		if ss, ok := store.(*SliceStore[T]); ok {
-			if workers > 1 {
-				return RunParallelCtx(ctx, s, ss.primary, workers)
-			}
-			kt := newKernelTable[T](s)
-			return runStagesCtx(ctx, s, &kt, ss.primary)
+			return RunCtx(ctx, s, ss.primary, workers)
 		}
 		if opt.ResidentElems > 0 && opt.ResidentElems < s.size {
 			return fmt.Errorf("exec: flat schedule of %d elements exceeds resident budget %d; compile a segmented schedule", s.size, opt.ResidentElems)

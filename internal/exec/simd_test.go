@@ -101,7 +101,8 @@ func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Polic
 			MustRun(scalar, v)
 		}
 		gotBatch := cloneBatch(xs)
-		if err := RunBatchSoA(simd, gotBatch); err != nil {
+		simd.SetSoAMinBatch(1)
+		if err := RunBatch(nil, simd, gotBatch, 1); err != nil {
 			t.Fatal(err)
 		}
 		assertBatchEqual(t, fmt.Sprintf("%s/soa-%d", label, lane), gotBatch, wantBatch)
@@ -239,7 +240,8 @@ func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.P
 			MustRun(scalar, v)
 		}
 		gotBatch := cloneBatch(xs)
-		if err := RunBatchSoA(mixed, gotBatch); err != nil {
+		mixed.SetSoAMinBatch(1)
+		if err := RunBatch(nil, mixed, gotBatch, 1); err != nil {
 			t.Fatal(err)
 		}
 		assertBatchEqual(t, fmt.Sprintf("%s/soa-%d", label, lane), gotBatch, wantBatch)
@@ -391,7 +393,8 @@ func TestSIMDProcessOverrideForcedOnAndOff(t *testing.T) {
 		assertSame(t, fmt.Sprintf("forced-%v/parallel", backend), n, p, got, want)
 
 		batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-		if err := RunBatchSoA(s, batch); err != nil {
+		s.SetSoAMinBatch(1)
+		if err := RunBatch(nil, s, batch, 1); err != nil {
 			t.Fatal(err)
 		}
 		assertBatchEqual(t, fmt.Sprintf("forced-%v/soa", backend), batch, [][]float64{want, want})

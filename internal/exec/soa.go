@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -22,10 +21,9 @@ import (
 // memory touch of a stage now serves all B vectors at once instead of
 // being repaid per vector.
 
-// DefaultSoAMinBatch is the batch width at which RunBatch and
-// RunBatchParallel switch to the SoA tier when the schedule's shape
-// favors it and no tuned threshold has been registered
-// (SetSoAMinBatch).  Below it the two transposes cost more than the
+// DefaultSoAMinBatch is the batch width at which RunBatch switches to
+// the SoA tier when the schedule's shape favors it and no tuned
+// threshold has been registered (SetSoAMinBatch).  Below it the two transposes cost more than the
 // amortized stage passes recover.
 const DefaultSoAMinBatch = 8
 
@@ -366,55 +364,12 @@ func runBatchSoALane[T Float](ctx context.Context, s *Schedule, kt *kernelTable[
 	return nil
 }
 
-// RunBatchSoA executes one schedule over the whole batch in SoA form:
-// the batch is transposed into a pooled structure-of-arrays scratch
-// buffer, each stage runs once across the lane of len(xs) vectors, and
-// the results are transposed back in place.  It computes bitwise the
-// same results as per-vector Run.  Every vector must have the
-// schedule's length; the batch is validated up front so either all
-// vectors are transformed or none are.
-func RunBatchSoA[T Float](s *Schedule, xs [][]T) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	kt := newKernelTable[T](s)
-	return runBatchSoA(nil, s, &kt, xs)
-}
-
-// RunBatchSoAParallel is RunBatchSoA with the batch split into
-// contiguous per-worker lanes: each worker transposes and transforms its
-// own sub-batch through its own scratch buffer, so there are no stage
-// barriers and no shared writes.  Results are bitwise identical to the
-// sequential form (lane grouping never changes a vector's butterfly
-// network).
-//
-// workers <= 0 selects GOMAXPROCS.
-func RunBatchSoAParallel[T Float](s *Schedule, xs [][]T, workers int) error {
-	if s == nil {
-		return fmt.Errorf("exec: nil schedule")
-	}
-	for i, x := range xs {
-		if len(x) != s.size {
-			return fmt.Errorf("exec: batch vector %d has length %d, want %d", i, len(x), s.size)
-		}
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	return runBatchSoAParallel(nil, s, xs, workers)
-}
-
-// runBatchSoAParallel is the shared body behind RunBatchSoAParallel and
-// its ctx form: contiguous per-worker lanes, each worker containing its
-// own panics, the first error winning.
+// runBatchSoAParallel is RunBatch's SoA body: the batch split into
+// contiguous per-worker lanes, each worker transposing and transforming
+// its own sub-batch through its own scratch buffer (no stage barriers,
+// no shared writes) and containing its own panics, the first error
+// winning.  Lane grouping never changes a vector's butterfly network,
+// so results are bitwise identical to the single-lane form.
 func runBatchSoAParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if len(xs) == 0 {
 		return nil

@@ -52,9 +52,10 @@ func cloneBatch[T Float](xs [][]T) [][]T {
 
 // checkSoAEquivalence runs one (schedule, lane) combination through the
 // sequential and parallel SoA paths and demands bitwise equality with
-// per-vector Run.
+// per-vector Run.  It pins s to the SoA layout.
 func checkSoAEquivalence[T Float](t *testing.T, s *Schedule, rng *rand.Rand, lane int, label string) {
 	t.Helper()
+	s.SetSoAMinBatch(1)
 	xs := randomBatch[T](rng, lane, s.Size())
 	want := cloneBatch(xs)
 	for _, x := range want {
@@ -62,14 +63,14 @@ func checkSoAEquivalence[T Float](t *testing.T, s *Schedule, rng *rand.Rand, lan
 	}
 
 	got := cloneBatch(xs)
-	if err := RunBatchSoA(s, got); err != nil {
-		t.Fatalf("%s: RunBatchSoA: %v", label, err)
+	if err := RunBatch(nil, s, got, 1); err != nil {
+		t.Fatalf("%s: RunBatch: %v", label, err)
 	}
 	assertBatchEqual(t, label+"/seq", got, want)
 
 	got = cloneBatch(xs)
-	if err := RunBatchSoAParallel(s, got, 4); err != nil {
-		t.Fatalf("%s: RunBatchSoAParallel: %v", label, err)
+	if err := RunBatch(nil, s, got, 4); err != nil {
+		t.Fatalf("%s: RunBatch with 4 workers: %v", label, err)
 	}
 	assertBatchEqual(t, label+"/par", got, want)
 }
@@ -86,7 +87,7 @@ func assertBatchEqual[T Float](t *testing.T, label string, got, want [][]T) {
 }
 
 // TestRunBatchSoAEquivalence is the cross-engine property test of the
-// SoA batch tier: RunBatchSoA (sequential and parallel) must be
+// SoA batch tier: RunBatch pinned to SoA (sequential and parallel) must be
 // bitwise-equal to per-vector Run across transform sizes 2..20, batch
 // widths {1, 3, 8, 17}, float64 and float32, and the variant-policy
 // grid.  Sizes through 12 sweep the full grid; the out-of-cache sizes
@@ -162,7 +163,7 @@ func TestRunBatchAutoSelectsSoA(t *testing.T) {
 	for _, x := range want {
 		MustRun(s2, x)
 	}
-	if err := RunBatch(s2, xs); err != nil {
+	if err := RunBatch(nil, s2, xs, 1); err != nil {
 		t.Fatal(err)
 	}
 	assertBatchEqual(t, "auto-select", xs, want)
@@ -172,21 +173,19 @@ func TestRunBatchAutoSelectsSoA(t *testing.T) {
 // vectors reject the whole batch before anything is transformed.
 func TestRunBatchSoAValidation(t *testing.T) {
 	s := Compile(plan.Balanced(6, plan.MaxLeafLog))
-	if err := RunBatchSoA[float64](nil, nil); err == nil {
-		t.Fatal("nil schedule accepted")
-	}
+	s.SetSoAMinBatch(1)
 	xs := [][]float64{make([]float64, 64), make([]float64, 32)}
 	xs[0][0], xs[1][0] = 1, 1
-	if err := RunBatchSoA(s, xs); err == nil {
+	if err := RunBatch(nil, s, xs, 1); err == nil {
 		t.Fatal("mismatched batch accepted")
 	}
 	if xs[0][1] != 0 {
 		t.Fatal("batch partially transformed despite validation error")
 	}
-	if err := RunBatchSoA(s, [][]float64{}); err != nil {
+	if err := RunBatch(nil, s, [][]float64{}, 1); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := RunBatchSoAParallel(s, xs, 2); err == nil {
+	if err := RunBatch(nil, s, xs, 2); err == nil {
 		t.Fatal("parallel: mismatched batch accepted")
 	}
 }
@@ -198,6 +197,7 @@ func TestRunBatchSoAValidation(t *testing.T) {
 func TestRunBatchSoAWideBatchSubLanes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 5))
 	s := Compile(plan.Balanced(8, plan.MaxLeafLog))
+	s.SetSoAMinBatch(1)
 	lane := SoAMaxLane + 37 // forces two sub-lanes, the second partial
 	xs := randomBatch[float64](rng, lane, s.Size())
 	want := cloneBatch(xs)
@@ -205,13 +205,13 @@ func TestRunBatchSoAWideBatchSubLanes(t *testing.T) {
 		MustRun(s, x)
 	}
 	got := cloneBatch(xs)
-	if err := RunBatchSoA(s, got); err != nil {
+	if err := RunBatch(nil, s, got, 1); err != nil {
 		t.Fatal(err)
 	}
 	assertBatchEqual(t, "wide/seq", got, want)
 
 	got = cloneBatch(xs)
-	if err := RunBatchSoAParallel(s, got, 1024); err != nil { // workers >> batch
+	if err := RunBatch(nil, s, got, 1024); err != nil { // workers >> batch
 		t.Fatal(err)
 	}
 	assertBatchEqual(t, "wide/par", got, want)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -147,17 +148,23 @@ func timeScheduleOn(s *Schedule, x []float64, opt TimingOptions) float64 {
 	}, func() { seedScratch(x) })
 }
 
-// TimeScheduleParallel measures the real per-run latency of the schedule
-// through RunParallel with the worker count pinned to workers (workers
-// <= 0 selects GOMAXPROCS) — the measurement behind ParallelMinElems.
-// The scratch discipline is TimeSchedule's: reinitialized between timed
-// chunks, outside the timed region.
+// TimeScheduleParallel measures the real per-run latency of the
+// schedule through the barrier fan-out with the worker count pinned to
+// workers (workers <= 0 selects GOMAXPROCS) — the measurement behind
+// ParallelMinElems.  It times the fan-out at every size, below the
+// crossover too: RunCtx's gate would run the sequential executor
+// there, which TimeSchedule already measures.  The scratch discipline
+// is TimeSchedule's: reinitialized between timed chunks, outside the
+// timed region.
 func TimeScheduleParallel(s *Schedule, workers int, opt TimingOptions) float64 {
 	opt = opt.withDefaults()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	x := make([]float64, s.Size())
 	return timeChunked(opt, s.Log2Size(), func(k int) {
 		for i := 0; i < k; i++ {
-			if err := RunParallel(s, x, workers); err != nil {
+			if err := runBarrier(nil, s, x, workers); err != nil {
 				panic(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/plan"
 )
 
@@ -17,6 +18,24 @@ func TestTimeScheduleReportsPlausibleLatency(t *testing.T) {
 	}
 	if large < small {
 		t.Fatalf("2^14 (%g ns) timed faster than 2^6 (%g ns)", large, small)
+	}
+}
+
+// TestTimeScheduleParallelTimesFanOut pins what TimeScheduleParallel
+// measures: the barrier fan-out, below ParallelMinElems too.  RunCtx
+// would run the sequential executor there, one chunk per stage; two
+// workers split every stage into more.
+func TestTimeScheduleParallelTimesFanOut(t *testing.T) {
+	defer faultinject.Reset()
+	s := Compile(plan.Balanced(14, plan.MaxLeafLog))
+	hook, chunks := faultinject.Counter()
+	faultinject.Set(faultinject.ExecChunk, hook)
+	// One warmup run and one timed run: any run outlasts a nanosecond.
+	const runs = 2
+	TimeScheduleParallel(s, 2, TimingOptions{Warmup: 1, Repeat: 1, MinDuration: time.Nanosecond})
+	if got := chunks(); got <= int64(runs*s.NumStages()) {
+		t.Fatalf("%d chunks over %d runs of %d stages: one per stage is the sequential executor",
+			got, runs, s.NumStages())
 	}
 }
 

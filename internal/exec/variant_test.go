@@ -55,7 +55,7 @@ func TestVariantDispatchBitwiseEqualsInterpret(t *testing.T) {
 				}
 
 				batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-				if err := RunBatch(sched, batch); err != nil {
+				if err := RunBatch(nil, sched, batch, 1); err != nil {
 					t.Fatal(err)
 				}
 				assertSame(t, name+"/batch", n, p, batch[0], want)
@@ -158,11 +158,11 @@ func TestUseTunedPlanPolicy(t *testing.T) {
 	const n = 10
 	p := plan.RightRecursive(n)
 	pol := codelet.Policy{StridedOnly: true}
-	if err := UseTunedPlanPolicy(p, pol); err != nil {
+	if err := UseTunedPlanWith(p, TunedConfig{Policy: pol}); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := TunedPolicy(n); !ok || got != pol {
-		t.Fatalf("TunedPolicy(%d) = %+v, %v; want %+v, true", n, got, ok, pol)
+	if _, got, ok := TunedConfigFor(n); !ok || got.Policy != pol {
+		t.Fatalf("TunedConfigFor(%d) policy = %+v, %v; want %+v, true", n, got.Policy, ok, pol)
 	}
 	sched := ForSize(n)
 	if sched.Policy() != pol {

@@ -15,7 +15,7 @@
 //
 //	defer faultinject.Reset()
 //	faultinject.Set(faultinject.ExecChunk, faultinject.PanicAfter(3, "boom"))
-//	err := exec.RunParallel(sched, x, 4)   // returns *exec.PanicError
+//	err := exec.RunCtx(nil, sched, x, 4)   // returns *exec.PanicError
 //
 // The package also bundles the file corrupters the wisdom-hardening
 // suite and the serving daemon's boot tests share (TruncateFile,

@@ -674,7 +674,7 @@ func TestServeHealthyWisdomBoot(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("healthy wisdom was disturbed: %v", err)
 	}
-	if _, ok := exec.TunedPlan(10); !ok {
+	if _, _, ok := exec.TunedConfigFor(10); !ok {
 		t.Fatal("wisdom did not register its tuned plan")
 	}
 	c := dialT(t, addr)

@@ -643,12 +643,12 @@ func (s *Server) runLevel(ctx context.Context, sc *sizeClass, level int32, xs []
 	faultinject.Fire(faultinject.ServeExec)
 	switch level {
 	case ladderFull:
-		return exec.RunBatchParallelCtx(ctx, sc.full, xs, 0)
+		return exec.RunBatch(ctx, sc.full, xs, 0)
 	case ladderScalar:
-		return exec.RunBatchParallelCtx(ctx, sc.scalar, xs, 0)
+		return exec.RunBatch(ctx, sc.scalar, xs, 0)
 	default: // ladderSequential
 		for _, x := range xs {
-			if err := exec.RunCtx(ctx, sc.scalar, x); err != nil {
+			if err := exec.RunCtx(ctx, sc.scalar, x, 1); err != nil {
 				return err
 			}
 		}

@@ -56,8 +56,8 @@ func TestTuneSweepKeepsIncumbentAgainstBadPolicies(t *testing.T) {
 	if res.NsPerRun <= 0 {
 		t.Fatalf("implausible incumbent timing %g", res.NsPerRun)
 	}
-	if pol, ok := exec.TunedPolicy(16); !ok || pol.StridedOnly {
-		t.Fatalf("serving path registered policy %+v (ok=%v), want the incumbent default", pol, ok)
+	if _, cfg, ok := exec.TunedConfigFor(16); !ok || cfg.Policy.StridedOnly {
+		t.Fatalf("serving path registered policy %+v (ok=%v), want the incumbent default", cfg.Policy, ok)
 	}
 }
 
@@ -112,8 +112,8 @@ func TestTuneRegistersServingPlanAndWisdom(t *testing.T) {
 		t.Fatalf("only %d plans measured — baselines missing?", res.Measured)
 	}
 	// The serving path now prefers the tuned plan ...
-	if p, ok := exec.TunedPlan(n); !ok || !p.Equal(res.Plan) {
-		t.Fatalf("TunedPlan = (%v, %v), want the tuned plan", p, ok)
+	if p, _, ok := exec.TunedConfigFor(n); !ok || !p.Equal(res.Plan) {
+		t.Fatalf("TunedConfigFor plan = (%v, %v), want the tuned plan", p, ok)
 	}
 	// ... compiled under the policy the sweep measured fastest (with any
 	// per-stage backend pins the sweep registered alongside it) ...
@@ -126,8 +126,8 @@ func TestTuneRegistersServingPlanAndWisdom(t *testing.T) {
 	if got, want := exec.ForSize(n).String(), ref.String(); got != want {
 		t.Fatalf("ForSize serves %s, want %s", got, want)
 	}
-	if pol, ok := exec.TunedPolicy(n); !ok || pol != res.Policy {
-		t.Fatalf("TunedPolicy = (%+v, %v), want (%+v, true)", pol, ok, res.Policy)
+	if _, cfg, ok := exec.TunedConfigFor(n); !ok || cfg.Policy != res.Policy {
+		t.Fatalf("TunedConfigFor policy = (%+v, %v), want (%+v, true)", cfg.Policy, ok, res.Policy)
 	}
 	// ... and the wisdom store remembers plan and policy.
 	if p, pol, ns, ok := Wisdom().LookupPolicy(n, wisdom.Float64); !ok || !p.Equal(res.Plan) ||
@@ -209,10 +209,10 @@ func TestTunedBlockPlanRoundTrip(t *testing.T) {
 	if err := LoadWisdom(path); err != nil {
 		t.Fatalf("LoadWisdom: %v", err)
 	}
-	if p, ok := exec.TunedPlan(10); !ok || !p.Equal(plan.MustParse("split[small[5],small[5]]")) {
-		t.Fatalf("TunedPlan(10) = (%v, %v), want the ordinary entry", p, ok)
+	if p, _, ok := exec.TunedConfigFor(10); !ok || !p.Equal(plan.MustParse("split[small[5],small[5]]")) {
+		t.Fatalf("TunedConfigFor(10) plan = (%v, %v), want the ordinary entry", p, ok)
 	}
-	if p, ok := exec.TunedPlan(18); ok {
+	if p, _, ok := exec.TunedConfigFor(18); ok {
 		t.Fatalf("block-leaf entry registered as %v", p)
 	}
 	if Wisdom().Len() != 1 {
@@ -269,10 +269,10 @@ func TestLoadWisdomLegacyParallelMode(t *testing.T) {
 		{14, "split[small[6],small[8]]", exec.TunedConfig{Policy: codelet.Policy{ILMinS: 8, ILFuse: true}, SoAMinBatch: -1}},
 	} {
 		p := plan.MustParse(c.plan)
-		if got, ok := exec.TunedPlan(c.n); !ok || !got.Equal(p) {
-			t.Fatalf("TunedPlan(%d) = (%v, %v), want %s", c.n, got, ok, c.plan)
+		if got, _, ok := exec.TunedConfigFor(c.n); !ok || !got.Equal(p) {
+			t.Fatalf("TunedConfigFor(%d) plan = (%v, %v), want %s", c.n, got, ok, c.plan)
 		}
-		if cfg, ok := exec.TunedConfigFor(c.n); !ok || cfg.Policy != c.cfg.Policy || cfg.SoAMinBatch != c.cfg.SoAMinBatch {
+		if _, cfg, ok := exec.TunedConfigFor(c.n); !ok || cfg.Policy != c.cfg.Policy || cfg.SoAMinBatch != c.cfg.SoAMinBatch {
 			t.Fatalf("TunedConfigFor(%d) = (%+v, %v), want %+v", c.n, cfg, ok, c.cfg)
 		}
 		if got, want := exec.ForSize(c.n).String(), exec.CompileWith(p, c.cfg.Policy).String(); got != want {
@@ -430,8 +430,8 @@ func TestTuneBackendSweepRoundTrip(t *testing.T) {
 	default:
 		t.Fatalf("tuned policy carries backend %v", res.Policy.Backend)
 	}
-	if pol, ok := exec.TunedPolicy(n); !ok || pol != res.Policy {
-		t.Fatalf("serving policy = (%+v, %v), want %+v", pol, ok, res.Policy)
+	if _, cfg, ok := exec.TunedConfigFor(n); !ok || cfg.Policy != res.Policy {
+		t.Fatalf("serving policy = (%+v, %v), want %+v", cfg.Policy, ok, res.Policy)
 	}
 	// A measured per-stage vector, when one won, must be well-formed and
 	// registered behind the serving path.
@@ -448,7 +448,7 @@ func TestTuneBackendSweepRoundTrip(t *testing.T) {
 				t.Fatalf("stage %d swept to backend %v", i, b)
 			}
 		}
-		if cfg, ok := exec.TunedConfigFor(n); !ok || !backendsEqual(cfg.StageBackends, res.StageBackends) {
+		if _, cfg, ok := exec.TunedConfigFor(n); !ok || !backendsEqual(cfg.StageBackends, res.StageBackends) {
 			t.Fatalf("serving stage backends = (%v, %v), want %v", cfg.StageBackends, ok, res.StageBackends)
 		}
 	}
@@ -463,10 +463,10 @@ func TestTuneBackendSweepRoundTrip(t *testing.T) {
 	if _, pol, _, ok := Wisdom().LookupPolicy(n, wisdom.Float64); !ok || pol != res.Policy {
 		t.Fatalf("wisdom round-trip policy = (%+v, %v), want %+v", pol, ok, res.Policy)
 	}
-	if pol, ok := exec.TunedPolicy(n); !ok || pol != res.Policy {
-		t.Fatalf("reloaded serving policy = (%+v, %v), want %+v", pol, ok, res.Policy)
+	if _, cfg, ok := exec.TunedConfigFor(n); !ok || cfg.Policy != res.Policy {
+		t.Fatalf("reloaded serving policy = (%+v, %v), want %+v", cfg.Policy, ok, res.Policy)
 	}
-	if cfg, ok := exec.TunedConfigFor(n); !ok || !backendsEqual(cfg.StageBackends, res.StageBackends) {
+	if _, cfg, ok := exec.TunedConfigFor(n); !ok || !backendsEqual(cfg.StageBackends, res.StageBackends) {
 		t.Fatalf("reloaded stage backends = (%v, %v), want %v", cfg.StageBackends, ok, res.StageBackends)
 	}
 }

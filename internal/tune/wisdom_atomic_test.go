@@ -39,10 +39,10 @@ func TestLoadWisdomAtomic(t *testing.T) {
 	if err := LoadWisdom(path); err == nil {
 		t.Fatal("LoadWisdom accepted a file with an unregistrable entry")
 	}
-	if _, ok := exec.TunedPlan(8); ok {
+	if _, _, ok := exec.TunedConfigFor(8); ok {
 		t.Fatal("partial load: entry n=8 was registered before the failing entry rejected the file")
 	}
-	if _, ok := exec.TunedPlan(10); ok {
+	if _, _, ok := exec.TunedConfigFor(10); ok {
 		t.Fatal("partial load: the failing entry itself was registered")
 	}
 	if got := Wisdom().Len(); got != 0 {
@@ -60,7 +60,7 @@ func TestLoadWisdomAtomic(t *testing.T) {
 	if err := LoadWisdom(path); err != nil {
 		t.Fatalf("healthy file rejected: %v", err)
 	}
-	if _, ok := exec.TunedPlan(8); !ok {
+	if _, _, ok := exec.TunedConfigFor(8); !ok {
 		t.Fatal("healthy entry not registered")
 	}
 }

@@ -1,4 +1,4 @@
-package wht
+package wht_test
 
 import (
 	"math"
@@ -7,12 +7,14 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/plan"
+	oracle "repro/internal/wht"
+	"repro/wht"
 )
 
 // Cross-engine equivalence: on randomized rsu-sampled plans for sizes
-// 2^1..2^16, the compiled executor (Apply/Apply32), the tree-walking
-// interpreter it replaced (exec.Interpret), the parallel evaluator and the
-// batch API must all agree with each other and with the matrix definition.
+// 2^1..2^16, the compiled executor (Apply), the tree-walking interpreter
+// it replaced (exec.Interpret), RunCtx on several workers and RunBatch
+// must all agree with each other and with the matrix definition.
 //
 // Compiled-vs-walker is checked bitwise (flattening only reorders kernel
 // calls across disjoint strided vectors); engine-vs-definition is checked
@@ -24,11 +26,21 @@ const maxEquivalenceLog = 16
 
 func refTransform(x []float64) []float64 {
 	if len(x) <= 1<<11 {
-		return Definition(x)
+		return oracle.Definition(x)
 	}
 	y := append([]float64(nil), x...)
-	Reference(y)
+	oracle.Reference(y)
 	return y
+}
+
+// runBatch compiles p and runs the batch through RunBatch on the given
+// number of workers.
+func runBatch[T wht.Float](p *plan.Node, xs [][]T, workers int) error {
+	s, err := wht.Compile(p)
+	if err != nil {
+		return err
+	}
+	return wht.RunBatch(nil, s, xs, workers)
 }
 
 func TestCrossEngineEquivalenceFloat64(t *testing.T) {
@@ -57,7 +69,7 @@ func TestCrossEngineEquivalenceFloat64(t *testing.T) {
 			}
 
 			compiled := append([]float64(nil), x...)
-			if err := Apply(p, compiled); err != nil {
+			if err := wht.Apply(p, compiled); err != nil {
 				t.Fatal(err)
 			}
 			walked := append([]float64(nil), x...)
@@ -65,11 +77,11 @@ func TestCrossEngineEquivalenceFloat64(t *testing.T) {
 				t.Fatal(err)
 			}
 			par := append([]float64(nil), x...)
-			if err := ApplyParallel(p, par, 4); err != nil {
+			if err := runWorkers(p, par, 4); err != nil {
 				t.Fatal(err)
 			}
 			batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-			if err := ApplyBatch(p, batch); err != nil {
+			if err := runBatch(p, batch, 2); err != nil {
 				t.Fatal(err)
 			}
 
@@ -121,7 +133,7 @@ func TestCrossEngineEquivalenceFloat32(t *testing.T) {
 			}
 
 			compiled := append([]float32(nil), x32...)
-			if err := Apply32(p, compiled); err != nil {
+			if err := wht.Apply(p, compiled); err != nil {
 				t.Fatal(err)
 			}
 			walked := append([]float32(nil), x32...)
@@ -129,7 +141,7 @@ func TestCrossEngineEquivalenceFloat32(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch := [][]float32{append([]float32(nil), x32...)}
-			if err := ApplyBatch32(p, batch); err != nil {
+			if err := runBatch(p, batch, 1); err != nil {
 				t.Fatal(err)
 			}
 

@@ -1,4 +1,4 @@
-package wht
+package wht_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/wht"
 )
 
 func TestApply32MatchesFloat64(t *testing.T) {
@@ -19,8 +20,8 @@ func TestApply32MatchesFloat64(t *testing.T) {
 			x32[i] = float32(v)
 		}
 		p := s.Plan(m)
-		MustApply(p, x64)
-		if err := Apply32(p, x32); err != nil {
+		mustApply(p, x64)
+		if err := wht.Apply(p, x32); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x64 {
@@ -36,7 +37,7 @@ func TestApply32LargeLeafUsesKernel(t *testing.T) {
 	n := 256
 	x := make([]float32, n)
 	x[0] = 1
-	if err := Apply32(plan.Leaf(8), x); err != nil {
+	if err := wht.Apply(plan.Leaf(8), x); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -49,7 +50,7 @@ func TestApply32LargeLeafUsesKernel(t *testing.T) {
 func TestTransform32(t *testing.T) {
 	x := make([]float32, 128)
 	x[5] = 2
-	if err := Transform32(x); err != nil {
+	if err := wht.Transform32(x); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range x {
@@ -57,13 +58,13 @@ func TestTransform32(t *testing.T) {
 			t.Fatalf("coefficient %g", v)
 		}
 	}
-	if err := Transform32(make([]float32, 3)); err == nil {
+	if err := wht.Transform32(make([]float32, 3)); err == nil {
 		t.Fatal("non power of two accepted")
 	}
-	if err := Apply32(nil, x); err == nil {
+	if err := wht.Apply(nil, x); err == nil {
 		t.Fatal("nil plan accepted")
 	}
-	if err := Apply32(plan.Leaf(2), x); err == nil {
+	if err := wht.Apply(plan.Leaf(2), x); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -79,10 +80,10 @@ func TestApply32Involution(t *testing.T) {
 		orig[i] = x[i]
 	}
 	p := plan.Balanced(m, 6)
-	if err := Apply32(p, x); err != nil {
+	if err := wht.Apply(p, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply32(p, x); err != nil {
+	if err := wht.Apply(p, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {

@@ -1,3 +1,11 @@
+// Package wht holds the two correctness oracles every engine of the
+// library is tested against: Definition, the O(N^2) matrix definition,
+// and Reference, the textbook O(N log N) butterfly loop.  Neither
+// touches the plan machinery or the compiled executor, so agreement
+// with them is independent evidence that a plan, a schedule or an
+// executor tier computes the transform.  The tests in this directory
+// are the cross-engine equivalence grids: every evaluation path of the
+// public API (repro/wht) against these oracles and each other.
 package wht
 
 import "math/bits"

@@ -1,11 +1,14 @@
-package wht
+package wht_test
 
 import (
 	"math"
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
+	oracle "repro/internal/wht"
+	"repro/wht"
 )
 
 func TestApplyStridedMatchesGather(t *testing.T) {
@@ -21,8 +24,8 @@ func TestApplyStridedMatchesGather(t *testing.T) {
 		for j := 0; j < n; j++ {
 			gathered[j] = buf[tc.base+j*tc.stride]
 		}
-		want := Definition(gathered)
-		if err := ApplyStrided(p, buf, tc.base, tc.stride); err != nil {
+		want := oracle.Definition(gathered)
+		if err := exec.RunStrided(exec.Compile(p), buf, tc.base, tc.stride); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < n; j++ {
@@ -34,21 +37,21 @@ func TestApplyStridedMatchesGather(t *testing.T) {
 }
 
 func TestApplyStridedBounds(t *testing.T) {
-	p := plan.Leaf(4)
+	s := exec.Compile(plan.Leaf(4))
 	x := make([]float64, 16)
-	if err := ApplyStrided(p, x, 0, 2); err == nil {
+	if err := exec.RunStrided(s, x, 0, 2); err == nil {
 		t.Error("out-of-bounds stride accepted")
 	}
-	if err := ApplyStrided(p, x, -1, 1); err == nil {
+	if err := exec.RunStrided(s, x, -1, 1); err == nil {
 		t.Error("negative base accepted")
 	}
-	if err := ApplyStrided(p, x, 0, 0); err == nil {
+	if err := exec.RunStrided(s, x, 0, 0); err == nil {
 		t.Error("zero stride accepted")
 	}
-	if err := ApplyStrided(nil, x, 0, 1); err == nil {
-		t.Error("nil plan accepted")
+	if err := exec.RunStrided(nil, x, 0, 1); err == nil {
+		t.Error("nil schedule accepted")
 	}
-	if err := ApplyStrided(p, x, 0, 1); err != nil {
+	if err := exec.RunStrided(s, x, 0, 1); err != nil {
 		t.Errorf("exact fit rejected: %v", err)
 	}
 }
@@ -60,8 +63,8 @@ func TestInverseRecoversInput(t *testing.T) {
 		x := randomVector(rng, 1<<m)
 		orig := append([]float64(nil), x...)
 		p := s.Plan(m)
-		MustApply(p, x)
-		if err := Inverse(s.Plan(m), x); err != nil { // a different plan inverts equally well
+		mustApply(p, x)
+		if err := wht.Inverse(s.Plan(m), x); err != nil { // a different plan inverts equally well
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(x, orig); d > 1e-10*float64(int(1)<<m) {
@@ -80,7 +83,7 @@ func TestApply2DMatchesSeparableDefinition(t *testing.T) {
 
 		want := append([]float64(nil), x...)
 		for i := 0; i < rows; i++ {
-			row := Definition(want[i*cols : (i+1)*cols])
+			row := oracle.Definition(want[i*cols : (i+1)*cols])
 			copy(want[i*cols:(i+1)*cols], row)
 		}
 		for j := 0; j < cols; j++ {
@@ -88,14 +91,14 @@ func TestApply2DMatchesSeparableDefinition(t *testing.T) {
 			for i := 0; i < rows; i++ {
 				col[i] = want[i*cols+j]
 			}
-			col = Definition(col)
+			col = oracle.Definition(col)
 			for i := 0; i < rows; i++ {
 				want[i*cols+j] = col[i]
 			}
 		}
 
 		got := append([]float64(nil), x...)
-		if err := Transform2D(got, rows, cols); err != nil {
+		if err := wht.Transform2D(got, rows, cols); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(rows*cols) {
@@ -118,10 +121,10 @@ func TestApply2DSeparability(t *testing.T) {
 			x[i*cols+j] = u[i] * v[j]
 		}
 	}
-	if err := Apply2D(plan.Balanced(lc, 4), plan.Balanced(lr, 4), x); err != nil {
+	if err := wht.Apply2D(plan.Balanced(lc, 4), plan.Balanced(lr, 4), x); err != nil {
 		t.Fatal(err)
 	}
-	tu, tv := Definition(u), Definition(v)
+	tu, tv := oracle.Definition(u), oracle.Definition(v)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			want := tu[i] * tv[j]
@@ -133,13 +136,13 @@ func TestApply2DSeparability(t *testing.T) {
 }
 
 func TestApply2DErrors(t *testing.T) {
-	if err := Apply2D(nil, plan.Leaf(2), make([]float64, 8)); err == nil {
+	if err := wht.Apply2D(nil, plan.Leaf(2), make([]float64, 8)); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if err := Apply2D(plan.Leaf(2), plan.Leaf(2), make([]float64, 8)); err == nil {
+	if err := wht.Apply2D(plan.Leaf(2), plan.Leaf(2), make([]float64, 8)); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if err := Transform2D(make([]float64, 12), 3, 4); err == nil {
+	if err := wht.Transform2D(make([]float64, 12), 3, 4); err == nil {
 		t.Error("non-power-of-two rows accepted")
 	}
 }

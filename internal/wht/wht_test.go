@@ -1,4 +1,4 @@
-package wht
+package wht_test
 
 import (
 	"math"
@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/plan"
+	oracle "repro/internal/wht"
+	"repro/wht"
 )
 
 func randomVector(rng *rand.Rand, n int) []float64 {
@@ -15,6 +17,24 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 		x[i] = rng.Float64()*2 - 1
 	}
 	return x
+}
+
+// mustApply is wht.Apply panicking on error, for property closures
+// that have no *testing.T.
+func mustApply(p *plan.Node, x []float64) {
+	if err := wht.Apply(p, x); err != nil {
+		panic(err)
+	}
+}
+
+// runWorkers compiles p and runs it through RunCtx on the given number
+// of workers.
+func runWorkers(p *plan.Node, x []float64, workers int) error {
+	s, err := wht.Compile(p)
+	if err != nil {
+		return err
+	}
+	return wht.RunCtx(nil, s, x, workers)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -31,8 +51,8 @@ func TestReferenceMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for m := 1; m <= 10; m++ {
 		x := randomVector(rng, 1<<m)
-		want := Definition(x)
-		Reference(x)
+		want := oracle.Definition(x)
+		oracle.Reference(x)
 		if d := maxAbsDiff(x, want); d > 1e-9*float64(int(1)<<m) {
 			t.Fatalf("m=%d: max diff %g", m, d)
 		}
@@ -50,10 +70,10 @@ func TestApplyCanonicalPlansMatchDefinition(t *testing.T) {
 			"radix3":    plan.RadixIterative(m, 3),
 		}
 		x := randomVector(rng, 1<<m)
-		want := Definition(x)
+		want := oracle.Definition(x)
 		for name, p := range builders {
 			got := append([]float64(nil), x...)
-			if err := Apply(p, got); err != nil {
+			if err := wht.Apply(p, got); err != nil {
 				t.Fatalf("%s m=%d: %v", name, m, err)
 			}
 			if d := maxAbsDiff(got, want); d > 1e-9*float64(int(1)<<m) {
@@ -69,11 +89,11 @@ func TestApplyRandomPlansMatchReference(t *testing.T) {
 	for _, m := range []int{4, 8, 12, 14} {
 		x := randomVector(rng, 1<<m)
 		want := append([]float64(nil), x...)
-		Reference(want)
+		oracle.Reference(want)
 		for i := 0; i < 10; i++ {
 			p := s.Plan(m)
 			got := append([]float64(nil), x...)
-			if err := Apply(p, got); err != nil {
+			if err := wht.Apply(p, got); err != nil {
 				t.Fatalf("m=%d plan %v: %v", m, p, err)
 			}
 			if d := maxAbsDiff(got, want); d > 1e-8*float64(int(1)<<m) {
@@ -85,10 +105,10 @@ func TestApplyRandomPlansMatchReference(t *testing.T) {
 
 func TestApplyRejectsWrongLength(t *testing.T) {
 	p := plan.Iterative(4)
-	if err := Apply(p, make([]float64, 8)); err == nil {
+	if err := wht.Apply(p, make([]float64, 8)); err == nil {
 		t.Error("want length mismatch error")
 	}
-	if err := Apply(nil, make([]float64, 8)); err == nil {
+	if err := wht.Apply(nil, make([]float64, 8)); err == nil {
 		t.Error("want nil plan error")
 	}
 }
@@ -96,17 +116,17 @@ func TestApplyRejectsWrongLength(t *testing.T) {
 func TestTransformDefaultPlan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	x := randomVector(rng, 256)
-	want := Definition(x)
-	if err := Transform(x); err != nil {
+	want := oracle.Definition(x)
+	if err := wht.Transform(x); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(x, want); d > 1e-9*256 {
 		t.Fatalf("max diff %g", d)
 	}
-	if err := Transform(make([]float64, 3)); err == nil {
+	if err := wht.Transform(make([]float64, 3)); err == nil {
 		t.Error("non power of two accepted")
 	}
-	if err := Transform(make([]float64, 1)); err == nil {
+	if err := wht.Transform(make([]float64, 1)); err == nil {
 		t.Error("length 1 accepted")
 	}
 }
@@ -119,9 +139,9 @@ func TestApplyParallelMatchesSequential(t *testing.T) {
 			x := randomVector(rng, 1<<m)
 			want := append([]float64(nil), x...)
 			p := s.Plan(m)
-			MustApply(p, want)
+			mustApply(p, want)
 			got := append([]float64(nil), x...)
-			if err := ApplyParallel(p, got, workers); err != nil {
+			if err := runWorkers(p, got, workers); err != nil {
 				t.Fatal(err)
 			}
 			if d := maxAbsDiff(got, want); d > 1e-9*float64(int(1)<<m) {
@@ -134,8 +154,8 @@ func TestApplyParallelMatchesSequential(t *testing.T) {
 func TestApplyParallelLeafPlan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	x := randomVector(rng, 64)
-	want := Definition(x)
-	if err := ApplyParallel(plan.Leaf(6), x, 4); err != nil {
+	want := oracle.Definition(x)
+	if err := runWorkers(plan.Leaf(6), x, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(x, want); d > 1e-9*64 {
@@ -153,10 +173,10 @@ func TestSequencyOrderingSignChanges(t *testing.T) {
 		for j := 0; j < n; j++ {
 			e := make([]float64, n)
 			e[j] = 1
-			Reference(e) // column j of the Hadamard matrix = row j (symmetric)
+			oracle.Reference(e) // column j of the Hadamard matrix = row j (symmetric)
 			rows[j] = e
 		}
-		perm := SequencyPermutation(m)
+		perm := wht.SequencyPermutation(m)
 		for k := 0; k < n; k++ {
 			row := rows[perm[k]]
 			changes := 0
@@ -176,24 +196,24 @@ func TestSequencyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for m := 1; m <= 8; m++ {
 		x := randomVector(rng, 1<<m)
-		back := FromSequency(ToSequency(x))
+		back := wht.FromSequency(wht.ToSequency(x))
 		if d := maxAbsDiff(x, back); d != 0 {
 			t.Fatalf("m=%d: round trip diff %g", m, d)
 		}
 	}
 	// Degenerate length-1 vectors pass through unchanged.
 	one := []float64{3.5}
-	if got := ToSequency(one); got[0] != 3.5 {
+	if got := wht.ToSequency(one); got[0] != 3.5 {
 		t.Fatal("length-1 ToSequency")
 	}
-	if got := FromSequency(one); got[0] != 3.5 {
+	if got := wht.FromSequency(one); got[0] != 3.5 {
 		t.Fatal("length-1 FromSequency")
 	}
 }
 
 func TestSequencyPermutationIsPermutation(t *testing.T) {
 	for m := 1; m <= 10; m++ {
-		perm := SequencyPermutation(m)
+		perm := wht.SequencyPermutation(m)
 		seen := make([]bool, len(perm))
 		for _, v := range perm {
 			if v < 0 || v >= len(perm) || seen[v] {
@@ -212,10 +232,10 @@ func TestQuickAnyPlanComputesSameTransform(t *testing.T) {
 		local := rand.New(rand.NewPCG(seed, 5))
 		x := randomVector(local, 1<<m)
 		want := append([]float64(nil), x...)
-		Reference(want)
+		oracle.Reference(want)
 		p := s.Plan(m)
 		got := append([]float64(nil), x...)
-		if err := Apply(p, got); err != nil {
+		if err := wht.Apply(p, got); err != nil {
 			return false
 		}
 		return maxAbsDiff(got, want) <= 1e-8*float64(int(1)<<m)
@@ -237,7 +257,7 @@ func TestQuickParsevalThroughPlans(t *testing.T) {
 		for _, v := range x {
 			in += v * v
 		}
-		MustApply(s.Plan(m), x)
+		mustApply(s.Plan(m), x)
 		var out float64
 		for _, v := range x {
 			out += v * v

@@ -27,8 +27,8 @@ func TestTransformAllocFree(t *testing.T) {
 }
 
 // TestRunParallelBelowCrossoverAllocatesNothing pins the crossover: a
-// transform below exec.ParallelMinElems runs RunParallel on the
-// caller's goroutine through the sequential executor, so once the
+// transform below exec.ParallelMinElems runs RunParallel (RunCtx with
+// a nil ctx) on the caller's goroutine through the sequential executor, so once the
 // schedule is cached it spawns no goroutine, allocates nothing, and
 // matches exec.Run bit for bit.
 func TestRunParallelBelowCrossoverAllocatesNothing(t *testing.T) {

@@ -89,7 +89,7 @@ type SegOptions = exec.SegOptions
 // CompileSegmented compiles a two-phase form into a segmented schedule
 // under the default variant policy.  The schedule still carries the
 // flat stage list of the form's flattened twin, so every in-RAM entry
-// point (Run, RunParallel, the batch executors) accepts it unchanged;
+// point (Run, RunCtx, RunBatch) accepts it unchanged;
 // a fully-local form compiles to a plain flat schedule.
 func CompileSegmented(g *SegForm) (*Schedule, error) { return exec.NewSegmentedSchedule(g) }
 
@@ -228,8 +228,8 @@ func defaultResidentLog(n int) int {
 	return b
 }
 
-// log2Len mirrors the internal engine's length validation for store
-// lengths.
+// log2Len returns n for a vector or store length of 2^n, rejecting
+// lengths that are not a power of two >= 2.
 func log2Len(n int) (int, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return 0, fmt.Errorf("wht: length %d is not a power of two >= 2", n)

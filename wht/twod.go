@@ -4,34 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 )
 
-// ApplyStrided evaluates the plan on the strided vector
-// x[base], x[base+stride], ..., x[base+(2^n-1)*stride] in place.  It is
-// the building block for multi-dimensional transforms.
-func ApplyStrided(p *plan.Node, x []float64, base, stride int) error {
-	if p == nil {
-		return fmt.Errorf("wht: nil plan")
-	}
-	if stride < 1 || base < 0 {
-		return fmt.Errorf("wht: invalid base %d / stride %d", base, stride)
-	}
-	last := base + (p.Size()-1)*stride
-	if last >= len(x) {
-		return fmt.Errorf("wht: strided vector [%d:%d:%d] exceeds buffer of length %d",
-			base, stride, last, len(x))
-	}
-	sched, err := exec.NewSchedule(p)
-	if err != nil {
-		return fmt.Errorf("wht: %w", err)
-	}
-	return exec.RunStrided(sched, x, base, stride)
-}
-
 // Inverse applies the inverse WHT in place: the WHT is self-inverse up to
-// the factor 2^n, so this is Apply followed by scaling.
-func Inverse(p *plan.Node, x []float64) error {
+// the factor 2^n, so this is Apply followed by the 1/N scale.
+func Inverse(p *Plan, x []float64) error {
 	if err := Apply(p, x); err != nil {
 		return err
 	}
@@ -48,7 +25,7 @@ func Inverse(p *plan.Node, x []float64) error {
 // WHT_cols) * vec(x), the separable 2-D transform used in image coding.
 // Each plan is compiled once and its schedule reused across all rows
 // (resp. columns).
-func Apply2D(rowPlan, colPlan *plan.Node, x []float64) error {
+func Apply2D(rowPlan, colPlan *Plan, x []float64) error {
 	if rowPlan == nil || colPlan == nil {
 		return fmt.Errorf("wht: nil plan")
 	}

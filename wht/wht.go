@@ -7,8 +7,8 @@
 //   - plans (the ~O(7^n) algorithm space of split trees) and their
 //     compiled evaluation: Compile flattens a plan once into a reusable
 //     Schedule of I(R) (x) WHT(2^m) (x) I(S) stages and one generic
-//     executor runs it for float64 and float32 vectors, sequentially, in
-//     parallel (schedule-aware fan-out), or over whole batches; unrolled
+//     executor runs it for float64 and float32 vectors, on one or many
+//     workers, one vector or a whole batch at a time; unrolled
 //     codelets cover every leaf size 2^1..2^8 (MaxLeafLog), and sequency
 //     (Walsh) ordering is included;
 //   - the performance models of the paper: instruction counts from the
@@ -32,11 +32,14 @@
 //	sched, err := wht.Compile(p)
 //	for _, x := range vectors { _ = wht.Run(sched, x) }
 //
-// or hand the whole batch over: wht.ApplyBatch(p, vectors).  Wide
+// or hand the whole batch over: wht.RunBatch(ctx, sched, vectors, 0).
+// Run is the bare call on the caller's goroutine; RunCtx (one vector)
+// and RunBatch (many) add cancellation, kernel-panic containment and a
+// worker count (0: GOMAXPROCS, 1: the caller's goroutine).  Wide
 // batches with favorable schedule shapes are served by the SoA tier
 // (one stage pass across the whole lane of vectors, bitwise-equal to
-// per-vector evaluation); RunBatchSoA/ApplyBatchSoA force it, and
-// Schedule.SetSoAMinBatch (or a tuned wisdom entry) sets the crossover.
+// per-vector evaluation); Schedule.SetSoAMinBatch (or a tuned wisdom
+// entry) sets the crossover, 1 forcing the tier and -1 disabling it.
 //
 // On amd64 hosts with AVX2 the streaming kernel forms (interleaved,
 // fused-IL, and the SoA lane sweeps) execute through hand-written
@@ -125,11 +128,34 @@ var NewSampler = plan.NewSampler
 // power of two >= 2.  Repeated calls at the same length reuse a compiled
 // schedule from a process-wide LRU cache (the library's FFTW-"wisdom"
 // analogue) instead of re-planning and re-compiling.
-var Transform = wht.Transform
+func Transform(x []float64) error { return transform(x) }
 
-// Apply compiles the plan and evaluates it in place on x.  To amortize
-// compilation over many vectors, use Compile/Run or ApplyBatch.
-var Apply = wht.Apply
+// Transform32 is Transform on a float32 vector, served from the same
+// cached schedules: a schedule is element-type agnostic.  4-byte
+// elements are what put the virtual Opteron's cache boundaries at
+// n = 14 and n = 18.
+func Transform32(x []float32) error { return transform(x) }
+
+func transform[T Float](x []T) error {
+	n, err := log2Len(len(x))
+	if err != nil {
+		return err
+	}
+	return exec.Run(exec.ForSize(n), x)
+}
+
+// Apply compiles the plan and evaluates it in place on x, a float64 or
+// float32 vector of the plan's size.  The plan determines the order of
+// butterflies but not the result: any valid plan of matching size
+// computes the same transform.  To amortize compilation over many
+// vectors, use Compile and then Run, RunCtx or RunBatch.
+func Apply[T Float](p *Plan, x []T) error {
+	s, err := exec.NewSchedule(p)
+	if err != nil {
+		return err
+	}
+	return exec.Run(s, x)
+}
 
 // Schedule is a plan compiled to a flat sequence of
 // I(R) (x) WHT(2^m) (x) I(S) stage ops.  Schedules are immutable, safe
@@ -220,18 +246,49 @@ func CompileWith(p *Plan, pol VariantPolicy) (*Schedule, error) {
 	return exec.NewScheduleWith(p, pol)
 }
 
-// Run executes a compiled schedule in place on x; it is the single
-// evaluation code path behind every Apply* entry point.
+// Run executes a compiled schedule in place on x on the caller's
+// goroutine, with no cancellation and no panic containment: the
+// cheapest call, the one Transform and Apply make.
 func Run[T Float](s *Schedule, x []T) error { return exec.Run(s, x) }
 
-// RunCtx is Run with cooperative cancellation and fault containment:
-// the executor polls ctx between bounded chunks of kernel calls (so
-// cancellation takes effect within one chunk, returning ctx.Err()) and
-// recovers kernel panics into an error matching ErrKernelPanic instead
-// of crashing the process.  A nil ctx runs the uninstrumented chunking
-// and costs nothing over Run.
-func RunCtx[T Float](ctx context.Context, s *Schedule, x []T) error {
-	return exec.RunCtx(ctx, s, x)
+// RunCtx is Run with cooperative cancellation, fault containment and a
+// worker count.  The executor polls ctx between bounded chunks of
+// kernel calls, so cancellation takes effect within one chunk and
+// returns ctx.Err(); a nil ctx skips the polling.  A kernel panic comes
+// back as an error matching ErrKernelPanic instead of crashing the
+// process.  workers <= 0 selects GOMAXPROCS and 1 runs on the caller's
+// goroutine.  Transforms of at least 2^17 elements
+// (exec.ParallelMinElems, the measured crossover) fan out over a
+// worker pool: the leading stages whose rows fit a cache block run
+// block by block with no barrier, then one barrier separates each
+// later stage from the next.  Smaller transforms run on the caller's
+// goroutine, where fanning out costs more than it saves.
+func RunCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
+	return exec.RunCtx(ctx, s, x, workers)
+}
+
+// RunBatch executes one schedule over many vectors in place, with
+// RunCtx's cancellation, containment and worker count; a kernel panic
+// poisons only its batch call.  When the batch width and the
+// schedule's shape favor it (see DefaultSoAMinBatch and
+// Schedule.SetSoAMinBatch), the batch runs through the SoA tier — one
+// stage pass across a whole lane of vectors instead of per vector —
+// computing bitwise the same results.  Workers take whole vectors or
+// contiguous lanes, with no stage barriers.
+func RunBatch[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
+	return exec.RunBatch(ctx, s, xs, workers)
+}
+
+// RunParallel is RunCtx with a nil ctx, the name the benchmark's
+// vector-large workload calls.
+func RunParallel[T Float](s *Schedule, x []T, workers int) error {
+	return exec.RunCtx(nil, s, x, workers)
+}
+
+// RunBatchParallelCtx is RunBatch, the name the benchmark's serve-open
+// workload calls.
+func RunBatchParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
+	return exec.RunBatch(ctx, s, xs, workers)
 }
 
 // ErrKernelPanic is the sentinel every contained kernel panic matches
@@ -252,142 +309,15 @@ type PanicError = exec.PanicError
 // daemon quarantines on exactly this match.
 var ErrCorruptWisdom = wisdom.ErrCorrupt
 
-// RunParallel is Run with the schedule's stages executed by a worker
-// pool (workers <= 0 selects GOMAXPROCS): the leading stages whose rows
-// fit a cache block run block by block with no barrier, then one
-// barrier separates each later stage from the next.  Transforms below
-// 2^17 elements (the measured crossover, exec.ParallelMinElems), or
-// calls with one worker, run on the caller's goroutine, where fanning
-// out costs more than it saves.
-func RunParallel[T Float](s *Schedule, x []T, workers int) error {
-	return exec.RunParallel(s, x, workers)
-}
-
-// RunParallelCtx is RunParallel with cooperative cancellation and
-// per-worker panic containment: every pool goroutine recovers, the
-// first failure aborts the rest of the run, and the pool is reusable
-// afterwards.
-func RunParallelCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error {
-	return exec.RunParallelCtx(ctx, s, x, workers)
-}
-
-// RunBatch executes one schedule over many vectors in place.  When the
-// batch width and the schedule's shape favor it (see SoAMinBatch and
-// the tuner's batch sweep), the batch runs through the SoA tier — one
-// stage pass across the whole lane of vectors instead of per vector —
-// computing bitwise the same results.
-func RunBatch[T Float](s *Schedule, xs [][]T) error { return exec.RunBatch(s, xs) }
-
-// RunBatchSoA forces the batch through the structure-of-arrays tier:
-// transpose into a pooled SoA scratch buffer, run every stage once
-// across the lane of len(xs) vectors, transpose back.
-func RunBatchSoA[T Float](s *Schedule, xs [][]T) error { return exec.RunBatchSoA(s, xs) }
-
-// RunBatchSoAParallel is RunBatchSoA with the batch split into
-// contiguous per-worker lanes (workers <= 0 selects GOMAXPROCS).
-func RunBatchSoAParallel[T Float](s *Schedule, xs [][]T, workers int) error {
-	return exec.RunBatchSoAParallel(s, xs, workers)
-}
-
-// RunBatchCtx, RunBatchParallelCtx, RunBatchSoACtx, and
-// RunBatchSoAParallelCtx are the batch executors with cooperative
-// cancellation and panic containment: ctx is polled between vectors
-// and between SoA sub-lanes, and a kernel panic poisons only its batch
-// call, coming back as an error matching ErrKernelPanic.
-func RunBatchCtx[T Float](ctx context.Context, s *Schedule, xs [][]T) error {
-	return exec.RunBatchCtx(ctx, s, xs)
-}
-
-// RunBatchParallelCtx is RunBatchParallel with cancellation and
-// per-worker panic containment.
-func RunBatchParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
-	return exec.RunBatchParallelCtx(ctx, s, xs, workers)
-}
-
-// RunBatchSoACtx is RunBatchSoA with cancellation and panic containment.
-func RunBatchSoACtx[T Float](ctx context.Context, s *Schedule, xs [][]T) error {
-	return exec.RunBatchSoACtx(ctx, s, xs)
-}
-
-// RunBatchSoAParallelCtx is RunBatchSoAParallel with cancellation and
-// per-worker panic containment.
-func RunBatchSoAParallelCtx[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
-	return exec.RunBatchSoAParallelCtx(ctx, s, xs, workers)
-}
-
 // DefaultSoAMinBatch is the batch width at which the batch executors
 // switch to the SoA tier by default when the schedule's shape favors it;
 // Schedule.SetSoAMinBatch (or a tuned wisdom entry) overrides the
 // crossover per schedule.
 const DefaultSoAMinBatch = exec.DefaultSoAMinBatch
 
-// ApplyBatch and ApplyBatch32 transform every vector of a batch in place
-// with one compiled schedule — the serving shape for repeated traffic.
-// Wide batches with favorable schedule shapes are served by the SoA tier
-// automatically.
-var (
-	ApplyBatch   = wht.ApplyBatch
-	ApplyBatch32 = wht.ApplyBatch32
-)
-
-// TransformCtx, ApplyCtx, and ApplyBatchCtx are the cancellable,
-// fault-contained forms of Transform, Apply, and ApplyBatch — the
-// entry points the serving daemon (cmd/whtserved) builds on.
-var (
-	TransformCtx  = wht.TransformCtx
-	ApplyCtx      = wht.ApplyCtx
-	ApplyBatchCtx = wht.ApplyBatchCtx
-)
-
-// ApplyBatchSoA and ApplyBatchSoA32 force the batch through the SoA
-// tier regardless of the crossover heuristic.
-var (
-	ApplyBatchSoA   = wht.ApplyBatchSoA
-	ApplyBatchSoA32 = wht.ApplyBatchSoA32
-)
-
-// ApplyBatchParallel is ApplyBatch fanned out across vectors (whole
-// transforms per worker, no stage barriers).
-var ApplyBatchParallel = wht.ApplyBatchParallel
-
-// ApplyParallel compiles the plan and executes it with schedule-aware
-// fan-out: every stage whose independent kernel calls exceed the fan-out
-// grain is split across the worker pool, wherever its leaf sat in the
-// tree (the old tree walker could only fan out at the root).
-var ApplyParallel = wht.ApplyParallel
-
-// ApplyStrided evaluates a plan on a strided sub-vector (the building
-// block of multi-dimensional transforms).
-var ApplyStrided = wht.ApplyStrided
-
-// Inverse applies the inverse transform (Apply followed by the 1/N scale).
-var Inverse = wht.Inverse
-
-// Apply2D computes the separable two-dimensional WHT of a row-major
-// matrix; Transform2D uses default plans.
-var (
-	Apply2D     = wht.Apply2D
-	Transform2D = wht.Transform2D
-)
-
-// Apply32 and Transform32 are the single-precision engine (the WHT
-// package's wht_float build; 4-byte elements are what the virtual
-// Opteron's cache boundaries assume).
-var (
-	Apply32     = wht.Apply32
-	Transform32 = wht.Transform32
-)
-
 // Definition is the O(N^2) transform straight from the matrix definition
 // (the correctness reference).
 var Definition = wht.Definition
-
-// Sequency (Walsh) ordering conversions.
-var (
-	SequencyPermutation = wht.SequencyPermutation
-	ToSequency          = wht.ToSequency
-	FromSequency        = wht.FromSequency
-)
 
 // Machine is the virtual processor description (costs, caches, TLBs).
 type Machine = machine.Machine
@@ -506,10 +436,6 @@ var (
 	// batch of lane vectors, forcing either the SoA tier or the
 	// per-vector path — the primitive behind the tuner's batch sweep.
 	TimeBatch = exec.TimeBatch
-	// TimeScheduleParallel measures the median latency of a schedule
-	// under a forced parallel tier and worker count — the primitive
-	// behind the tuner's parallel-mode sweep.
-	TimeScheduleParallel = exec.TimeScheduleParallel
 	// Tune finds a measured-fast plan for WHT(2^n), serves it from the
 	// schedule cache behind Transform, and records it in the process
 	// wisdom store.

@@ -1,6 +1,7 @@
 package wht_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -126,8 +127,18 @@ func TestInverseAnd2DFacade(t *testing.T) {
 			t.Fatal("2D impulse response must be all ones")
 		}
 	}
-	if err := wht.ApplyStrided(wht.Leaf(2), img, 0, 4); err != nil {
+	// The 2-D transform is an involution up to its size.
+	if err := wht.Apply2D(wht.Leaf(4), wht.Leaf(3), img); err != nil {
 		t.Fatal(err)
+	}
+	for i, v := range img {
+		want := 0.0
+		if i == 0 {
+			want = float64(len(img))
+		}
+		if v != want {
+			t.Fatalf("Apply2D twice: element %d = %g, want %g", i, v, want)
+		}
 	}
 }
 
@@ -171,45 +182,48 @@ func TestCompiledFacade(t *testing.T) {
 		par[i] = 0
 	}
 	par[1] = 1
-	if err := wht.RunParallel(sched, par, 2); err != nil {
+	if err := wht.RunCtx(context.Background(), sched, par, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range par {
 		if par[i] != want[i] {
-			t.Fatalf("RunParallel disagrees at %d", i)
+			t.Fatalf("RunCtx disagrees at %d", i)
 		}
 	}
 
-	batch := make([][]float64, 3)
-	for i := range batch {
-		batch[i] = make([]float64, 1<<10)
-		batch[i][1] = 1
-	}
-	if err := wht.ApplyBatch(p, batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := wht.RunBatch(sched, batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := wht.ApplyBatchParallel(p, batch, 2); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		batch := make([][]float64, 3)
+		for i := range batch {
+			batch[i] = make([]float64, 1<<10)
+			batch[i][1] = 1
+		}
+		if err := wht.RunBatch(nil, sched, batch, workers); err != nil {
+			t.Fatal(err)
+		}
+		for b := range batch {
+			for i := range batch[b] {
+				if batch[b][i] != want[i] {
+					t.Fatalf("RunBatch with %d workers disagrees at vector %d index %d", workers, b, i)
+				}
+			}
+		}
 	}
 
 	b32 := [][]float32{make([]float32, 1<<10)}
 	b32[0][1] = 1
-	if err := wht.ApplyBatch32(p, b32); err != nil {
+	if err := wht.RunBatch(nil, sched, b32, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range b32[0] {
 		if float64(b32[0][i]) != want[i] {
-			t.Fatalf("ApplyBatch32 disagrees at %d", i)
+			t.Fatalf("float32 RunBatch disagrees at %d", i)
 		}
 	}
 }
 
 // TestBatchSoAFacade drives the SoA batch tier through the public API:
-// the explicit entry points, the compiled-schedule forms, and the batch
-// knob, all bitwise-equal to per-vector evaluation.
+// the crossover knob routes RunBatch through SoA, sequential and
+// parallel, bitwise-equal to per-vector evaluation.
 func TestBatchSoAFacade(t *testing.T) {
 	p := wht.Balanced(12, wht.MaxLeafLog)
 	sched, err := wht.Compile(p)
@@ -229,16 +243,6 @@ func TestBatchSoAFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wht.ApplyBatchSoA(p, batch); err != nil {
-		t.Fatal(err)
-	}
-	for b := range batch {
-		for j := range batch[b] {
-			if batch[b][j] != want[b][j] {
-				t.Fatalf("ApplyBatchSoA diverges at vector %d element %d", b, j)
-			}
-		}
-	}
 
 	// The knob: forcing the crossover to 1 routes RunBatch through SoA.
 	s2, err := wht.Compile(p)
@@ -249,19 +253,12 @@ func TestBatchSoAFacade(t *testing.T) {
 	if got := s2.SoAMinBatch(); got != 1 {
 		t.Fatalf("SoAMinBatch = %d after SetSoAMinBatch(1)", got)
 	}
-	again := make([][]float64, lane)
-	for b := range again {
-		again[b] = make([]float64, 1<<12)
-		for j := range again[b] {
-			again[b][j] = float64((b*j)%13) - 6
-		}
-	}
-	if err := wht.RunBatch(s2, again); err != nil {
+	if err := wht.RunBatch(nil, s2, batch, 1); err != nil {
 		t.Fatal(err)
 	}
-	for b := range again {
-		for j := range again[b] {
-			if again[b][j] != want[b][j] {
+	for b := range batch {
+		for j := range batch[b] {
+			if batch[b][j] != want[b][j] {
 				t.Fatalf("RunBatch via SoA diverges at vector %d element %d", b, j)
 			}
 		}
@@ -280,13 +277,13 @@ func TestBatchSoAFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wht.RunBatchSoAParallel(sched, b32, 2); err != nil {
+	if err := wht.RunBatch(context.Background(), s2, b32, 2); err != nil {
 		t.Fatal(err)
 	}
 	for b := range b32 {
 		for j := range b32[b] {
 			if b32[b][j] != w32[b][j] {
-				t.Fatalf("RunBatchSoAParallel diverges at vector %d element %d", b, j)
+				t.Fatalf("parallel RunBatch via SoA diverges at vector %d element %d", b, j)
 			}
 		}
 	}
