@@ -39,8 +39,14 @@
 // kernels on shapes that do not vectorize next to SIMD kernels on
 // shapes that do, and the cost model prices each stage's pin
 // shape-aware (machine.SIMDVectorizes/SIMDStageOpsShaped).  The
-// measured-cost autotuner (wht.Tune, cmd/whttune) searches over real
-// timings of compiled schedules — the fused-interleaved policy, the
+// untuned default plan of each size (exec.ForSize) is the stage
+// sequence an exact DP over the prefix bit offset (plan.BestStages)
+// prices cheapest over a checked-in stage-cost table, one row per
+// measured backend (exec.DefaultPlan; Balanced where no row exists);
+// on non-integer inputs its results differ from other plans' at the
+// rounding level.  The measured-cost autotuner (wht.Tune,
+// cmd/whttune) runs the same DP over live stage timings, then times
+// the cheapest sequences whole — the fused-interleaved policy, the
 // SoA-vs-per-vector batch choice, and the per-stage backend vector
 // (model-prefiltered by machine.DecisiveBackendPreference, contested
 // stages settled by greedy measured flips) included — serves the winner from the
@@ -109,7 +115,8 @@
 // atomically, and typed
 // *shard.CorruptError rejection of partial or damaged stores.  The
 // facade entry points are wht.TransformLarge/TransformLarge32 (form
-// and budget resolved from options, wisdom, or the balanced default),
+// and budget resolved from options, wisdom, or the two-phase form of
+// the balanced plan),
 // the tuner sweeps split point and resident budget
 // (wht.TuneSegmented), wisdom persists the winning segment geometry,
 // and cmd/whtshard drives the end-to-end out-of-core benchmark

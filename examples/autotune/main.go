@@ -58,14 +58,15 @@ func main() {
 	fmt.Println("Opteron stand-in); Go wall-clock depends on the host but should show the")
 	fmt.Println("same ordering for the extreme plans (left-recursive worst at this size).")
 
-	// Measured-cost tuning: search over real timings, then serve the
-	// winner from the schedule cache and persist it as wisdom.
+	// Measured-cost tuning: the stage-sequence DP over real stage
+	// timings, then serve the winner from the schedule cache and persist
+	// it as wisdom.
 	start = time.Now()
-	tuned, err := wht.Tune(n, wht.TuneOptions{Candidates: 16, KeepFrac: 0.25, Seed: 1})
+	tuned, err := wht.Tune(n, wht.TuneOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmeasured tuning picked %s (%.0f ns/run, %d plans timed) in %v\n",
+	fmt.Printf("\nmeasured tuning picked %s (%.0f ns/run, %d timings) in %v\n",
 		tuned.Plan, tuned.NsPerRun, tuned.Measured, time.Since(start).Round(time.Millisecond))
 
 	path := filepath.Join(os.TempDir(), "wht-wisdom.json")

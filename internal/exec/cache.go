@@ -180,7 +180,7 @@ var defaultCache = NewScheduleCache(32)
 
 // tunedPlans maps log-size to the plan (and variant policy) a tuner
 // registered as preferred.  ForSize compiles from it instead of
-// plan.Balanced, including when the LRU has evicted the compiled schedule
+// DefaultPlan, including when the LRU has evicted the compiled schedule
 // — a tuned size stays tuned for the life of the process (or until
 // ResetTunedPlans).
 type tunedEntry struct {
@@ -277,8 +277,8 @@ func TunedConfigFor(n int) (p *plan.Node, cfg TunedConfig, ok bool) {
 }
 
 // ResetTunedPlans drops every registered tuned plan and purges the
-// default schedule cache, restoring the untuned balanced defaults (used
-// by tests and by benchmarks that need an untuned baseline).
+// default schedule cache, restoring the untuned defaults (DefaultPlan;
+// used by tests and by benchmarks that need an untuned baseline).
 func ResetTunedPlans() {
 	tunedMu.Lock()
 	tunedPlans = map[int]tunedEntry{}
@@ -294,8 +294,16 @@ func DefaultCacheStats() CacheStats {
 
 // ForSize returns the process-wide cached schedule for WHT(2^n): the
 // tuned plan compiled under its tuned variant policy when one has been
-// registered (UseTunedPlanWith, typically via a wisdom file), the
-// balanced codelet-leaved default otherwise.
+// registered (UseTunedPlanWith, typically via a wisdom file), otherwise
+// DefaultPlan(n, codelet.AutoBackend) under the default policy — the
+// exact stage-sequence DP's pick over the checked-in stage-cost table's
+// row for the backend in effect when the schedule is built.  Building
+// it looks the pick up and times nothing.  Hosts and backends without a
+// measured row (NEON, riscv64) and sizes above StageTableMaxLog serve
+// plan.Balanced(n, plan.MaxLeafLog).  Every plan computes the exact
+// transform on integer inputs; on non-integer inputs plans differ at
+// the rounding level, so results may change in the last bits when the
+// table is regenerated.
 func ForSize(n int) *Schedule {
 	return defaultCache.Get(n, func() *Schedule {
 		tunedMu.RLock()
@@ -314,6 +322,6 @@ func ForSize(n int) *Schedule {
 			}
 			return s
 		}
-		return Compile(plan.Balanced(n, plan.MaxLeafLog))
+		return Compile(DefaultPlan(n, codelet.AutoBackend))
 	})
 }

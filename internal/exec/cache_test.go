@@ -80,9 +80,9 @@ func TestForSizeCachesDefaultPlan(t *testing.T) {
 	if a != b {
 		t.Fatal("ForSize rebuilt the default schedule")
 	}
-	want := Compile(plan.Balanced(10, plan.MaxLeafLog))
-	if a.NumStages() != want.NumStages() || a.Size() != want.Size() {
-		t.Fatalf("ForSize schedule differs from balanced default")
+	want := Compile(DefaultPlan(10, codelet.AutoBackend))
+	if a.String() != want.String() || a.Size() != want.Size() {
+		t.Fatalf("ForSize serves %s, want the default %s", a, want)
 	}
 }
 
@@ -234,15 +234,15 @@ func TestForSizePrefersTunedPlan(t *testing.T) {
 		t.Fatalf("ForSize serves %s, want tuned %s", got, want)
 	}
 	// The registration outlives cache eviction: after a purge, ForSize
-	// still rebuilds from the tuned plan, not the balanced default.
+	// still rebuilds from the tuned plan, not the table's default.
 	defaultCache.Purge()
 	if got := ForSize(10); got.String() != want.String() {
 		t.Fatalf("after eviction ForSize serves %s, want tuned %s", got, want)
 	}
 	ResetTunedPlans()
-	balanced := Compile(plan.Balanced(10, plan.MaxLeafLog))
-	if got := ForSize(10); got.String() != balanced.String() {
-		t.Fatalf("after reset ForSize serves %s, want balanced %s", got, balanced)
+	def := Compile(DefaultPlan(10, codelet.AutoBackend))
+	if got := ForSize(10); got.String() != def.String() {
+		t.Fatalf("after reset ForSize serves %s, want the default %s", got, def)
 	}
 }
 

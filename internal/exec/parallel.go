@@ -136,11 +136,8 @@ func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) e
 }
 
 // runBatchParallel is RunBatch's body once the arguments are
-// validated: the SoA lanes when soaSelect picks them, otherwise a
-// per-vector fanOut, each vector containing its own panics
-// (runVectorCtx) and the first error aborting the remaining hand-outs.
-// Fanning out across whole vectors needs no barriers: each worker
-// streams through its own transforms.
+// validated: the SoA lanes when soaSelect picks them, otherwise the
+// per-vector path.
 func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -151,6 +148,15 @@ func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, worke
 		// amortized across the worker's lane.
 		return runBatchSoAParallel(ctx, s, xs, workers)
 	}
+	return runBatchVectors(ctx, s, xs, workers)
+}
+
+// runBatchVectors is RunBatch's per-vector path: a fanOut over the
+// vectors, each containing its own panics (runVectorCtx) and the first
+// error aborting the remaining hand-outs.  Fanning out across whole
+// vectors needs no barriers: each worker streams through its own
+// transforms.
+func runBatchVectors[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	kt := newKernelTable[T](s)
 	return fanOut(ctx, workers, len(xs), func(_, i int) error {
 		return runVectorCtx(ctx, s, &kt, xs[i])

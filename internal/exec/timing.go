@@ -31,9 +31,9 @@ func (o TimingOptions) withDefaults() TimingOptions {
 
 // seedScratch fills x with the bounded timing test pattern (sup norm
 // 3.5 = 2^2 less a bit, so growth bounds below are easy to state).
-func seedScratch(x []float64) {
+func seedScratch[T Float](x []T) {
 	for i := range x {
-		x[i] = float64(i&7) - 3.5
+		x[i] = T(i&7) - 3.5
 	}
 }
 
@@ -45,11 +45,25 @@ func seedScratch(x []float64) {
 // comfortably inside float64 range — overflowing it would have the
 // timing loop measure Inf/NaN arithmetic (often denormal-speed, never
 // kernel-speed) instead of the real transform.
-func maxTimedRuns(n int) int {
-	if n < 1 {
-		n = 1
+func maxTimedRuns(n int) int { return timedRunBound(990, n) }
+
+// maxTimedRunsOf is maxTimedRuns for element type T and a growth of at
+// most 2^g per run: float32 keeps the exponent under 112 of its 127.
+func maxTimedRunsOf[T Float](g int) int {
+	var zero T
+	if _, ok := any(zero).(float32); ok {
+		return timedRunBound(110, g)
 	}
-	c := 990 / n
+	return maxTimedRuns(g)
+}
+
+// timedRunBound is how many runs growing the exponent by g each fit in
+// an exponent budget, clamped to [1, 1024].
+func timedRunBound(budget, g int) int {
+	if g < 1 {
+		g = 1
+	}
+	c := budget / g
 	if c < 1 {
 		c = 1
 	}
@@ -67,8 +81,7 @@ func maxTimedRuns(n int) int {
 // only ever covers finite-range arithmetic; chunks grow geometrically
 // (capped by maxTimedRuns) so the clock is still read O(log runs)
 // times.  The median over Repeat repetitions is returned in ns per run.
-func timeChunked(opt TimingOptions, n int, run func(k int), reset func()) float64 {
-	maxChunk := maxTimedRuns(n)
+func timeChunked(opt TimingOptions, maxChunk int, run func(k int), reset func()) float64 {
 	for w := opt.Warmup; w > 0; w -= maxChunk {
 		reset()
 		k := w
@@ -133,15 +146,19 @@ func timeChunked(opt TimingOptions, n int, run func(k int), reset func()) float6
 // simultaneous timings perturb each other; serialize measurements that
 // will be compared.
 func TimeSchedule(s *Schedule, opt TimingOptions) (nsPerRun float64) {
-	x := make([]float64, s.Size())
-	return timeScheduleOn(s, x, opt)
+	return TimeScheduleOf[float64](s, opt)
+}
+
+// TimeScheduleOf is TimeSchedule on a scratch vector of element type T.
+func TimeScheduleOf[T Float](s *Schedule, opt TimingOptions) float64 {
+	return timeScheduleOn(s, make([]T, s.Size()), opt)
 }
 
 // timeScheduleOn is TimeSchedule on a caller-provided scratch vector
 // (the regression tests inspect the buffer after the measurement).
-func timeScheduleOn(s *Schedule, x []float64, opt TimingOptions) float64 {
+func timeScheduleOn[T Float](s *Schedule, x []T, opt TimingOptions) float64 {
 	opt = opt.withDefaults()
-	return timeChunked(opt, s.Log2Size(), func(k int) {
+	return timeChunked(opt, maxTimedRunsOf[T](s.Log2Size()), func(k int) {
 		for i := 0; i < k; i++ {
 			MustRun(s, x)
 		}
@@ -162,7 +179,7 @@ func TimeScheduleParallel(s *Schedule, workers int, opt TimingOptions) float64 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	x := make([]float64, s.Size())
-	return timeChunked(opt, s.Log2Size(), func(k int) {
+	return timeChunked(opt, maxTimedRuns(s.Log2Size()), func(k int) {
 		for i := 0; i < k; i++ {
 			if err := runBarrier(nil, s, x, workers); err != nil {
 				panic(err)
@@ -183,7 +200,7 @@ func TimeSegmented(s *Schedule, segOpt SegOptions, opt TimingOptions) float64 {
 	opt = opt.withDefaults()
 	x := make([]float64, s.Size())
 	store := NewSliceStore(x)
-	return timeChunked(opt, s.Log2Size(), func(k int) {
+	return timeChunked(opt, maxTimedRuns(s.Log2Size()), func(k int) {
 		for i := 0; i < k; i++ {
 			if err := RunSegmented(context.Background(), s, store, segOpt); err != nil {
 				panic(err)
@@ -197,7 +214,9 @@ func TimeSegmented(s *Schedule, segOpt SegOptions, opt TimingOptions) float64 {
 // forcing either the SoA tier (soa true) or the per-vector path (soa
 // false) regardless of the schedule's crossover setting — the
 // measurement primitive behind the tuner's SoA-vs-AoS batch sweep.
-// The batch scratch is reinitialized between timed chunks exactly like
+// Either path is the one RunBatch runs at one worker, containment
+// included, so the sweep prices what the serving path pays.  The batch
+// scratch is reinitialized between timed chunks exactly like
 // TimeSchedule's vector.
 func TimeBatch(s *Schedule, lane int, soa bool, opt TimingOptions) float64 {
 	if lane < 1 {
@@ -208,15 +227,16 @@ func TimeBatch(s *Schedule, lane int, soa bool, opt TimingOptions) float64 {
 	for i := range xs {
 		xs[i] = make([]float64, s.Size())
 	}
-	kt := newKernelTable[float64](s)
 	run := func(k int) {
 		for i := 0; i < k; i++ {
+			var err error
 			if soa {
-				_ = runBatchSoA(nil, s, &kt, xs)
+				err = runBatchSoAParallel(nil, s, xs, 1)
 			} else {
-				for _, x := range xs {
-					runStages(s, &kt, x, 0, 1)
-				}
+				err = runBatchVectors(nil, s, xs, 1)
+			}
+			if err != nil {
+				panic(err)
 			}
 		}
 	}
@@ -225,5 +245,5 @@ func TimeBatch(s *Schedule, lane int, soa bool, opt TimingOptions) float64 {
 			seedScratch(x)
 		}
 	}
-	return timeChunked(opt, s.Log2Size(), run, reset)
+	return timeChunked(opt, maxTimedRuns(s.Log2Size()), run, reset)
 }

@@ -39,6 +39,22 @@ func TestTimeScheduleParallelTimesFanOut(t *testing.T) {
 	}
 }
 
+// TestTimeBatchTimesRunBatchPath pins what TimeBatch's per-vector mode
+// measures: RunBatch's contained path at one worker, which fires the
+// batch-vector fault point once per vector, not a bare stage loop.
+func TestTimeBatchTimesRunBatchPath(t *testing.T) {
+	defer faultinject.Reset()
+	s := Compile(plan.Balanced(6, plan.MaxLeafLog))
+	hook, vectors := faultinject.Counter()
+	faultinject.Set(faultinject.ExecBatchVector, hook)
+	// One warmup run and one timed run: any run outlasts a nanosecond.
+	const runs, lane = 2, 8
+	TimeBatch(s, lane, false, TimingOptions{Warmup: 1, Repeat: 1, MinDuration: time.Nanosecond})
+	if got := vectors(); got != runs*lane {
+		t.Fatalf("%d batch-vector firings over %d runs of %d vectors, want %d", got, runs, lane, runs*lane)
+	}
+}
+
 // TestTimeScheduleKeepsScratchFinite is the regression test for the
 // timing-loop overflow: the unnormalized WHT grows its data by ~2^n per
 // in-place run (W^2 = 2^n * I), so the old loop — which never

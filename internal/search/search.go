@@ -224,17 +224,15 @@ func Pruned(n, count int, seed uint64, model Coster, expensive Coster, keepFrac 
 	for i := range scored {
 		scored[i] = Result{Plan: plans[i], Cost: modelCosts[i]}
 	}
-	kept := Shortlist(scored, keepFrac)
+	kept := shortlist(scored, keepFrac)
 	costs := evalAll(kept, expensive, opt.Workers)
 	return bestOf(kept, costs), len(kept)
 }
 
-// Shortlist returns the plans of the ceil(keepFrac * len) cheapest
+// shortlist returns the plans of the ceil(keepFrac * len) cheapest
 // results, ranked by cost with input order breaking ties (always at
-// least one, at most all).  It is the model-filter step of Pruned,
-// exposed so tuners can shortlist a scored sample and measure the
-// survivors themselves.
-func Shortlist(scored []Result, keepFrac float64) []*plan.Node {
+// least one, at most all): the model-filter step of Pruned.
+func shortlist(scored []Result, keepFrac float64) []*plan.Node {
 	order := make([]int, len(scored))
 	for i := range order {
 		order[i] = i

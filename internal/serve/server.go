@@ -13,7 +13,6 @@ import (
 	"repro/internal/codelet"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
-	"repro/internal/plan"
 	"repro/internal/tune"
 	"repro/internal/wisdom"
 )
@@ -278,10 +277,11 @@ func (s *Server) class(n int) *sizeClass {
 	}
 	// The scalar fallback is compiled once at class creation, not on
 	// first fault: stepping down the ladder must not stall a hurting
-	// size class behind a compile.
+	// size class behind a compile.  It runs the scalar tier's default
+	// plan, the stage-cost table's pick for scalar kernels.
 	pol := codelet.DefaultPolicy()
 	pol.Backend = codelet.ScalarBackend
-	sc.scalar = exec.CompileWith(plan.Balanced(n, plan.MaxLeafLog), pol)
+	sc.scalar = exec.CompileWith(exec.DefaultPlan(n, codelet.ScalarBackend), pol)
 	s.batcherWg.Add(1)
 	go func() {
 		defer s.batcherWg.Done()

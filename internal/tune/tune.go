@@ -1,12 +1,14 @@
 // Package tune closes the loop the paper argues for: model-predicted
 // costs and real measured performance diverge, so the plan a library
-// serves should ultimately be chosen by measurement.  Tune runs the
-// paper's model-pruned search with a measured-cost final stage — draw
-// random candidates, discard the ones the instruction model already
-// condemns, time the survivors for real through the compiled engine —
-// then registers the winner behind the serving path (exec.ForSize) and
-// records it in a process-wide wisdom store that SaveWisdom/LoadWisdom
-// persist across restarts.
+// serves should ultimately be chosen by measurement.  Every split tree
+// executes as a sequence of butterfly stages, so Tune searches that
+// executed space directly: it times each stage a size's sequences can
+// hold, runs the exact stage-sequence DP (exec.BestStages) over the
+// timings, times the cheapest sequences whole, then registers the
+// winner behind the serving path (exec.ForSize) and records it in a
+// process-wide wisdom store that SaveWisdom/LoadWisdom persist across
+// restarts.  Random, annealed and pruned tree search live in
+// internal/search, where the paper's figures need them.
 package tune
 
 import (
@@ -18,19 +20,15 @@ import (
 	"repro/internal/exec"
 	"repro/internal/machine"
 	"repro/internal/plan"
-	"repro/internal/search"
 	"repro/internal/wisdom"
 )
 
-// Options bounds a tuning run.  The zero value is a sensible quick tune:
-// 24 random candidates, the best quarter measured for real, plus the
-// canonical baselines and a sweep over the kernel-variant policies.
+// Options bounds a tuning run.  The zero value is a sensible quick
+// tune: the stage-sequence DP over live stage timings, the cheapest
+// planTopK sequences timed whole against the untuned default, and the
+// kernel-variant, backend and batch sweeps.
 type Options struct {
-	Candidates int                // random rsu candidates drawn (default 24)
-	KeepFrac   float64            // fraction surviving the model filter into real timing (default 0.25)
-	Seed       uint64             // sampling seed (default 1)
-	Workers    int                // goroutines for the model-filter phase (<= 1 sequential)
-	Timing     exec.TimingOptions // warmup/repeat/min-duration of each real measurement
+	Timing exec.TimingOptions // warmup/repeat/min-duration of each real measurement
 
 	// Policies is the set of kernel-variant selection policies measured
 	// for the winning plan; the fastest is registered and recorded in
@@ -59,6 +57,11 @@ type Options struct {
 	NoBackendSweep bool
 }
 
+// planTopK is how many of the DP's cheapest stage sequences the plan
+// phase times whole: stage costs are not exactly additive, so the
+// runners-up get a measured chance against the DP's first pick.
+const planTopK = 4
+
 // DefaultBatchWidths is the batch-width grid the SoA sweep measures:
 // the default crossover width and one clearly-batched shape.
 func DefaultBatchWidths() []int {
@@ -82,15 +85,6 @@ func DefaultPolicies() []codelet.Policy {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Candidates <= 0 {
-		o.Candidates = 24
-	}
-	if o.KeepFrac <= 0 || o.KeepFrac > 1 {
-		o.KeepFrac = 0.25
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if len(o.Policies) == 0 {
 		o.Policies = DefaultPolicies()
 	}
@@ -102,8 +96,8 @@ type Result struct {
 	Plan       *plan.Node     // the measured-fastest plan
 	Policy     codelet.Policy // the variant policy it was fastest under
 	NsPerRun   float64        // its measured median latency
-	BaselineNs float64        // the balanced default's latency, timed at NsPerRun's effort (the same timing when the default wins)
-	Measured   int            // real timings spent (model pruning, dedup, rematch, policy/batch sweeps included)
+	BaselineNs float64        // the untuned default's latency (exec.DefaultPlan), timed at NsPerRun's effort (the same timing when the default wins)
+	Measured   int            // real timings spent (stage timings, whole sequences, rematch, policy/backend/batch sweeps)
 
 	// SoAMinBatch is the measured batch crossover registered for the
 	// winner: the smallest swept width at which the SoA batch tier beat
@@ -133,64 +127,73 @@ func rematchTiming(t exec.TimingOptions) exec.TimingOptions {
 
 // Tune finds a measured-fast plan for WHT(2^n), registers it as the plan
 // ForSize/Transform serve at that size, and records it in the process
-// wisdom store.  The measured candidate set always includes the balanced
-// default and the model-optimal DP plan, so the tuned result is never a
-// regression against the untuned serving path (up to timing noise).
+// wisdom store.  The plan phase times every stage the size's sequences
+// can hold (at most plan.MaxLeafLog * n timings), runs the exact
+// stage-sequence DP over them, and times the planTopK cheapest
+// sequences whole beside the untuned default, so the tuned result is
+// never a regression against the untuned serving path (up to timing
+// noise).
 func Tune(n int, opt Options) (Result, error) {
-	if n < 1 {
+	if n < 1 || n > plan.MaxPlanLog {
 		return Result{}, fmt.Errorf("tune: size 2^%d out of range", n)
 	}
 	opt = opt.withDefaults()
 	mach := machine.VirtualOpteron224()
-	// The model filter is the variant-aware stage model, so the cheap
-	// phase ranks candidates on the same stage-shape landscape (contig /
-	// strided / interleaved) the measured phase will execute them in.
-	model := search.NewStageModelCoster(mach.Cost, codelet.DefaultPolicy())
+	pol := codelet.DefaultPolicy()
 
-	// Phase 1: the paper's conclusion — spend cheap model evaluations to
-	// shortlist, and expensive measurements only on the shortlist.
-	sOpt := search.Options{Workers: opt.Workers}
-	_, scored := search.Random(n, opt.Candidates, opt.Seed, model, sOpt)
-	shortlist := search.Shortlist(scored, opt.KeepFrac)
+	// Phase 1: the DP over live stage timings, each stage timed alone
+	// under the default policy.
+	measured := 0
+	seqs := exec.BestStages(n, planTopK, func(k exec.StageKey) float64 {
+		measured++
+		return exec.TimeStage[float64](k, pol, opt.Timing)
+	})
 
-	// Baselines first: index order breaks ties, so on a tie the balanced
-	// default wins and serving behavior does not churn.
-	candidates := []*plan.Node{plan.Balanced(n, plan.MaxLeafLog)}
-	candidates = append(candidates, search.DP(n, model, sOpt).Plan)
-	candidates = append(candidates, shortlist...)
-	candidates = dedupe(candidates)
-
-	// Phase 2: measure.  The memo table guards against duplicates that
-	// survive dedupe via forks; the measured coster serializes timings.
-	coster := search.Memoize(search.NewMeasuredCoster(opt.Timing))
-	best := search.Result{Plan: nil, Cost: 0}
-	for i, p := range candidates {
-		c := coster.Cost(p)
-		if i == 0 || c < best.Cost {
-			best = search.Result{Plan: p, Cost: c}
+	// Phase 2: time the cheapest sequences whole, the untuned default
+	// first, deduplicated by compiled stage list.  Index order breaks
+	// ties, so on a tie the default wins and serving does not churn.
+	def := exec.DefaultPlan(n, codelet.AutoBackend)
+	candidates := []*plan.Node{def}
+	for _, sq := range seqs {
+		candidates = append(candidates, plan.FromStages(sq.Stages))
+	}
+	seen := map[string]bool{}
+	var best *plan.Node
+	var bestNs, baselineNs float64
+	for _, p := range candidates {
+		s := exec.CompileWith(p, pol)
+		if seen[s.String()] {
+			continue
+		}
+		seen[s.String()] = true
+		ns := exec.TimeSchedule(s, opt.Timing)
+		measured++
+		if best == nil {
+			baselineNs = ns
+		}
+		if best == nil || ns < bestNs {
+			best, bestNs = p, ns
 		}
 	}
-	measured := len(candidates)
-	baselineNs := coster.Cost(candidates[0]) // memoized: no extra timing
 
 	// Phase 3: rematch.  One noisy pass on a busy host can crown the
 	// wrong plan, and serving must never churn onto a plan that cannot
-	// beat the balanced default head to head — so the winner and the
-	// baseline are re-timed back to back at double the duration, and the
-	// baseline keeps the slot on anything but a clear loss.
-	if baseline := candidates[0]; !best.Plan.Equal(baseline) {
-		rematch := search.NewMeasuredCoster(rematchTiming(opt.Timing))
-		bestNs := rematch.Cost(best.Plan)
-		baseNs := rematch.Cost(baseline)
+	// beat the untuned default head to head — so the winner and the
+	// default are re-timed back to back at double the duration, and the
+	// default keeps the slot on anything but a clear loss.
+	if best != def {
+		rematch := rematchTiming(opt.Timing)
+		winNs := exec.TimeSchedule(exec.CompileWith(best, pol), rematch)
+		defNs := exec.TimeSchedule(exec.CompileWith(def, pol), rematch)
 		measured += 2
-		baselineNs = baseNs
-		if baseNs <= bestNs {
-			best = search.Result{Plan: baseline, Cost: baseNs}
+		baselineNs = defNs
+		if defNs <= winNs {
+			best, bestNs = def, defNs
 		} else {
-			best.Cost = bestNs
+			bestNs = winNs
 		}
 	}
-	res := Result{Plan: best.Plan, Policy: codelet.DefaultPolicy(), NsPerRun: best.Cost, BaselineNs: baselineNs, Measured: measured}
+	res := Result{Plan: best, Policy: pol, NsPerRun: bestNs, BaselineNs: baselineNs, Measured: measured}
 
 	// Phase 4: variant-policy sweep — the axis the stage engine opened.
 	// The winning plan is timed under every candidate kernel-variant
@@ -212,8 +215,8 @@ func Tune(n int, opt Options) (Result, error) {
 		}
 		res.NsPerRun = exec.TimeSchedule(incSched, polTiming)
 		measured++
-		if res.Plan.Equal(candidates[0]) && incPol == codelet.DefaultPolicy() {
-			// The incumbent is the balanced default: its fresh timing is
+		if res.Plan == def && incPol == codelet.DefaultPolicy() {
+			// The incumbent is the untuned default: its fresh timing is
 			// the baseline, so a default result reports no speedup.
 			res.BaselineNs = res.NsPerRun
 		}
@@ -411,19 +414,6 @@ func sweepStageBackends(res Result, mach *machine.Machine, timing exec.TimingOpt
 		}
 	}
 	return bs, bestNs, timed, nil
-}
-
-// dedupe removes structurally identical plans, keeping first occurrences.
-func dedupe(plans []*plan.Node) []*plan.Node {
-	seen := make(map[uint64]bool, len(plans))
-	out := plans[:0]
-	for _, p := range plans {
-		if h := p.Hash(); !seen[h] {
-			seen[h] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // The process wisdom store: every Tune result accumulates here, and

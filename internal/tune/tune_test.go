@@ -10,21 +10,15 @@ import (
 
 	"repro/internal/codelet"
 	"repro/internal/exec"
-	"repro/internal/machine"
 	"repro/internal/plan"
-	"repro/internal/search"
 	"repro/internal/wisdom"
 )
 
 // quickOpt keeps tuning runs fast enough for the test suite while still
-// exercising every phase (sample, model filter, real timing).
+// exercising every phase (stage timings, DP, whole-sequence timing).
 func quickOpt() Options {
 	return Options{
-		Candidates: 8,
-		KeepFrac:   0.5,
-		Seed:       3,
-		Workers:    2,
-		Timing:     exec.TimingOptions{Warmup: 1, Repeat: 1, MinDuration: 100 * time.Microsecond},
+		Timing: exec.TimingOptions{Warmup: 1, Repeat: 1, MinDuration: 100 * time.Microsecond},
 	}
 }
 
@@ -62,7 +56,7 @@ func TestTuneSweepKeepsIncumbentAgainstBadPolicies(t *testing.T) {
 }
 
 // whttune's speedup column is BaselineNs/NsPerRun, so the two must be
-// timed at the same effort: when the result is the balanced default
+// timed at the same effort: when the result is the untuned default
 // under the default policy, they are one and the same measurement.
 // (They were not: the baseline kept its quick phase-2 timing while the
 // incumbent was re-timed at rematch effort, so an unchanged default
@@ -73,7 +67,7 @@ func TestTuneBaselineMatchesDefaultResult(t *testing.T) {
 	opt := quickOpt()
 	opt.Policies = []codelet.Policy{codelet.DefaultPolicy()}
 	opt.NoBatchSweep, opt.NoBackendSweep = true, true
-	// At n = 1 every candidate is small[1], the balanced default; only
+	// At n = 1 every candidate is small[1], the untuned default; only
 	// the scalar-pinned policy twin can displace the default result.
 	checked := 0
 	for try := 0; try < 8 && checked < 2; try++ {
@@ -81,7 +75,7 @@ func TestTuneBaselineMatchesDefaultResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Plan.Equal(plan.Balanced(1, plan.MaxLeafLog)) || res.Policy != codelet.DefaultPolicy() || res.StageBackends != nil {
+		if !res.Plan.Equal(exec.DefaultPlan(1, codelet.AutoBackend)) || res.Policy != codelet.DefaultPolicy() || res.StageBackends != nil {
 			continue
 		}
 		checked++
@@ -136,27 +130,31 @@ func TestTuneRegistersServingPlanAndWisdom(t *testing.T) {
 	}
 }
 
-func TestTuneDeterministicUnderSeed(t *testing.T) {
+// TestTunePlanPhaseStageBudget pins the plan phase's cost: one timing
+// per stage the size's sequences can hold — at most plan.MaxLeafLog * n,
+// the blocked prefix's stages timed once at one cache block above it —
+// then at most planTopK+1 whole sequences, the rematch and the policy
+// sweep.
+func TestTunePlanPhaseStageBudget(t *testing.T) {
 	Reset()
 	defer Reset()
-	// Model filtering and candidate generation are deterministic; only
-	// the final measured choice can vary with timing noise.  Verify the
-	// deterministic part: two runs shortlist identical candidate sets,
-	// even with the parallel model phase.
-	model := search.NewModelCoster(machine.VirtualOpteron224().Cost)
-	shortlist := func(workers int) []*plan.Node {
-		_, scored := search.Random(10, quickOpt().Candidates, quickOpt().Seed, model,
-			search.Options{Workers: workers})
-		return search.Shortlist(scored, quickOpt().KeepFrac)
-	}
-	a := shortlist(4)
-	b := shortlist(1)
-	if len(a) != len(b) {
-		t.Fatalf("shortlist sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("shortlist entry %d differs: %v vs %v", i, a[i], b[i])
+	opt := quickOpt()
+	opt.Policies = []codelet.Policy{codelet.DefaultPolicy()}
+	opt.NoBatchSweep, opt.NoBackendSweep = true, true
+	for _, n := range []int{10, 18} {
+		stages := len(exec.StageKeys(n))
+		if n > 16 {
+			stages += len(exec.StageKeys(16))
+		}
+		if stages > plan.MaxLeafLog*n {
+			t.Fatalf("n=%d: %d stage timings, above %d", n, stages, plan.MaxLeafLog*n)
+		}
+		res, err := Tune(n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if max := stages + planTopK + 1 + 2 + len(backendAxis(opt.Policies)); res.Measured < stages || res.Measured > max {
+			t.Fatalf("n=%d: %d timings, want %d stage timings plus at most %d", n, res.Measured, stages, max-stages)
 		}
 	}
 }
@@ -176,19 +174,25 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 
 	// Simulate a fresh process: no tuned plans, cold schedule cache.
 	Reset()
-	balanced := exec.Compile(plan.Balanced(n, plan.MaxLeafLog))
-	if got := exec.ForSize(n).String(); got != balanced.String() {
-		t.Fatalf("after reset ForSize serves %s, want balanced", got)
+	def := exec.Compile(exec.DefaultPlan(n, codelet.AutoBackend))
+	if got := exec.ForSize(n).String(); got != def.String() {
+		t.Fatalf("after reset ForSize serves %s, want the default %s", got, def)
 	}
 
 	// Loading wisdom must seed the cache so ForSize serves the tuned
 	// plan — from the warmed entry, i.e. as a cache hit.
-	exec.ResetTunedPlans() // cold cache again (drops the balanced entry)
+	exec.ResetTunedPlans() // cold cache again (drops the default entry)
 	if err := LoadWisdom(path); err != nil {
 		t.Fatal(err)
 	}
+	// The tuned schedule carries any per-stage backend pins the sweep
+	// registered (a multi-stage winner can get them).
+	want, err := tunedSchedule(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := exec.DefaultCacheStats()
-	if got, want := exec.ForSize(n).String(), exec.CompileWith(res.Plan, res.Policy).String(); got != want {
+	if got := exec.ForSize(n).String(); got != want.String() {
 		t.Fatalf("wisdom-seeded ForSize serves %s, want tuned %s", got, want)
 	}
 	after := exec.DefaultCacheStats()
@@ -218,7 +222,7 @@ func TestTunedBlockPlanRoundTrip(t *testing.T) {
 	if Wisdom().Len() != 1 {
 		t.Fatalf("process wisdom holds %d entries, want 1", Wisdom().Len())
 	}
-	if got, want := exec.ForSize(18).String(), exec.Compile(plan.Balanced(18, plan.MaxLeafLog)).String(); got != want {
+	if got, want := exec.ForSize(18).String(), exec.Compile(exec.DefaultPlan(18, codelet.AutoBackend)).String(); got != want {
 		t.Fatalf("ForSize(18) serves %s, want the default %s", got, want)
 	}
 }

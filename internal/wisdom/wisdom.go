@@ -97,6 +97,11 @@ const FormatVersion = 1
 // quarantined.
 var ErrCorrupt = errors.New("wisdom: corrupt file")
 
+// ErrForeign is the sentinel the plain errors of intact files written
+// elsewhere match through errors.Is: a different format version, OS or
+// GOMAXPROCS shape.
+var ErrForeign = errors.New("wisdom: foreign file")
+
 // CorruptError reports a damaged wisdom file with the corruption shape
 // spelled out, so operators (and the daemon's quarantine log line) can
 // tell an interrupted write from bit rot from a buggy editor.
@@ -276,8 +281,13 @@ func decodeStageBackends(ss []string) []codelet.Backend {
 	return out
 }
 
-// validStageBackends accepts vectors whose every spelling parses.
-func validStageBackends(ss []string) error {
+// validStageBackends accepts vectors whose every spelling parses and,
+// when present, that hold one pin per compiled stage of p — one per
+// leaf, under every policy.
+func validStageBackends(ss []string, p *plan.Node) error {
+	if len(ss) > 0 && len(ss) != p.CountLeaves() {
+		return fmt.Errorf("wisdom: %d stage backends for a plan of %d stages", len(ss), p.CountLeaves())
+	}
 	for i, s := range ss {
 		if _, ok := codelet.ParseBackend(s); !ok {
 			return fmt.Errorf("wisdom: stage backend %d: unknown backend %q", i, s)
@@ -488,7 +498,7 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 		return false, err
 	}
 	sb := encodeStageBackends(tc.StageBackends)
-	if err := validStageBackends(sb); err != nil {
+	if err := validStageBackends(sb, p); err != nil {
 		return false, err
 	}
 	e := Entry{
@@ -683,7 +693,8 @@ func Load(path string) (*Wisdom, error) {
 // the document, and structurally invalid entries all return a
 // *CorruptError matching ErrCorrupt through errors.Is — the signal the
 // serving daemon quarantines on.  Version and fingerprint mismatches
-// return plain errors: those files are intact, merely foreign.
+// return plain errors matching ErrForeign: those files are intact,
+// merely foreign.
 //
 // ISA and architecture differences are per-entry, not per-file: on a
 // host whose vector ISA differs from the file's, entries that are
@@ -729,10 +740,10 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 		return nil, &CorruptError{Path: path, Reason: "trailing garbage", Err: terr}
 	}
 	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("wisdom: %s has format version %d, want %d", path, f.Version, FormatVersion)
+		return nil, fmt.Errorf("%w: %s has format version %d, want %d", ErrForeign, path, f.Version, FormatVersion)
 	}
 	if f.Fingerprint.OS != fp.OS || f.Fingerprint.MaxProcs != fp.MaxProcs {
-		return nil, fmt.Errorf("wisdom: %s was measured on %+v, this process is %+v", path, f.Fingerprint, fp)
+		return nil, fmt.Errorf("%w: %s was measured on %+v, this process is %+v", ErrForeign, path, f.Fingerprint, fp)
 	}
 	sameArch := f.Fingerprint.Arch == fp.Arch
 	sameISA := sameArch && f.Fingerprint.ISA == fp.ISA
@@ -764,7 +775,7 @@ func LoadFor(path string, fp Fingerprint) (*Wisdom, error) {
 		if err := validBackend(e.Backend); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
-		if err := validStageBackends(e.StageBackends); err != nil {
+		if err := validStageBackends(e.StageBackends, p); err != nil {
 			return nil, corruptEntry(path, i, err)
 		}
 		if err := validSegments(e); err != nil {

@@ -17,12 +17,9 @@ func TestTuneSaveLoadServeEndToEnd(t *testing.T) {
 	defer wht.ResetTuning()
 	const n = 9
 	opt := wht.TuneOptions{
-		Candidates: 8,
-		KeepFrac:   0.5,
-		Seed:       7,
-		Workers:    2,
-		Timing:     wht.TimingOptions{Warmup: 1, Repeat: 1, MinDuration: 100 * time.Microsecond},
+		Timing: wht.TimingOptions{Warmup: 1, Repeat: 1, MinDuration: 100 * time.Microsecond},
 	}
+	untuned := wht.ScheduleForSize(n).String()
 	res, err := wht.Tune(n, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +36,8 @@ func TestTuneSaveLoadServeEndToEnd(t *testing.T) {
 
 	// A "fresh process": tuned plans dropped, schedule cache purged.
 	wht.ResetTuning()
-	if wht.ScheduleForSize(n).String() == tunedSched {
-		// The tuned plan could coincide with the balanced default; only
-		// then is this not a failure.  Verify via the plan itself.
-		if bal := wht.Balanced(n, wht.MaxLeafLog); !res.Plan.Equal(bal) {
-			t.Fatal("reset did not restore the balanced default")
-		}
+	if got := wht.ScheduleForSize(n).String(); got != untuned {
+		t.Fatalf("reset serves %s, want the untuned default %s", got, untuned)
 	}
 	wht.ResetTuning() // cold cache for the load below
 

@@ -61,7 +61,7 @@ func run2D(rowSched, colSched *exec.Schedule, x []float64, rows, cols int) error
 	return nil
 }
 
-// Transform2D computes the 2-D WHT with default balanced plans; rows and
+// Transform2D computes the 2-D WHT with the default plans; rows and
 // cols must be powers of two >= 2.  The schedules come from the same LRU
 // cache as Transform.
 func Transform2D(x []float64, rows, cols int) error {

@@ -56,11 +56,11 @@
 //	best := wht.SearchDP(20, wht.VirtualCycles(mach), wht.SearchOptions{})
 //	_ = wht.Apply(best.Plan, x)
 //
-// Autotuning with real measurements and persistent wisdom: Tune runs the
-// paper's model-pruned search with a measured-cost final stage (each
-// surviving candidate is compiled and timed for real), registers the
-// winner behind Transform's schedule cache, and records it in a process
-// wisdom store.  SaveWisdom/LoadWisdom persist that store as a small
+// Autotuning with real measurements and persistent wisdom: Tune times
+// every butterfly stage a size's algorithms can execute, runs the exact
+// stage-sequence DP over those timings, times the cheapest sequences
+// whole against the untuned default, registers the winner behind
+// Transform's schedule cache, and records it in a process wisdom store.  SaveWisdom/LoadWisdom persist that store as a small
 // versioned JSON file keyed by a machine fingerprint
 // (GOOS/GOARCH/GOMAXPROCS plus the detected vector ISA), so a fresh
 // process serves tuned plans from its first Transform call:
@@ -124,8 +124,8 @@ type Sampler = plan.Sampler
 // NewSampler returns a deterministic rsu sampler.
 var NewSampler = plan.NewSampler
 
-// Transform applies a default (balanced) plan in place; len(x) must be a
-// power of two >= 2.  Repeated calls at the same length reuse a compiled
+// Transform applies the default plan in place (see ScheduleForSize);
+// len(x) must be a power of two >= 2.  Repeated calls at the same length reuse a compiled
 // schedule from a process-wide LRU cache (the library's FFTW-"wisdom"
 // analogue) instead of re-planning and re-compiling.
 func Transform(x []float64) error { return transform(x) }
@@ -447,14 +447,15 @@ var (
 	// wrong-machine-fingerprint files).
 	LoadWisdom = tune.LoadWisdom
 	// ResetTuning drops tuned plans and wisdom, restoring the untuned
-	// balanced defaults.
+	// defaults.
 	ResetTuning = tune.Reset
 	// ScheduleCacheStats reports traffic counters of the process-wide
 	// schedule cache behind Transform/Transform32.
 	ScheduleCacheStats = exec.DefaultCacheStats
 	// ScheduleForSize returns the process-wide cached schedule serving
-	// WHT(2^n): the tuned plan when one is registered, the balanced
-	// default otherwise.
+	// WHT(2^n): the tuned plan when one is registered, the untuned
+	// default (the stage-sequence DP's pick over the checked-in
+	// stage-cost table; see exec.ForSize) otherwise.
 	ScheduleForSize = exec.ForSize
 )
 
