@@ -34,7 +34,15 @@
 // stages (full j-rows streamed as chunked fused passes, no gathers), and
 // large contiguous codelets — bitwise-identical to scalar by construction,
 // since vectorizing a unit-stride sweep reorders no element's add/sub
-// chain.  The backend is pinned per compiled stage
+// chain.  The scalar tier unrolls (cmd/whtgen) only the forms that beat
+// their loop — the strided kernel (every leaf size; 2^8 awaits a
+// re-measure) and the contiguous one up to 2^7 — and runs every other
+// shape through a Generic* loop
+// written once for both element types.  Results are bitwise identical
+// across all tiers — generated codelets, loops, vector kernels, the SoA
+// batch tier and the segmented executor — on every input, ±Inf and NaN
+// included, except for the payload bits of NaN outputs: which NaN comes
+// out may differ between a generated codelet and a loop.  The backend is pinned per compiled stage
 // (exec.Schedule.SetStageBackends): a mixed schedule runs scalar
 // kernels on shapes that do not vectorize next to SIMD kernels on
 // shapes that do, and the cost model prices each stage's pin

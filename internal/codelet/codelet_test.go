@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // definition computes y[i] = sum_j (-1)^popcount(i&j) x[j], the WHT in
@@ -214,17 +216,53 @@ func TestImpulseResponse(t *testing.T) {
 	}
 }
 
-func BenchmarkKernel(b *testing.B) {
-	for m := 1; m <= GeneratedMaxLog; m++ {
-		k := For(m)
-		x := make([]float64, 1<<m)
-		for i := range x {
-			x[i] = float64(i)
-		}
-		b.Run("m="+string(rune('0'+m)), func(b *testing.B) {
+// BenchmarkKernelVsLoop is the evidence for which forms cmd/whtgen
+// unrolls: each generated kernel (strided m = 1..8 at stage stride 4,
+// contiguous m = 1..7) beside the Generic* loop of the same shape, plus
+// the loops the engine routes the other shapes to (contiguous m = 8,
+// interleaved, fused interleaved and the interleaved range at s = 64,
+// SoA at lane = stride = 8), each op one stage over 2^14 elements of
+// float64 and float32:
+//
+//	go test -run '^$' -bench KernelVsLoop ./internal/codelet
+func BenchmarkKernelVsLoop(b *testing.B) {
+	benchKernelVsLoop(b, "f64", For, ForContig)
+	benchKernelVsLoop(b, "f32", For32, ForContig32)
+}
+
+func benchKernelVsLoop[T Float, K ~func([]T, int, int), C ~func([]T, int)](b *testing.B, elem string, strided func(int) K, contig func(int) C) {
+	x := make([]T, 1<<14) // zeros: repeated transforms stay finite
+	run := func(name string, blk int, call func(base int)) {
+		b.Run(elem+"/"+name, func(b *testing.B) {
+			b.SetBytes(int64(len(x)) * int64(unsafe.Sizeof(x[0])))
 			for i := 0; i < b.N; i++ {
-				k(x, 0, 1)
+				for base := 0; base < len(x); base += blk {
+					call(base)
+				}
 			}
 		})
+	}
+	const s, il, lane = 4, 64, 8
+	row := func(k func(base int)) func(int) { // the s strided calls of a j-row
+		return func(base int) {
+			for j := 0; j < s; j++ {
+				k(base + j)
+			}
+		}
+	}
+	for m := 1; m <= GeneratedMaxLog; m++ {
+		ms := "/m=" + strconv.Itoa(m)
+		if k := strided(m); k != nil {
+			run("strided"+ms+"/gen", s<<m, row(func(base int) { k(x, base, s) }))
+		}
+		run("strided"+ms+"/loop", s<<m, row(func(base int) { Generic(x, base, s, m) }))
+		if k := contig(m); k != nil {
+			run("contig"+ms+"/gen", 1<<m, func(base int) { k(x, base) })
+		}
+		run("contig"+ms+"/loop", 1<<m, func(base int) { GenericContig(x, base, m) })
+		run("il"+ms+"/loop", il<<m, func(base int) { GenericIL(x, base, il, m) })
+		run("ilfused"+ms+"/loop", il<<m, func(base int) { GenericILFused(x, base, il, m) })
+		run("ilrange"+ms+"/loop", il<<m, func(base int) { GenericILRange(x, base, il, 0, il, m) })
+		run("soa"+ms+"/loop", lane<<m, func(base int) { GenericSoA(x, base, lane, lane, m) })
 	}
 }

@@ -21,23 +21,23 @@ const (
 // SIMDIL delegates to GenericIL on hosts without the vector tier.
 func SIMDIL(x []float64, base, s, m int) { GenericIL(x, base, s, m) }
 
-// SIMDIL32 delegates to GenericIL32.
-func SIMDIL32(x []float32, base, s, m int) { GenericIL32(x, base, s, m) }
+// SIMDIL32 delegates to GenericIL.
+func SIMDIL32(x []float32, base, s, m int) { GenericIL(x, base, s, m) }
 
 // SIMDILFused delegates to GenericILFused.
 func SIMDILFused(x []float64, base, s, m int) { GenericILFused(x, base, s, m) }
 
-// SIMDILFused32 delegates to GenericILFused32.
-func SIMDILFused32(x []float32, base, s, m int) { GenericILFused32(x, base, s, m) }
+// SIMDILFused32 delegates to GenericILFused.
+func SIMDILFused32(x []float32, base, s, m int) { GenericILFused(x, base, s, m) }
 
 // SIMDILRange delegates to GenericILRange.
 func SIMDILRange(x []float64, base, s, kLo, kHi, m int) {
 	GenericILRange(x, base, s, kLo, kHi, m)
 }
 
-// SIMDILRange32 delegates to GenericILRange32.
+// SIMDILRange32 delegates to GenericILRange.
 func SIMDILRange32(x []float32, base, s, kLo, kHi, m int) {
-	GenericILRange32(x, base, s, kLo, kHi, m)
+	GenericILRange(x, base, s, kLo, kHi, m)
 }
 
 // SIMDILFusedRange delegates to GenericILFusedRange.
@@ -45,9 +45,9 @@ func SIMDILFusedRange(x []float64, base, s, kLo, kHi, m int) {
 	GenericILFusedRange(x, base, s, kLo, kHi, m)
 }
 
-// SIMDILFusedRange32 delegates to GenericILFusedRange32.
+// SIMDILFusedRange32 delegates to GenericILFusedRange.
 func SIMDILFusedRange32(x []float32, base, s, kLo, kHi, m int) {
-	GenericILFusedRange32(x, base, s, kLo, kHi, m)
+	GenericILFusedRange(x, base, s, kLo, kHi, m)
 }
 
 // SIMDSoA delegates to GenericSoA.
@@ -55,16 +55,16 @@ func SIMDSoA(x []float64, base, stride, lane, m int) {
 	GenericSoA(x, base, stride, lane, m)
 }
 
-// SIMDSoA32 delegates to GenericSoA32.
+// SIMDSoA32 delegates to GenericSoA.
 func SIMDSoA32(x []float32, base, stride, lane, m int) {
-	GenericSoA32(x, base, stride, lane, m)
+	GenericSoA(x, base, stride, lane, m)
 }
 
 // SIMDContig delegates to GenericContig.
 func SIMDContig(x []float64, base, m int) { GenericContig(x, base, m) }
 
-// SIMDContig32 delegates to GenericContig32.
-func SIMDContig32(x []float32, base, m int) { GenericContig32(x, base, m) }
+// SIMDContig32 delegates to GenericContig.
+func SIMDContig32(x []float32, base, m int) { GenericContig(x, base, m) }
 
 // SIMDStrided delegates to the scalar fused streaming kernel over the
 // full row — bitwise-equal to per-(j,k) strided calls.
@@ -74,7 +74,7 @@ func SIMDStrided(x []float64, base, s, m int) {
 
 // SIMDStrided32 is the float32 delegation.
 func SIMDStrided32(x []float32, base, s, m int) {
-	GenericILFusedRange32(x, base, s, 0, s, m)
+	GenericILFusedRange(x, base, s, 0, s, m)
 }
 
 // SIMDStridedRange delegates to the scalar fused streaming kernel over
@@ -85,5 +85,5 @@ func SIMDStridedRange(x []float64, base, s, kLo, kHi, m int) {
 
 // SIMDStridedRange32 is the float32 delegation.
 func SIMDStridedRange32(x []float32, base, s, kLo, kHi, m int) {
-	GenericILFusedRange32(x, base, s, kLo, kHi, m)
+	GenericILFusedRange(x, base, s, kLo, kHi, m)
 }

@@ -116,13 +116,13 @@ func TestSIMDKernelsBitwise32(t *testing.T) {
 			fillPattern32(ref, r)
 			copy(got, ref)
 
-			GenericIL32(ref, base, s, m)
+			GenericIL(ref, base, s, m)
 			SIMDIL32(got, base, s, m)
 			equalBits32(t, "IL32", ref, got)
 
 			fillPattern32(ref, r)
 			copy(got, ref)
-			GenericILFused32(ref, base, s, m)
+			GenericILFused(ref, base, s, m)
 			SIMDILFused32(got, base, s, m)
 			equalBits32(t, "ILFused32", ref, got)
 
@@ -133,13 +133,13 @@ func TestSIMDKernelsBitwise32(t *testing.T) {
 				}
 				fillPattern32(ref, r)
 				copy(got, ref)
-				GenericILRange32(ref, base, s, kLo, kHi, m)
+				GenericILRange(ref, base, s, kLo, kHi, m)
 				SIMDILRange32(got, base, s, kLo, kHi, m)
 				equalBits32(t, "ILRange32", ref, got)
 
 				fillPattern32(ref, r)
 				copy(got, ref)
-				GenericILFusedRange32(ref, base, s, kLo, kHi, m)
+				GenericILFusedRange(ref, base, s, kLo, kHi, m)
 				SIMDILFusedRange32(got, base, s, kLo, kHi, m)
 				equalBits32(t, "ILFusedRange32", ref, got)
 			}
@@ -150,7 +150,7 @@ func TestSIMDKernelsBitwise32(t *testing.T) {
 				}
 				fillPattern32(ref, r)
 				copy(got, ref)
-				GenericSoA32(ref, base, s, lane, m)
+				GenericSoA(ref, base, s, lane, m)
 				SIMDSoA32(got, base, s, lane, m)
 				equalBits32(t, "SoA32", ref, got)
 			}
@@ -260,7 +260,7 @@ func TestSIMDContigStridedBitwise32(t *testing.T) {
 			fillPattern32(ref, r)
 			copy(got, ref)
 			for k := 0; k < s; k++ {
-				Generic32(ref, base+k, s, m)
+				Generic(ref, base+k, s, m)
 			}
 			SIMDStrided32(got, base, s, m)
 			equalBits32(t, "Strided32", ref, got)
@@ -273,7 +273,7 @@ func TestSIMDContigStridedBitwise32(t *testing.T) {
 				fillPattern32(ref, r)
 				copy(got, ref)
 				for k := kLo; k < kHi; k++ {
-					Generic32(ref, base+k, s, m)
+					Generic(ref, base+k, s, m)
 				}
 				SIMDStridedRange32(got, base, s, kLo, kHi, m)
 				equalBits32(t, "StridedRange32", ref, got)
@@ -388,14 +388,14 @@ func TestSIMDSpecialValuesBitwise32(t *testing.T) {
 				got := make([]float32, len(ref))
 				fillSpecial32(ref, r)
 				copy(got, ref)
-				GenericIL32(ref, base, s, m)
+				GenericIL(ref, base, s, m)
 				SIMDIL32(got, base, s, m)
 				equalBits32(t, "IL32", ref, got)
 
 				fillSpecial32(ref, r)
 				copy(got, ref)
 				for k := 0; k < s; k++ {
-					Generic32(ref, base+k, s, m)
+					Generic(ref, base+k, s, m)
 				}
 				SIMDStrided32(got, base, s, m)
 				equalBits32(t, "Strided32", ref, got)

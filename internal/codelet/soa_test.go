@@ -25,9 +25,9 @@ func soaBuffer(rng *rand.Rand, m, base, stride, lane int) ([]float64, [][]float6
 	return x, vecs
 }
 
-// TestSoAKernelsBitwiseEqualStrided drives the generated and generic SoA
-// kernels over a grid of (m, stride, lane, base) shapes and checks every
-// lane vector bitwise against the strided reference kernel applied to an
+// TestSoAKernelsBitwiseEqualStrided drives the SoA loop kernel over a
+// grid of (m, stride, lane, base) shapes and checks every lane vector
+// bitwise against the strided reference kernel applied to an
 // AoS copy — the same butterfly network, so equality is exact — and that
 // elements outside the lanes are untouched.
 func TestSoAKernelsBitwiseEqualStrided(t *testing.T) {
@@ -43,11 +43,7 @@ func TestSoAKernelsBitwiseEqualStrided(t *testing.T) {
 		} {
 			x, vecs := soaBuffer(rng, m, sh.base, sh.stride, sh.lane)
 			orig := append([]float64(nil), x...)
-			if k := ForSoA(m); k != nil {
-				k(x, sh.base, sh.stride, sh.lane)
-			} else {
-				GenericSoA(x, sh.base, sh.stride, sh.lane, m)
-			}
+			GenericSoA(x, sh.base, sh.stride, sh.lane, m)
 			for b := 0; b < sh.lane; b++ {
 				want := append([]float64(nil), vecs[b]...)
 				Generic(want, 0, 1, m)
@@ -92,14 +88,10 @@ func TestSoAKernel32BitwiseEqualStrided(t *testing.T) {
 					vecs[b][j] = x[sh.base+b+j*sh.stride]
 				}
 			}
-			if k := ForSoA32(m); k != nil {
-				k(x, sh.base, sh.stride, sh.lane)
-			} else {
-				GenericSoA32(x, sh.base, sh.stride, sh.lane, m)
-			}
+			GenericSoA(x, sh.base, sh.stride, sh.lane, m)
 			for b := 0; b < sh.lane; b++ {
 				want := append([]float32(nil), vecs[b]...)
-				Generic32(want, 0, 1, m)
+				Generic(want, 0, 1, m)
 				for j := range want {
 					if got := x[sh.base+b+j*sh.stride]; got != want[j] {
 						t.Fatalf("m=%d stride=%d lane=%d: vector %d element %d = %g, want %g",
@@ -121,35 +113,12 @@ func TestSoAMatchesIL(t *testing.T) {
 		n := 1 << uint(m)
 		x := randomVector(rng, n*s)
 		y := append([]float64(nil), x...)
-		if k := ForSoA(m); k == nil {
-			t.Fatalf("no generated SoA kernel for m=%d", m)
-		} else {
-			k(x, 0, s, s)
-		}
-		if il := ForIL(m); il != nil {
-			il(y, 0, s)
-		} else {
-			GenericIL(y, 0, s, m)
-		}
+		GenericSoA(x, 0, s, s, m)
+		GenericIL(y, 0, s, m)
 		for i := range x {
 			if x[i] != y[i] {
 				t.Fatalf("m=%d: SoA(lane=stride=%d) diverges from IL at %d", m, s, i)
 			}
-		}
-	}
-}
-
-// TestForSoARange checks the accessor's range guards.
-func TestForSoARange(t *testing.T) {
-	if ForSoA(0) != nil || ForSoA(GeneratedMaxLog+1) != nil {
-		t.Fatal("ForSoA outside the generated range must be nil")
-	}
-	if ForSoA32(0) != nil || ForSoA32(GeneratedMaxLog+1) != nil {
-		t.Fatal("ForSoA32 outside the generated range must be nil")
-	}
-	for m := 1; m <= GeneratedMaxLog; m++ {
-		if ForSoA(m) == nil || ForSoA32(m) == nil {
-			t.Fatalf("missing generated SoA kernel for m=%d", m)
 		}
 	}
 }

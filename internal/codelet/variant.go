@@ -5,8 +5,11 @@ import "fmt"
 // Variant identifies the stage-shape-specialized form of a kernel.  The
 // paper's analysis turns on how a stage's (R, 2^m, S) shape drives memory
 // behavior: stride-1 leaves stream through cache while large-S stages
-// thrash it.  The engine therefore carries three codelet forms per
-// log-size and picks one per compiled stage:
+// thrash it.  The engine therefore carries three kernel forms per
+// log-size and picks one per compiled stage.  Strided kernels are
+// unrolled at every log-size and contiguous ones up to
+// GeneratedContigMaxLog; contiguous 2^8 and every interleaved stage run
+// the Generic* loops, which the unrolled forms do not beat there.
 //
 //   - Strided: the generic x[base + j*stride] form — works in every
 //     calling context (including non-unit outer strides) but is
@@ -118,9 +121,9 @@ func (p Policy) Select(m, s int) Variant {
 }
 
 // GenericContig computes an in-place WHT(2^m) on the contiguous vector
-// x[base : base+2^m] — the stride-1 loop kernel the engine falls back to
-// when no unrolled contiguous codelet was generated.
-func GenericContig(x []float64, base, m int) {
+// x[base : base+2^m] — the stride-1 loop kernel, which serves contiguous
+// stages above GeneratedContigMaxLog.
+func GenericContig[T Float](x []T, base, m int) {
 	n := 1 << uint(m)
 	v := x[base : base+n]
 	for h := 1; h < n; h <<= 1 {
@@ -137,48 +140,17 @@ func GenericContig(x []float64, base, m int) {
 	}
 }
 
-// GenericContig32 is the float32 contiguous loop kernel.
-func GenericContig32(x []float32, base, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n]
-	for h := 1; h < n; h <<= 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			lo := v[blk : blk+h]
-			hi := v[blk+h : blk+2*h]
-			hi = hi[:len(lo)]
-			for j := range lo {
-				a, b := lo[j], hi[j]
-				lo[j] = a + b
-				hi[j] = a - b
-			}
-		}
-	}
-}
+// GenericContig32 is GenericContig on float32, kept as a named function
+// for callers that take its address or spell the element type.
+func GenericContig32(x []float32, base, m int) { GenericContig(x, base, m) }
 
 // GenericIL computes s interleaved in-place WHT(2^m)s on the contiguous
 // block x[base : base+s*2^m]: vector k (k < s) occupies the elements
 // x[base + k + j*s], j < 2^m.  At butterfly level h the pair (j, j+h)
 // across all k is exactly the contiguous run [j*s, (j+h)*s) against
 // [(j+h)*s, (j+2h)*s), so every inner loop is unit-stride regardless of s.
-func GenericIL(x []float64, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	for h := s; h < n*s; h <<= 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			lo := v[blk : blk+h]
-			hi := v[blk+h : blk+2*h]
-			hi = hi[:len(lo)]
-			for k := range lo {
-				a, b := lo[k], hi[k]
-				lo[k] = a + b
-				hi[k] = a - b
-			}
-		}
-	}
-}
-
-// GenericIL32 is the float32 interleaved loop kernel.
-func GenericIL32(x []float32, base, s, m int) {
+// It is the scalar interleaved kernel.
+func GenericIL[T Float](x []T, base, s, m int) {
 	n := 1 << uint(m)
 	v := x[base : base+n*s]
 	for h := s; h < n*s; h <<= 1 {
@@ -201,46 +173,9 @@ func GenericIL32(x []float32, base, s, m int) {
 // store per element per two levels, against two of each for the
 // single-level kernel.  An odd level count pays one single-level pass
 // first.  Fusing regroups, but does not reorder, the per-element
-// operation DAG, so the results are bitwise-equal to GenericIL.
-func GenericILFused(x []float64, base, s, m int) {
-	n := 1 << uint(m)
-	v := x[base : base+n*s]
-	h := s
-	if m&1 == 1 {
-		for blk := 0; blk < n*s; blk += h << 1 {
-			lo := v[blk : blk+h]
-			hi := v[blk+h : blk+2*h]
-			hi = hi[:len(lo)]
-			for k := range lo {
-				a, b := lo[k], hi[k]
-				lo[k] = a + b
-				hi[k] = a - b
-			}
-		}
-		h <<= 1
-	}
-	for ; h < n*s; h <<= 2 {
-		for blk := 0; blk < n*s; blk += h << 2 {
-			q0 := v[blk : blk+h]
-			q1 := v[blk+h : blk+2*h]
-			q2 := v[blk+2*h : blk+3*h]
-			q3 := v[blk+3*h : blk+4*h]
-			q1 = q1[:len(q0)]
-			q2 = q2[:len(q0)]
-			q3 = q3[:len(q0)]
-			for k := range q0 {
-				a, b, c, d := q0[k], q1[k], q2[k], q3[k]
-				e, f := a+b, a-b
-				g, hh := c+d, c-d
-				q0[k], q1[k] = e+g, f+hh
-				q2[k], q3[k] = e-g, f-hh
-			}
-		}
-	}
-}
-
-// GenericILFused32 is the float32 fused interleaved kernel.
-func GenericILFused32(x []float32, base, s, m int) {
+// operation DAG, so the results are bitwise-equal to GenericIL.  It is
+// the scalar kernel of interleaved stages compiled under Policy.ILFuse.
+func GenericILFused[T Float](x []T, base, s, m int) {
 	n := 1 << uint(m)
 	v := x[base : base+n*s]
 	h := s
@@ -291,71 +226,7 @@ func GenericILFused32(x []float32, base, s, m int) {
 // loaded back — so any grouping computes bitwise the very values
 // GenericILFused would: partial and full rows mix freely across worker
 // seams and across executor tiers.
-func GenericILFusedRange(x []float64, base, s, kLo, kHi, m int) {
-	n := 1 << uint(m)
-	hj := 1
-	switch m % 3 {
-	case 1:
-		for blk := 0; blk < n; blk += 2 {
-			lo := base + blk*s
-			hi := lo + s
-			for k := kLo; k < kHi; k++ {
-				a, b := x[lo+k], x[hi+k]
-				x[lo+k] = a + b
-				x[hi+k] = a - b
-			}
-		}
-		hj = 2
-	case 2:
-		for blk := 0; blk < n; blk += 4 {
-			p0 := base + blk*s
-			p1 := p0 + s
-			p2 := p1 + s
-			p3 := p2 + s
-			for k := kLo; k < kHi; k++ {
-				a, b, c, d := x[p0+k], x[p1+k], x[p2+k], x[p3+k]
-				e, f := a+b, a-b
-				g, hh := c+d, c-d
-				x[p0+k], x[p1+k] = e+g, f+hh
-				x[p2+k], x[p3+k] = e-g, f-hh
-			}
-		}
-		hj = 4
-	}
-	for ; hj < n; hj <<= 3 {
-		for blk := 0; blk < n; blk += hj << 3 {
-			for j := blk; j < blk+hj; j++ {
-				p0 := base + j*s
-				p1 := p0 + hj*s
-				p2 := p1 + hj*s
-				p3 := p2 + hj*s
-				p4 := p3 + hj*s
-				p5 := p4 + hj*s
-				p6 := p5 + hj*s
-				p7 := p6 + hj*s
-				for k := kLo; k < kHi; k++ {
-					a0, a1, a2, a3 := x[p0+k], x[p1+k], x[p2+k], x[p3+k]
-					a4, a5, a6, a7 := x[p4+k], x[p5+k], x[p6+k], x[p7+k]
-					b0, b1 := a0+a1, a0-a1
-					b2, b3 := a2+a3, a2-a3
-					b4, b5 := a4+a5, a4-a5
-					b6, b7 := a6+a7, a6-a7
-					c0, c2 := b0+b2, b0-b2
-					c1, c3 := b1+b3, b1-b3
-					c4, c6 := b4+b6, b4-b6
-					c5, c7 := b5+b7, b5-b7
-					x[p0+k], x[p4+k] = c0+c4, c0-c4
-					x[p1+k], x[p5+k] = c1+c5, c1-c5
-					x[p2+k], x[p6+k] = c2+c6, c2-c6
-					x[p3+k], x[p7+k] = c3+c7, c3-c7
-				}
-			}
-		}
-	}
-}
-
-// GenericILFusedRange32 is the float32 fused interleaved range kernel.
-func GenericILFusedRange32(x []float32, base, s, kLo, kHi, m int) {
+func GenericILFusedRange[T Float](x []T, base, s, kLo, kHi, m int) {
 	n := 1 << uint(m)
 	hj := 1
 	switch m % 3 {
@@ -423,25 +294,7 @@ func GenericILFusedRange32(x []float32, base, s, kLo, kHi, m int) {
 // parallel executor uses when a worker's share of an interleaved stage
 // covers only part of a j-row.  The inner loops stay unit-stride (runs of
 // kHi-kLo adjacent elements).
-func GenericILRange(x []float64, base, s, kLo, kHi, m int) {
-	n := 1 << uint(m)
-	for h := 1; h < n; h <<= 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			for j := blk; j < blk+h; j++ {
-				lo := base + j*s
-				hi := lo + h*s
-				for k := kLo; k < kHi; k++ {
-					a, b := x[lo+k], x[hi+k]
-					x[lo+k] = a + b
-					x[hi+k] = a - b
-				}
-			}
-		}
-	}
-}
-
-// GenericILRange32 is the float32 interleaved range kernel.
-func GenericILRange32(x []float32, base, s, kLo, kHi, m int) {
+func GenericILRange[T Float](x []T, base, s, kLo, kHi, m int) {
 	n := 1 << uint(m)
 	for h := 1; h < n; h <<= 1 {
 		for blk := 0; blk < n; blk += h << 1 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codelet"
 	"repro/internal/plan"
@@ -135,9 +136,14 @@ func (c *ScheduleCache) Len() int {
 func (c *ScheduleCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.drop()
+	c.stats = CacheStats{}
+}
+
+// drop empties the cache and keeps the counters.  Callers hold c.mu.
+func (c *ScheduleCache) drop() {
 	c.entries = make(map[int]*cacheEntry, c.cap)
 	c.head, c.tail = nil, nil
-	c.stats = CacheStats{}
 }
 
 func (c *ScheduleCache) moveToFront(e *cacheEntry) {
@@ -177,6 +183,11 @@ func (c *ScheduleCache) unlink(e *cacheEntry) {
 // defaultCache backs ForSize; 32 sizes cover every transform length the
 // engine can address.
 var defaultCache = NewScheduleCache(32)
+
+// defaultRow is the backend tier defaultCache's untuned schedules were
+// built for: 0 before the first ForSize, then 1 (scalar) or 2 (SIMD),
+// the resolution of codelet.AutoBackend that picks DefaultPlan's row.
+var defaultRow atomic.Uint32
 
 // tunedPlans maps log-size to the plan (and variant policy) a tuner
 // registered as preferred.  ForSize compiles from it instead of
@@ -304,7 +315,23 @@ func DefaultCacheStats() CacheStats {
 // transform on integer inputs; on non-integer inputs plans differ at
 // the rounding level, so results may change in the last bits when the
 // table is regenerated.
+//
+// When the backend AutoBackend resolves to has changed since the cached
+// schedules were built (codelet.SetBackend, wht.SetBackend), ForSize
+// drops them, keeping the traffic counters, so the default follows the
+// row in effect.  A switch racing a concurrent build may leave that one
+// size on the previous row's plan until it is evicted; every plan is
+// correct on either backend.
 func ForSize(n int) *Schedule {
+	row := uint32(1)
+	if codelet.EffectiveSIMD(codelet.AutoBackend) {
+		row = 2
+	}
+	if old := defaultRow.Load(); old != row && defaultRow.CompareAndSwap(old, row) && old != 0 {
+		defaultCache.mu.Lock()
+		defaultCache.drop()
+		defaultCache.mu.Unlock()
+	}
 	return defaultCache.Get(n, func() *Schedule {
 		tunedMu.RLock()
 		e, ok := tunedPlans[n]

@@ -22,12 +22,14 @@
 //
 // Compile additionally specializes each stage to a kernel variant chosen
 // from its shape (codelet.Policy): stride-1 stages run the contiguous
-// codelet, large-S stages run the interleaved codelet that absorbs the
+// kernel, large-S stages run the interleaved kernel that absorbs the
 // inner k-loop into unit-stride streaming passes, and the rest run the
-// generic strided codelet — the stage-shape axis the paper identifies as
-// the dominant performance dimension.  Plan leaves are bounded by
+// strided codelet — the stage-shape axis the paper identifies as the
+// dominant performance dimension.  Plan leaves are bounded by
 // plan.MaxLeafLog, so every stage is one butterfly array of at most
-// 2^plan.MaxLeafLog points run by an unrolled codelet.
+// 2^plan.MaxLeafLog points; on the scalar tier it runs an unrolled
+// codelet where one beats the loop (strided, and contiguous up to
+// codelet.GeneratedContigMaxLog) and a codelet.Generic* loop otherwise.
 //
 // Schedules are immutable after Compile and safe for concurrent use; one
 // schedule serves both element types.
@@ -40,13 +42,11 @@ import (
 	"repro/internal/plan"
 )
 
-// Float constrains the element types the engine executes on.  It is
-// deliberately the two concrete types (no ~): unrolled codelet tables
-// exist exactly for float64 and float32, and the kernel lookup dispatches
-// on the dynamic type.
-type Float interface {
-	float32 | float64
-}
+// Float constrains the element types the engine executes on: the
+// codelet package's two concrete types (no ~), because unrolled codelet
+// tables and vector kernels exist exactly for float64 and float32 and the
+// kernel lookup dispatches on the dynamic type.
+type Float = codelet.Float
 
 // Stage is one compiled stage op: apply the kernel of log-size M at bases
 // j*(S<<M) + k for j < R, k < S, each call reading the strided vector of
@@ -316,11 +316,13 @@ type kernelSet[T Float] struct {
 	stridedVecMinS  int
 }
 
-// kernelsFor resolves the kernel set for log-size m: the unrolled
-// codelets where generated, the generic loop kernels otherwise (index 0
-// of the banks, and any variant a subset whtgen build left out).  The
-// two concrete instantiations share the Float type set, so the
-// assertions through any are exact.
+// kernelsFor resolves the kernel set for log-size m.  The scalar bank
+// binds the Generic* loops, then overlays the unrolled strided and
+// contiguous codelets where cmd/whtgen generated them (every strided
+// size, contiguous up to codelet.GeneratedContigMaxLog); the loops are
+// called directly from the closures, so one body serves both element
+// types.  The two concrete instantiations share the Float type set, so
+// the assertions through any are exact.
 //
 // simd selects the vector backend for the streaming slots (il, ilFused,
 // ilRange, soa) — exactly the kernels whose unit-stride
@@ -331,108 +333,74 @@ type kernelSet[T Float] struct {
 // contiguous kernel once the transform spans the four vectors of its
 // in-register head.
 func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
-	var zero T
-	switch any(zero).(type) {
-	case float64:
-		var ks kernelSet[float64]
-		if simd {
-			// The vector pass program fuses level pairs itself, so the
-			// plain and fused interleaved slots run one kernel.
-			ks.il = func(x []float64, base, s int) { codelet.SIMDIL(x, base, s, m) }
-			ks.ilFused = ks.il
-			ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
-				codelet.SIMDILRange(x, base, s, kLo, kHi, m)
-			}
-			ks.soa = func(x []float64, base, stride, lane int) {
-				codelet.SIMDSoA(x, base, stride, lane, m)
-			}
-		} else {
-			ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
-				codelet.GenericILRange(x, base, s, kLo, kHi, m)
-			}
-			ks.il = codelet.ForIL(m)
-			ks.soa = codelet.ForSoA(m)
-			ks.ilFused = codelet.ForILFused(m)
-			if ks.il == nil {
-				ks.il = func(x []float64, base, s int) { codelet.GenericIL(x, base, s, m) }
-			}
-			if ks.soa == nil {
-				ks.soa = func(x []float64, base, stride, lane int) { codelet.GenericSoA(x, base, stride, lane, m) }
-			}
-			if ks.ilFused == nil {
-				ks.ilFused = func(x []float64, base, s int) { codelet.GenericILFused(x, base, s, m) }
-			}
-		}
-		ks.strided = codelet.For(m)
-		ks.contig = codelet.ForContig(m)
-		if ks.strided == nil {
-			ks.strided = func(x []float64, base, stride int) { codelet.Generic(x, base, stride, m) }
-		}
-		if ks.contig == nil {
-			ks.contig = func(x []float64, base int) { codelet.GenericContig(x, base, m) }
-		}
-		if simd {
-			ks.stridedVec = func(x []float64, base, s int) { codelet.SIMDStrided(x, base, s, m) }
-			ks.stridedVecRange = func(x []float64, base, s, kLo, kHi int) {
-				codelet.SIMDStridedRange(x, base, s, kLo, kHi, m)
-			}
-			ks.stridedVecMinS = codelet.SIMDWidth64
-			if 1<<uint(m) >= 4*codelet.SIMDWidth64 {
-				// Four vectors fill the in-register head; smaller
-				// kernels keep the unrolled scalar contiguous codelet
-				// (machine.SIMDVectorizes mirrors this gate).
-				ks.contig = func(x []float64, base int) { codelet.SIMDContig(x, base, m) }
-			}
-		}
-		return any(ks).(kernelSet[T])
-	default:
-		var ks kernelSet[float32]
-		if simd {
-			ks.il = func(x []float32, base, s int) { codelet.SIMDIL32(x, base, s, m) }
-			ks.ilFused = ks.il
-			ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
-				codelet.SIMDILRange32(x, base, s, kLo, kHi, m)
-			}
-			ks.soa = func(x []float32, base, stride, lane int) {
-				codelet.SIMDSoA32(x, base, stride, lane, m)
-			}
-		} else {
-			ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
-				codelet.GenericILRange32(x, base, s, kLo, kHi, m)
-			}
-			ks.il = codelet.ForIL32(m)
-			ks.soa = codelet.ForSoA32(m)
-			ks.ilFused = codelet.ForILFused32(m)
-			if ks.il == nil {
-				ks.il = func(x []float32, base, s int) { codelet.GenericIL32(x, base, s, m) }
-			}
-			if ks.soa == nil {
-				ks.soa = func(x []float32, base, stride, lane int) { codelet.GenericSoA32(x, base, stride, lane, m) }
-			}
-			if ks.ilFused == nil {
-				ks.ilFused = func(x []float32, base, s int) { codelet.GenericILFused32(x, base, s, m) }
-			}
-		}
-		ks.strided = codelet.For32(m)
-		ks.contig = codelet.ForContig32(m)
-		if ks.strided == nil {
-			ks.strided = func(x []float32, base, stride int) { codelet.Generic32(x, base, stride, m) }
-		}
-		if ks.contig == nil {
-			ks.contig = func(x []float32, base int) { codelet.GenericContig32(x, base, m) }
-		}
-		if simd {
-			ks.stridedVec = func(x []float32, base, s int) { codelet.SIMDStrided32(x, base, s, m) }
-			ks.stridedVecRange = func(x []float32, base, s, kLo, kHi int) {
-				codelet.SIMDStridedRange32(x, base, s, kLo, kHi, m)
-			}
-			ks.stridedVecMinS = codelet.SIMDWidth32
-			if 1<<uint(m) >= 4*codelet.SIMDWidth32 {
-				ks.contig = func(x []float32, base int) { codelet.SIMDContig32(x, base, m) }
-			}
-		}
-		return any(ks).(kernelSet[T])
+	ks := kernelSet[T]{
+		strided: func(x []T, base, stride int) { codelet.Generic(x, base, stride, m) },
+		contig:  func(x []T, base int) { codelet.GenericContig(x, base, m) },
+		il:      func(x []T, base, s int) { codelet.GenericIL(x, base, s, m) },
+		ilFused: func(x []T, base, s int) { codelet.GenericILFused(x, base, s, m) },
+		ilRange: func(x []T, base, s, kLo, kHi int) { codelet.GenericILRange(x, base, s, kLo, kHi, m) },
+		soa:     func(x []T, base, stride, lane int) { codelet.GenericSoA(x, base, stride, lane, m) },
 	}
+	switch ks := any(&ks).(type) {
+	case *kernelSet[float64]:
+		if k := codelet.For(m); k != nil {
+			ks.strided = k
+		}
+		if k := codelet.ForContig(m); k != nil {
+			ks.contig = k
+		}
+		if !simd {
+			break
+		}
+		// The vector pass program fuses level pairs itself, so the
+		// plain and fused interleaved slots run one kernel.
+		ks.il = func(x []float64, base, s int) { codelet.SIMDIL(x, base, s, m) }
+		ks.ilFused = ks.il
+		ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
+			codelet.SIMDILRange(x, base, s, kLo, kHi, m)
+		}
+		ks.soa = func(x []float64, base, stride, lane int) {
+			codelet.SIMDSoA(x, base, stride, lane, m)
+		}
+		ks.stridedVec = func(x []float64, base, s int) { codelet.SIMDStrided(x, base, s, m) }
+		ks.stridedVecRange = func(x []float64, base, s, kLo, kHi int) {
+			codelet.SIMDStridedRange(x, base, s, kLo, kHi, m)
+		}
+		ks.stridedVecMinS = codelet.SIMDWidth64
+		if 1<<uint(m) >= 4*codelet.SIMDWidth64 {
+			// Four vectors fill the in-register head; smaller
+			// kernels keep the unrolled scalar contiguous codelet
+			// (machine.SIMDVectorizes mirrors this gate).
+			ks.contig = func(x []float64, base int) { codelet.SIMDContig(x, base, m) }
+		}
+	case *kernelSet[float32]:
+		if k := codelet.For32(m); k != nil {
+			ks.strided = k
+		}
+		if k := codelet.ForContig32(m); k != nil {
+			ks.contig = k
+		}
+		if !simd {
+			break
+		}
+		ks.il = func(x []float32, base, s int) { codelet.SIMDIL32(x, base, s, m) }
+		ks.ilFused = ks.il
+		ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
+			codelet.SIMDILRange32(x, base, s, kLo, kHi, m)
+		}
+		ks.soa = func(x []float32, base, stride, lane int) {
+			codelet.SIMDSoA32(x, base, stride, lane, m)
+		}
+		ks.stridedVec = func(x []float32, base, s int) { codelet.SIMDStrided32(x, base, s, m) }
+		ks.stridedVecRange = func(x []float32, base, s, kLo, kHi int) {
+			codelet.SIMDStridedRange32(x, base, s, kLo, kHi, m)
+		}
+		ks.stridedVecMinS = codelet.SIMDWidth32
+		if 1<<uint(m) >= 4*codelet.SIMDWidth32 {
+			ks.contig = func(x []float32, base int) { codelet.SIMDContig32(x, base, m) }
+		}
+	}
+	return ks
 }
 
 // kernelTable resolves the kernel set of each (leaf size, backend)

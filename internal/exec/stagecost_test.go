@@ -134,6 +134,36 @@ func TestTunedPlanOverridesTable(t *testing.T) {
 	}
 }
 
+// A backend switch after first use moves ForSize's default to the new
+// row's pick, without resetting the cache's traffic counters.
+func TestForSizeFollowsBackendSwitch(t *testing.T) {
+	if !codelet.SIMDAvailable() {
+		t.Skip("no vector tier: both backends resolve to scalar")
+	}
+	const n = 12
+	scalar, simd := DefaultPlan(n, codelet.ScalarBackend), DefaultPlan(n, codelet.SIMDBackend)
+	if scalar.Equal(simd) {
+		t.Skipf("the table rows pick the same plan at n = %d on this host", n)
+	}
+	ResetTunedPlans()
+	defer ResetTunedPlans()
+	defer codelet.SetBackend(codelet.ActiveBackend())
+	codelet.SetBackend(codelet.SIMDBackend)
+	if got, want := ForSize(n).String(), Compile(simd).String(); got != want {
+		t.Fatalf("SIMD: ForSize(%d) = %s, want %s", n, got, want)
+	}
+	ForSize(n) // warm
+	before := DefaultCacheStats()
+	codelet.SetBackend(codelet.ScalarBackend)
+	if got, want := ForSize(n).String(), Compile(scalar).String(); got != want {
+		t.Fatalf("after switching to scalar: ForSize(%d) = %s, want the scalar row's %s", n, got, want)
+	}
+	after := DefaultCacheStats()
+	if after.Hits < before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("counters %+v -> %+v: want them kept and one miss added", before, after)
+	}
+}
+
 // BestStages prices the blocked prefix from the cacheBlockLog entries,
 // scaled by the block count, and asks for nothing outside StageKeys.
 func TestBestStagesPricesBlockedPrefix(t *testing.T) {

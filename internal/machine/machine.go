@@ -98,7 +98,8 @@ func (c CostModel) LeafOps(m int) OpCounts {
 //   - Contiguous: the same butterfly network, but the incremental
 //     per-element offset updates collapse to one constant-index subslice
 //     (two address ops), which is exactly what the generated stride-1
-//     codelet does.
+//     codelet does.  Contiguous m = 8 has no generated codelet and runs
+//     the GenericContig loop; it is still priced as the unrolled form.
 //   - Interleaved: one call covers the s vectors of a j-row in m streaming
 //     passes — m*2^m*s loads, stores and butterfly ops, one loop op per
 //     butterfly, and no spill traffic (only a handful of temporaries are

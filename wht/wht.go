@@ -41,11 +41,15 @@
 // per-vector evaluation); Schedule.SetSoAMinBatch (or a tuned wisdom
 // entry) sets the crossover, 1 forcing the tier and -1 disabling it.
 //
-// On amd64 hosts with AVX2 the streaming kernel forms (interleaved,
-// fused-IL, and the SoA lane sweeps) execute through hand-written
-// vector assembly, bitwise-identical to the scalar codelets because
-// unit-stride vectorization never reorders any element's add/sub
-// chain.  Dispatch is automatic (runtime CPU detection); Policy.Backend
+// On amd64 hosts with AVX2 (and arm64 with NEON) the streaming kernel
+// forms (interleaved, fused interleaved, and the SoA lane sweeps), wide
+// strided stages and large contiguous leaves execute through
+// hand-written vector assembly, bitwise-identical to the scalar tier
+// because unit-stride vectorization never reorders any element's
+// add/sub chain.  The scalar tier runs unrolled codelets for strided
+// leaves and contiguous leaves up to 2^7, and loops for every other
+// shape; on NaN inputs only the NaN payload bits may differ between
+// tiers.  Dispatch is automatic (runtime CPU detection); Policy.Backend
 // pins one schedule, SetBackend or the WHT_SIMD environment variable
 // ("scalar"/"simd") overrides the whole process, and every other
 // GOOS/GOARCH builds the pure-Go fallback via build tags.
@@ -167,8 +171,8 @@ type Schedule = exec.Schedule
 type Float = exec.Float
 
 // Variant identifies the stage-shape-specialized kernel form a compiled
-// stage executes with: the generic strided codelet, the stride-1
-// contiguous codelet, or the interleaved codelet that absorbs a stage's
+// stage executes with: the generic strided kernel, the stride-1
+// contiguous kernel, or the interleaved kernel that absorbs a stage's
 // inner k-loop into unit-stride streaming passes.
 type Variant = codelet.Variant
 
