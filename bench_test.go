@@ -287,7 +287,7 @@ func BenchmarkLeafSizeAblation(b *testing.B) {
 	}
 }
 
-// --- Compiled engine: walker vs compiled, SoA batches, SIMD kernels ---// --- Compiled engine: walker vs compiled, batch throughput, plan cache ---
+// --- Compiled engine: walker vs compiled, batch throughput, SIMD kernels ---
 
 // Walker-vs-compiled on the canonical plans.  "interpret" walks the tree
 // on every call (the pre-refactor engine); "compiled" runs a precompiled
@@ -329,52 +329,41 @@ func BenchmarkWalkerVsCompiled(b *testing.B) {
 	}
 }
 
-// SoA batch tier versus the per-vector batch path: the same schedule
-// over the same batch, run vector by vector (every stage pass repaid
-// per vector) and in structure-of-arrays form (each stage pass
-// amortized across the whole lane, plus the two transposes).  The
-// n=16 / lane>=8 ratio is the acceptance gate of the SoA engine
-// (>= 1.3x); the parallel forms compare the two fan-out shapes.
-func BenchmarkBatchSoA(b *testing.B) {
-	for _, cfg := range []struct{ n, lane int }{
-		{14, 8}, {16, 8}, {16, 32}, {17, 16}, {18, 16}, {18, 32},
+// RunBatch at one worker on Balanced(16, 8), two stages, and on the
+// default schedule ForSize(16), at 8 and 32 vectors: every batch runs
+// vector by vector, so the per-element time matches a single-vector
+// Run of the same schedule.  "parallel" fans the vectors out over
+// GOMAXPROCS workers.
+func BenchmarkRunBatch(b *testing.B) {
+	const n = 16
+	for _, sc := range []struct {
+		name  string
+		sched *exec.Schedule
+	}{
+		{"balanced", exec.Compile(plan.Balanced(n, plan.MaxLeafLog))},
+		{"default", exec.ForSize(n)},
 	} {
-		p := plan.Balanced(cfg.n, plan.MaxLeafLog)
-		aos, soa := exec.Compile(p), exec.Compile(p)
-		aos.SetSoAMinBatch(-1) // pin the per-vector path
-		soa.SetSoAMinBatch(1)  // pin the SoA tier
-		batch := make([][]float64, cfg.lane)
-		for i := range batch {
-			batch[i] = make([]float64, 1<<cfg.n)
-			for j := range batch[i] {
-				batch[i][j] = float64((i+j)&15) - 7.5
-			}
-		}
-		bytes := int64(8 << cfg.n * cfg.lane)
-		name := fmt.Sprintf("n=%d/lane=%d", cfg.n, cfg.lane)
-		var aosNs, soaNs float64
-		// Each run starts with one warm batch, which populates the pooled
-		// scratch so single-shot CI iterations do not time the first
-		// allocation + page faults.
-		run := func(b *testing.B, s *exec.Schedule, workers int) float64 {
-			b.SetBytes(bytes)
-			if err := exec.RunBatch(nil, s, batch, workers); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec.RunBatch(nil, s, batch, workers); err != nil {
-					b.Fatal(err)
+		for _, lane := range []int{8, 32} {
+			batch := make([][]float64, lane)
+			for i := range batch {
+				batch[i] = make([]float64, 1<<n)
+				for j := range batch[i] {
+					batch[i][j] = float64((i+j)&15) - 7.5
 				}
 			}
-			return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		}
-		b.Run(name+"/aos", func(b *testing.B) { aosNs = run(b, aos, 1) })
-		b.Run(name+"/soa", func(b *testing.B) { soaNs = run(b, soa, 1) })
-		b.Run(name+"/soa-parallel", func(b *testing.B) { run(b, soa, 0) })
-		b.Run(name+"/aos-parallel", func(b *testing.B) { run(b, aos, 0) })
-		if aosNs > 0 && soaNs > 0 {
-			b.Logf("%s: aos %.0f ns vs soa %.0f ns — %.2fx", name, aosNs, soaNs, aosNs/soaNs)
+			for _, w := range []struct {
+				name    string
+				workers int
+			}{{"seq", 1}, {"parallel", 0}} {
+				b.Run(fmt.Sprintf("%s/n=%d/lane=%d/%s", sc.name, n, lane, w.name), func(b *testing.B) {
+					b.SetBytes(int64(8 << n * lane))
+					for i := 0; i < b.N; i++ {
+						if err := exec.RunBatch(nil, sc.sched, batch, w.workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -413,11 +402,9 @@ func BenchmarkVariantStages(b *testing.B) {
 }
 
 // The SIMD backend against the scalar kernels on the streaming forms it
-// vectorizes, same plan and policy, backend pinned either way.  The SoA
-// lane stages are the headline (4 doubles or 8 floats per instruction
-// across the lane, acceptance bar >= 1.3x at n=16, lane >= 8 on AVX2
-// hosts); the fused interleaved single-vector path is reported
-// alongside.  On hosts without the vector tier both pins run the same
+// vectorizes, same plan and policy, backend pinned either way: the
+// fused interleaved single-vector path and the strided and contiguous
+// tiers.  On hosts without the vector tier both pins run the same
 // scalar kernels and every ratio is ~1x.
 func BenchmarkSIMDKernels(b *testing.B) {
 	if !codelet.SIMDAvailable() {
@@ -429,44 +416,6 @@ func BenchmarkSIMDKernels(b *testing.B) {
 	}{
 		{"scalar", codelet.ScalarBackend},
 		{"simd", codelet.SIMDBackend},
-	}
-
-	// SoA lane stages: whole-lane streaming butterflies, the shape the
-	// vector tier was built for.
-	for _, cfg := range []struct{ n, lane int }{
-		{14, 8}, {16, 8}, {16, 16}, {18, 16},
-	} {
-		p := plan.Balanced(cfg.n, plan.MaxLeafLog)
-		batch := make([][]float64, cfg.lane)
-		for i := range batch {
-			batch[i] = make([]float64, 1<<cfg.n)
-			for j := range batch[i] {
-				batch[i][j] = float64((i+j)&15) - 7.5
-			}
-		}
-		bytes := int64(8 << cfg.n * cfg.lane)
-		name := fmt.Sprintf("soa/n=%d/lane=%d", cfg.n, cfg.lane)
-		ns := map[string]float64{}
-		for _, bk := range backends {
-			sched := exec.CompileWith(p, codelet.Policy{Backend: bk.bk})
-			sched.SetSoAMinBatch(1) // pin the SoA tier
-			b.Run(name+"/"+bk.name, func(b *testing.B) {
-				b.SetBytes(bytes)
-				if err := exec.RunBatch(nil, sched, batch, 1); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := exec.RunBatch(nil, sched, batch, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-				ns[bk.name] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			})
-		}
-		if ns["scalar"] > 0 && ns["simd"] > 0 {
-			b.Logf("%s: scalar %.0f ns vs simd %.0f ns — %.2fx", name, ns["scalar"], ns["simd"], ns["scalar"]/ns["simd"])
-		}
 	}
 
 	// Fused interleaved single-vector streams: radix-4 passes whose

@@ -15,7 +15,7 @@
 //     bounds; 1.5-5.6x faster than GenericContig up to m = 7 and level
 //     with it at m = 8, which therefore runs the loop.
 //
-// The interleaved, fused interleaved and SoA shapes tie or lose to their
+// The interleaved and fused interleaved shapes tie or lose to their
 // Generic* loops, so they run the loops and are not generated.
 //
 // Everything whtgen emits is scalar pure Go.  The SIMD backend

@@ -1,6 +1,6 @@
 // Command whtserved is the batch-serving daemon: it listens on a TCP
 // or unix socket, coalesces concurrent same-size transform requests
-// into SoA batches (each batch takes what is queued when it starts, up
+// into batches (each batch takes what is queued when it starts, up
 // to -lane, so lanes widen with load and a lone request never waits),
 // serves them from warm per-size schedule caches (wisdom-seeded at
 // boot), and contains kernel faults per batch behind a degradation
@@ -61,7 +61,7 @@ func main() {
 	addr := flag.String("addr", "", "listen address (unix socket path or host:port); required unless -selfserve")
 	wisdomPath := flag.String("wisdom", "", "wisdom file to load at boot (corrupt files are quarantined)")
 	warm := flag.String("warm", "", "comma-separated log-sizes to compile before the listener opens")
-	lane := flag.Int("lane", 0, "max vectors per coalesced batch (0 = SoA lane width)")
+	lane := flag.Int("lane", 0, "max vectors per coalesced batch (0 = default coalesced batch width)")
 	queue := flag.Int("queue", 0, "per-size admission queue depth (0 = 4x lane)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests carrying none (0 = none)")
 	trips := flag.Int("trips", 2, "consecutive contained faults before a size class degrades")

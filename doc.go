@@ -9,16 +9,10 @@
 // strided views, batches, and parallel runs.  Every leaf is an unrolled
 // codelet of at most 2^8 points (wht.MaxLeafLog), so every stage is one
 // butterfly array of that size — the space of stage sequences Serre &
-// Püschel characterize.  Batch traffic has its own execution shape: the
-// SoA tier (selected by wht.RunBatch past a measured crossover, or
-// pinned with Schedule.SetSoAMinBatch) transposes the batch
-// into structure-of-arrays layout (power-of-two lanes padded by one
-// element so tile columns never alias in low cache sets) and runs every
-// stage once across the whole lane of vectors as radix-4 fused streams
-// — bitwise-equal to per-vector evaluation and >= 1.3x its throughput
-// at n=16, batch >= 8 (BenchmarkBatchSoA).  Multi-worker runs
-// (wht.RunCtx with workers > 1) have one tier: a barrier pool that splits each
-// stage across workers and joins between consecutive stages.  It fans
+// Püschel characterize.  A batch (wht.RunBatch) runs vector by vector,
+// its workers taking whole vectors.  Multi-worker runs (wht.RunCtx with
+// workers > 1) have one tier: a barrier pool that splits each stage
+// across workers and joins between consecutive stages.  It fans
 // out only from exec.ParallelMinElems (2^17 elements, two cache
 // blocks), the measured size where it stops losing to the sequential
 // executor; smaller transforms run inline.  Both executors are cache
@@ -30,7 +24,7 @@
 // halve the time of the default n = 22 schedule at 2 workers.  Orthogonal
 // to all of it runs the backend axis: every kernel form ships as pure-Go
 // scalar code plus, on amd64 (AVX2) and arm64 (NEON), hand-written vector
-// assembly for the streaming passes, the SoA lane sweeps, wide strided
+// assembly for the streaming passes, wide strided
 // stages (full j-rows streamed as chunked fused passes, no gathers), and
 // large contiguous codelets — bitwise-identical to scalar by construction,
 // since vectorizing a unit-stride sweep reorders no element's add/sub
@@ -39,8 +33,8 @@
 // re-measure) and the contiguous one up to 2^7 — and runs every other
 // shape through a Generic* loop
 // written once for both element types.  Results are bitwise identical
-// across all tiers — generated codelets, loops, vector kernels, the SoA
-// batch tier and the segmented executor — on every input, ±Inf and NaN
+// across all tiers — generated codelets, loops, vector kernels, the
+// batch path and the segmented executor — on every input, ±Inf and NaN
 // included, except for the payload bits of NaN outputs: which NaN comes
 // out may differ between a generated codelet and a loop.  The backend is pinned per compiled stage
 // (exec.Schedule.SetStageBackends): a mixed schedule runs scalar
@@ -54,14 +48,14 @@
 // on non-integer inputs its results differ from other plans' at the
 // rounding level.  The measured-cost autotuner (wht.Tune,
 // cmd/whttune) runs the same DP over live stage timings, then times
-// the cheapest sequences whole — the fused-interleaved policy, the
-// SoA-vs-per-vector batch choice, and the per-stage backend vector
+// the cheapest sequences whole — the fused-interleaved policy and the
+// per-stage backend vector
 // (model-prefiltered by machine.DecisiveBackendPreference, contested
 // stages settled by greedy measured flips) included — serves the winner from the
 // process-wide schedule cache, and persists it across restarts as a
 // fingerprinted wisdom file (wht.SaveWisdom/LoadWisdom), including the
-// kernel-variant policy, batch crossover, and stage backends the
-// winner was measured under —
+// kernel-variant policy and stage backends the winner was measured
+// under —
 // the paper's conclusion that search must be driven by measurements,
 // closed end to end.  Its timing loop reinitializes its
 // scratch between chunks, so arbitrarily long measurements of the
@@ -71,7 +65,7 @@
 // shape, wht.RunCtx for a vector and wht.RunBatch for a batch, each
 // taking a context and a worker count: ctx is polled between bounded
 // chunks of kernel calls — per worker chunk on the parallel tier,
-// sub-lanes on the SoA tier — so cancellation takes effect within one
+// per vector in a batch — so cancellation takes effect within one
 // chunk and returns ctx.Err(); a nil ctx skips the polling.  Both
 // contain kernel panics, nil ctx included: every
 // worker-pool goroutine recovers, the first failure aborts the run and
@@ -84,7 +78,7 @@
 // unregistrable entry registers nothing.  On top of these sit
 // repro/internal/serve and cmd/whtserved, the batch-serving daemon:
 // length-prefixed request/response frames over TCP or unix sockets,
-// same-size coalescing into SoA batches by group commit (a batch takes
+// same-size coalescing into batches by group commit (a batch takes
 // what is queued when it starts, up to the lane width, so lanes widen
 // with load), bounded queues that reject with a retry-after hint of
 // the last batch time, per-request deadlines, a per-size degradation ladder for

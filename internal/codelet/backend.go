@@ -8,9 +8,9 @@ import (
 
 // Backend selects the instruction tier a stage's kernels run on.  The
 // vector tier covers every unrolled-tier stage shape: the loop-shaped
-// streaming kernels — interleaved, fused interleaved, their range
-// forms, and the SoA lane kernels — whose unit-stride inner sweeps are
-// exactly the shape a vector unit consumes, plus the vectorized
+// streaming kernels — interleaved, fused interleaved and their range
+// forms — whose unit-stride inner sweeps are exactly the shape a
+// vector unit consumes, plus the vectorized
 // strided form (rows with S >= the vector width load contiguous runs
 // across the inner index, gather-free) and the vectorized contiguous
 // form (an in-register head for the levels below four vectors, whole

@@ -7,13 +7,12 @@
 // re-measure, see cmd/whtgen) and the stride-1 contiguous specialization
 // for log-sizes 1..7.  Every other stage shape (see Variant) runs a Generic*
 // loop, written once for both element types: contiguous 2^8, the
-// interleaved and fused interleaved forms and their range forms, and the
-// structure-of-arrays batch form (see soa.go).  The unrolled kernels in
-// codelets_gen.go / codelets32_gen.go are produced by cmd/whtgen
-// (go generate ./internal/codelet) in the style of SPIRAL's code
-// generator, once per element type: a func value of a generic
-// instantiation would be a wrapper around the shape body, one extra call
-// per kernel call.
+// interleaved and fused interleaved forms and their range forms.  The
+// unrolled kernels in codelets_gen.go / codelets32_gen.go are produced
+// by cmd/whtgen (go generate ./internal/codelet) in the style of
+// SPIRAL's code generator, once per element type: a func value of a
+// generic instantiation would be a wrapper around the shape body, one
+// extra call per kernel call.
 package codelet
 
 //go:generate go run ../../cmd/whtgen -max 8 -out codelets_gen.go

@@ -220,9 +220,8 @@ func TestImpulseResponse(t *testing.T) {
 // unrolls: each generated kernel (strided m = 1..8 at stage stride 4,
 // contiguous m = 1..7) beside the Generic* loop of the same shape, plus
 // the loops the engine routes the other shapes to (contiguous m = 8,
-// interleaved, fused interleaved and the interleaved range at s = 64,
-// SoA at lane = stride = 8), each op one stage over 2^14 elements of
-// float64 and float32:
+// interleaved, fused interleaved and the interleaved range at s = 64),
+// each op one stage over 2^14 elements of float64 and float32:
 //
 //	go test -run '^$' -bench KernelVsLoop ./internal/codelet
 func BenchmarkKernelVsLoop(b *testing.B) {
@@ -242,7 +241,7 @@ func benchKernelVsLoop[T Float, K ~func([]T, int, int), C ~func([]T, int)](b *te
 			}
 		})
 	}
-	const s, il, lane = 4, 64, 8
+	const s, il = 4, 64
 	row := func(k func(base int)) func(int) { // the s strided calls of a j-row
 		return func(base int) {
 			for j := 0; j < s; j++ {
@@ -263,6 +262,5 @@ func benchKernelVsLoop[T Float, K ~func([]T, int, int), C ~func([]T, int)](b *te
 		run("il"+ms+"/loop", il<<m, func(base int) { GenericIL(x, base, il, m) })
 		run("ilfused"+ms+"/loop", il<<m, func(base int) { GenericILFused(x, base, il, m) })
 		run("ilrange"+ms+"/loop", il<<m, func(base int) { GenericILRange(x, base, il, 0, il, m) })
-		run("soa"+ms+"/loop", lane<<m, func(base int) { GenericSoA(x, base, lane, lane, m) })
 	}
 }

@@ -23,7 +23,7 @@ import "math/bits"
 // runs are not a whole number of vectors (narrow rows, sizes below one
 // vector) run in Go.
 //
-// The range, SoA and chunked strided kernels keep per-block calls of
+// The range and chunked strided kernels keep per-block calls of
 // the run primitives (vecAddSub*, vecBfly4x*, vecBfly8x*): a vector run
 // across the inner index with a scalar tail.
 //
@@ -36,7 +36,7 @@ import "math/bits"
 // are bitwise-identical to the scalar tier, and on NaN inputs to the
 // Generic* loops' payloads too (x86 keeps the first source's payload
 // when both operands are NaN).  The equivalence tests in simd_test.go
-// pin this over the size x stride x lane grid and on NaN/Inf inputs.
+// pin this over the size x stride x range grid and on NaN/Inf inputs.
 
 // SIMDWidth64 and SIMDWidth32 export the host vector width in elements
 // per type — the executor's eligibility gate for the vectorized
@@ -376,35 +376,6 @@ func SIMDILFusedRange32(x []float32, base, s, kLo, kHi, m int) {
 				bfly8Run32(
 					x[p0+kLo:p0+kHi], x[p1+kLo:p1+kHi], x[p2+kLo:p2+kHi], x[p3+kLo:p3+kHi],
 					x[p4+kLo:p4+kHi], x[p5+kLo:p5+kHi], x[p6+kLo:p6+kHi], x[p7+kLo:p7+kHi])
-			}
-		}
-	}
-}
-
-// SIMDSoA is the vector form of GenericSoA: lane interleaved in-place
-// WHT(2^m)s in SoA layout, one vector run per butterfly pair per level.
-func SIMDSoA(x []float64, base, stride, lane, m int) {
-	n := 1 << uint(m)
-	for h := 1; h < n; h <<= 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			for j := blk; j < blk+h; j++ {
-				p := base + j*stride
-				q := p + h*stride
-				addSubRun(x[p:p+lane], x[q:q+lane])
-			}
-		}
-	}
-}
-
-// SIMDSoA32 is the float32 vector SoA kernel.
-func SIMDSoA32(x []float32, base, stride, lane, m int) {
-	n := 1 << uint(m)
-	for h := 1; h < n; h <<= 1 {
-		for blk := 0; blk < n; blk += h << 1 {
-			for j := blk; j < blk+h; j++ {
-				p := base + j*stride
-				q := p + h*stride
-				addSubRun32(x[p:p+lane], x[q:q+lane])
 			}
 		}
 	}

@@ -50,16 +50,6 @@ func SIMDILFusedRange32(x []float32, base, s, kLo, kHi, m int) {
 	GenericILFusedRange(x, base, s, kLo, kHi, m)
 }
 
-// SIMDSoA delegates to GenericSoA.
-func SIMDSoA(x []float64, base, stride, lane, m int) {
-	GenericSoA(x, base, stride, lane, m)
-}
-
-// SIMDSoA32 delegates to GenericSoA.
-func SIMDSoA32(x []float32, base, stride, lane, m int) {
-	GenericSoA(x, base, stride, lane, m)
-}
-
 // SIMDContig delegates to GenericContig.
 func SIMDContig(x []float64, base, m int) { GenericContig(x, base, m) }
 

@@ -10,7 +10,7 @@ import (
 // BITWISE equal to the reference, not merely close: the compiled engine's
 // equivalence guarantees rest on it.  These tests sweep every unrolled
 // kernel and every loop the engine routes a stage shape to, over
-// (size, stride/interleave/lane, base) grids for both element types,
+// (size, stride/interleave, base) grids for both element types,
 // against the generic strided loop kernel.
 
 func randomVec[T Float](rng *rand.Rand, n int) []T {
@@ -95,8 +95,8 @@ func unrolledBitwise[T Float, K ~func([]T, int, int), C ~func([]T, int)](t *test
 // runs through a Generic* loop instead of an unrolled kernel — the
 // contiguous loop (the only contiguous kernel at m = 8), the interleaved
 // and fused interleaved full rows, their range forms split at random
-// seams, and the SoA lane kernel at several lane widths — at every leaf
-// size in both element types, each against per-column Generic calls.
+// seams — at every leaf size in both element types, each against
+// per-column Generic calls.
 func TestRoutedLoopsBitwiseEqualGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	for m := 1; m <= GeneratedMaxLog; m++ {
@@ -142,17 +142,6 @@ func routedBitwise[T Float](t *testing.T, rng *rand.Rand, m int) {
 				run.f(got)
 				assertBitwise(t, run.name, m, base, s, got, want)
 			}
-		}
-
-		for _, sh := range []struct{ stride, lane int }{{1, 1}, {8, 1}, {8, 3}, {8, 8}, {24, 16}, {64, 5}} {
-			buf := randomVec[T](rng, base+n*sh.stride+3)
-			want := append([]T(nil), buf...)
-			for b := 0; b < sh.lane; b++ {
-				Generic(want, base+b, sh.stride, m)
-			}
-			got := append([]T(nil), buf...)
-			GenericSoA(got, base, sh.stride, sh.lane, m)
-			assertBitwise(t, "soa", m, base, sh.stride, got, want)
 		}
 	}
 }

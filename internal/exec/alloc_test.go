@@ -57,7 +57,7 @@ func TestKernelTableIsStatic(t *testing.T) {
 			if again := newKernelTable[float64](nil); again.get(m, b) != first {
 				t.Errorf("m=%d %v: a second table resolves a different set", m, b)
 			}
-			if first.strided == nil || first.contig == nil || first.il == nil || first.soa == nil {
+			if first.strided == nil || first.contig == nil || first.il == nil || first.ilFused == nil || first.ilRange == nil {
 				t.Errorf("m=%d %v: kernel set has a nil slot", m, b)
 			}
 		}

@@ -197,17 +197,15 @@ var defaultRow atomic.Uint32
 type tunedEntry struct {
 	plan     *plan.Node
 	policy   codelet.Policy
-	soaMin   int               // batch-width crossover for the SoA tier (see SetSoAMinBatch)
 	backends []codelet.Backend // per-stage backend pins (see SetStageBackends), nil: policy backend
 }
 
 // TunedConfig carries every per-size decision a tuner registers alongside
-// its winning plan: the variant policy the plan was measured under, the
-// SoA batch crossover, and the per-stage backend pins.  The zero value
-// is the untuned default for every field.
+// its winning plan: the variant policy the plan was measured under and
+// the per-stage backend pins.  The zero value is the untuned default for
+// every field.
 type TunedConfig struct {
-	Policy      codelet.Policy
-	SoAMinBatch int
+	Policy codelet.Policy
 	// StageBackends, when non-nil, pins each compiled stage's codelet
 	// backend (length must match the compiled stage count — compilation
 	// is deterministic, so a tuner's recorded vector always does).  Nil
@@ -222,20 +220,18 @@ var (
 
 // UseTunedPlanWith registers p as the preferred plan behind ForSize for
 // its size, compiled under the full tuned configuration — variant
-// policy, SoA batch crossover, and per-stage backend pins — and seeds
+// policy and per-stage backend pins — and seeds
 // the default cache with the compiled schedule, so the next Transform
 // at that length is served from the tuned plan with zero build work.
 // The plan is validated and compiled before anything is published.
 // Every field is re-applied whenever ForSize recompiles the tuned plan
 // after an LRU eviction, so the decisions survive for the life of the
-// process.  The zero TunedConfig registers p under the default policy
-// and crossover.
+// process.  The zero TunedConfig registers p under the default policy.
 func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 	s, err := NewScheduleWith(p, cfg.Policy)
 	if err != nil {
 		return err
 	}
-	s.SetSoAMinBatch(cfg.SoAMinBatch)
 	var backends []codelet.Backend
 	if len(cfg.StageBackends) > 0 {
 		// Validated before anything is published: a stage-count mismatch
@@ -258,7 +254,7 @@ func UseTunedPlanWith(p *plan.Node, cfg TunedConfig) error {
 	// Warm with the schedule's own Log2Size cannot fail.
 	tunedMu.Lock()
 	tunedPlans[s.Log2Size()] = tunedEntry{
-		plan: p, policy: cfg.Policy, soaMin: cfg.SoAMinBatch, backends: backends,
+		plan: p, policy: cfg.Policy, backends: backends,
 	}
 	tunedMu.Unlock()
 	if err := defaultCache.Warm(s.Log2Size(), s); err != nil {
@@ -280,7 +276,7 @@ func TunedConfigFor(n int) (p *plan.Node, cfg TunedConfig, ok bool) {
 	tunedMu.RLock()
 	defer tunedMu.RUnlock()
 	e, ok := tunedPlans[n]
-	cfg = TunedConfig{Policy: e.policy, SoAMinBatch: e.soaMin}
+	cfg = TunedConfig{Policy: e.policy}
 	if len(e.backends) > 0 {
 		cfg.StageBackends = append([]codelet.Backend(nil), e.backends...)
 	}
@@ -338,7 +334,6 @@ func ForSize(n int) *Schedule {
 		tunedMu.RUnlock()
 		if ok {
 			s := CompileWith(e.plan, e.policy)
-			s.SetSoAMinBatch(e.soaMin)
 			if len(e.backends) > 0 {
 				// Compilation is deterministic and the vector was validated
 				// against this plan+policy at registration, so re-applying

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codelet"
 	"repro/internal/plan"
 )
 
@@ -48,7 +49,7 @@ func TestScheduleCacheHammerServePattern(t *testing.T) {
 			for i := 0; i < perWorker/4; i++ {
 				n := sizes[(seed+i)%len(sizes)]
 				p := plan.Iterative(n)
-				if err := UseTunedPlanWith(p, TunedConfig{SoAMinBatch: 16}); err != nil {
+				if err := UseTunedPlanWith(p, TunedConfig{Policy: codelet.Policy{ILFuse: true}}); err != nil {
 					t.Errorf("UseTunedPlanWith(%d): %v", n, err)
 					return
 				}
@@ -78,8 +79,8 @@ func TestScheduleCacheHammerServePattern(t *testing.T) {
 			t.Fatalf("size %d lost its tuned plan", n)
 		}
 		s := ForSize(n)
-		if s.SoAMinBatch() != 16 {
-			t.Fatalf("ForSize(%d) serves a stale schedule: soaMin=%d", n, s.SoAMinBatch())
+		if !s.Policy().ILFuse {
+			t.Fatalf("ForSize(%d) serves a stale schedule: policy %+v", n, s.Policy())
 		}
 	}
 }

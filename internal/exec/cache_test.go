@@ -199,25 +199,6 @@ func TestScheduleCacheWarmRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestUseTunedPlanFullRoundTripsSoAMin pins the tuned batch crossover:
-// the threshold survives both the warmed schedule and a post-eviction
-// recompile of the tuned plan.
-func TestUseTunedPlanFullRoundTripsSoAMin(t *testing.T) {
-	ResetTunedPlans()
-	defer ResetTunedPlans()
-	p := plan.MustParse("split[small[6],small[8]]")
-	if err := UseTunedPlanWith(p, TunedConfig{SoAMinBatch: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ForSize(14).SoAMinBatch(); got != 4 {
-		t.Fatalf("warmed schedule carries SoAMinBatch %d, want 4", got)
-	}
-	defaultCache.Purge()
-	if got := ForSize(14).SoAMinBatch(); got != 4 {
-		t.Fatalf("recompiled tuned schedule carries SoAMinBatch %d, want 4", got)
-	}
-}
-
 func TestForSizePrefersTunedPlan(t *testing.T) {
 	ResetTunedPlans()
 	defer ResetTunedPlans()

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/codelet"
 	"repro/internal/faultinject"
@@ -22,8 +23,8 @@ import (
 // Cancellation granularity is one chunk of work per tier: the
 // sequential tier checks between chunks of at most seqCancelElems
 // elements (one interleaved row when rows are larger), the barrier tier
-// between stages and per worker chunk, and the SoA tier between
-// sub-lanes, stage passes, and j-rows.  Above one cache block both the
+// between stages and per worker chunk, and the batch path between
+// vectors.  Above one cache block both the
 // sequential and the barrier tier run the blocked prefix (see
 // blockedPrefix) with one check per block: 2^cacheBlockLog elements
 // through every prefix stage, each worker finishing the block it is
@@ -180,14 +181,9 @@ func RunCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error
 // cancellation or a panic, after which some vectors may be transformed
 // and others not, or half).
 //
-// When the batch width and the schedule's shape favor it (see
-// Schedule.SoAMinBatch and the tuner's batch sweep), the batch runs
-// through the SoA tier — one pass per stage across a whole lane of
-// vectors instead of per vector — computing bitwise the same results.
-// Otherwise each vector is one work item.  workers <= 0 selects
-// GOMAXPROCS; with one worker the batch runs on the caller's
-// goroutine, otherwise the workers take whole vectors (or contiguous
-// SoA lanes), with no barriers.
+// Each vector is one work item.  workers <= 0 selects GOMAXPROCS; with
+// one worker the batch runs on the caller's goroutine, otherwise the
+// workers take whole vectors, with no barriers.
 func RunBatch[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	if s == nil {
 		return fmt.Errorf("exec: nil schedule")
@@ -200,5 +196,8 @@ func RunBatch[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) 
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	return runBatchParallel(ctx, s, xs, workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return runBatchVectors(ctx, s, xs, workers)
 }

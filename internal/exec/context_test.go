@@ -26,19 +26,6 @@ func ctxSched(t testing.TB, n int) *Schedule {
 	return Compile(plan.Balanced(n, plan.MaxLeafLog))
 }
 
-// layoutSched is ctxSched with RunBatch's layout pinned: soa routes
-// every batch through the SoA tier, !soa every batch per vector.
-func layoutSched(t testing.TB, n int, soa bool) *Schedule {
-	t.Helper()
-	s := ctxSched(t, n)
-	if soa {
-		s.SetSoAMinBatch(1)
-	} else {
-		s.SetSoAMinBatch(-1)
-	}
-	return s
-}
-
 // ctxInput returns a deterministic pseudo-random vector of 2^n elements.
 func ctxInput(n int, seed uint64) []float64 {
 	rng := rand.New(rand.NewPCG(seed, 42))
@@ -66,7 +53,6 @@ func ctxRef(t testing.TB, s *Schedule, x []float64) []float64 {
 // error; single-vector tiers use xs[0].
 func eachTier(t *testing.T, n int, f func(t *testing.T, tier string, run func(ctx context.Context, xs [][]float64) error)) {
 	s := ctxSched(t, n)
-	perVec, soa := layoutSched(t, n, false), layoutSched(t, n, true)
 	tiers := []struct {
 		name string
 		run  func(ctx context.Context, xs [][]float64) error
@@ -80,16 +66,10 @@ func eachTier(t *testing.T, n int, f func(t *testing.T, tier string, run func(ct
 			return runBarrier(ctx, s, xs[0], 4)
 		}},
 		{"batch", func(ctx context.Context, xs [][]float64) error {
-			return RunBatch(ctx, perVec, xs, 1)
+			return RunBatch(ctx, s, xs, 1)
 		}},
 		{"batch-parallel", func(ctx context.Context, xs [][]float64) error {
-			return RunBatch(ctx, perVec, xs, 4)
-		}},
-		{"soa", func(ctx context.Context, xs [][]float64) error {
-			return RunBatch(ctx, soa, xs, 1)
-		}},
-		{"soa-parallel", func(ctx context.Context, xs [][]float64) error {
-			return RunBatch(ctx, soa, xs, 4)
+			return RunBatch(ctx, s, xs, 4)
 		}},
 	}
 	for _, tier := range tiers {
@@ -98,7 +78,7 @@ func eachTier(t *testing.T, n int, f func(t *testing.T, tier string, run func(ct
 }
 
 // ctxBatch builds a batch of 24 distinct vectors (enough to engage the
-// SoA sub-lane split and the per-vector fan-out).
+// per-vector fan-out).
 func ctxBatch(n int) [][]float64 {
 	xs := make([][]float64, 24)
 	for i := range xs {
@@ -153,7 +133,7 @@ func TestCtxMidRunCancel(t *testing.T) {
 		defer cancel()
 		// Cancel from inside the run, at the first fault point the tier
 		// passes — deterministic mid-transform cancellation.
-		for _, point := range []string{faultinject.ExecChunk, faultinject.ExecSoALane, faultinject.ExecBatchVector} {
+		for _, point := range []string{faultinject.ExecChunk, faultinject.ExecBatchVector} {
 			faultinject.Set(point, func() { cancel() })
 		}
 		xs := ctxBatch(n)
@@ -254,17 +234,14 @@ func TestCtxValidation(t *testing.T) {
 	if err := RunBatch[float64](nil, nil, nil, 1); err == nil {
 		t.Fatal("nil schedule accepted for a batch")
 	}
-	// Ragged batches are rejected and empty ones are a no-op, in either
-	// layout and at any worker count.
-	for _, soa := range []bool{false, true} {
-		ls := layoutSched(t, 10, soa)
-		for _, w := range []int{1, 4} {
-			if err := RunBatch(nil, ls, [][]float64{make([]float64, 1024), make([]float64, 3)}, w); err == nil {
-				t.Fatalf("soa=%v workers=%d: ragged batch accepted", soa, w)
-			}
-			if err := RunBatch[float64](nil, ls, nil, w); err != nil {
-				t.Fatalf("soa=%v workers=%d: empty batch: %v", soa, w, err)
-			}
+	// Ragged batches are rejected and empty ones are a no-op at any
+	// worker count.
+	for _, w := range []int{1, 4} {
+		if err := RunBatch(nil, s, [][]float64{make([]float64, 1024), make([]float64, 3)}, w); err == nil {
+			t.Fatalf("workers=%d: ragged batch accepted", w)
+		}
+		if err := RunBatch[float64](nil, s, nil, w); err != nil {
+			t.Fatalf("workers=%d: empty batch: %v", w, err)
 		}
 	}
 }

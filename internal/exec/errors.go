@@ -10,7 +10,7 @@ import (
 
 // The executor's fault taxonomy.  RunCtx, RunBatch and RunSegmented
 // contain the faults of the kernels they run on every tier (the barrier
-// pool, the batch fan-out, the SoA lanes), nil ctx included: a panic on
+// pool, the batch fan-out), nil ctx included: a panic on
 // a worker goroutine is recovered where it happens, converted to a
 // *PanicError carrying stage attribution and the panicking goroutine's
 // stack, and returned as the call's error — the process stays up,
@@ -31,8 +31,8 @@ var ErrKernelPanic = errors.New("exec: kernel panic")
 // to an error so one poisoned request cannot take down a worker pool or
 // the process.
 type PanicError struct {
-	// Stage is the index of the schedule stage (or SoA-expanded stage)
-	// that was executing, -1 when the panic happened outside any stage.
+	// Stage is the index of the schedule stage that was executing, -1
+	// when the panic happened outside any stage.
 	Stage int
 	// Value is the recovered panic value.
 	Value any

@@ -90,14 +90,6 @@ type Schedule struct {
 	stages []Stage
 	policy codelet.Policy
 
-	// soaMin is the batch-width threshold at which the batch executors
-	// switch to the SoA tier for this schedule: 0 selects the default
-	// crossover heuristic, a negative value disables SoA selection, k >= 1
-	// selects SoA for batches of at least k vectors.  Set before the
-	// schedule is shared (SetSoAMinBatch); the tuner's batch sweep decides
-	// it per size.
-	soaMin int
-
 	// Segmented (out-of-core) execution form, set only by
 	// NewSegmentedScheduleWith when the two-phase plan form actually
 	// splits: the ordered segment list, the compile-time resident
@@ -156,10 +148,10 @@ func (s *Schedule) StageBackends() []codelet.Backend {
 // SetStageBackends pins each stage's kernel backend, overriding the
 // uniform assignment Compile made from the policy.  The vector must have
 // exactly one entry per stage (NumStages).  Schedules are otherwise
-// immutable and shared without synchronization, so like SetSoAMinBatch
-// this must be called before the schedule is published to other
-// goroutines.  The tuner's per-stage backend sweep records its winning
-// vector through this; every mix computes bitwise-identical results.
+// immutable and shared without synchronization, so this must be called
+// before the schedule is published to other goroutines.  The tuner's
+// per-stage backend sweep records its winning vector through this;
+// every mix computes bitwise-identical results.
 func (s *Schedule) SetStageBackends(bs []codelet.Backend) error {
 	if len(bs) != len(s.stages) {
 		return fmt.Errorf("exec: %d stage backends for %d stages", len(bs), len(s.stages))
@@ -293,8 +285,7 @@ func log2(v int) int {
 
 // kernelSet bundles the typed kernels of one log-size, one per variant,
 // plus the range form of the interleaved kernel the parallel executor
-// needs when a worker's share covers only part of a j-row, and the SoA
-// lane kernel the batch tier runs.
+// needs when a worker's share covers only part of a j-row.
 //
 // The stridedVec slots are the vector backend's gather-free strided
 // tier: a full j-row of a strided stage — all S kernel calls — is the
@@ -309,7 +300,6 @@ type kernelSet[T Float] struct {
 	il      func(x []T, base, s int)
 	ilFused func(x []T, base, s int)
 	ilRange func(x []T, base, s, kLo, kHi int)
-	soa     func(x []T, base, stride, lane int)
 
 	stridedVec      func(x []T, base, s int)
 	stridedVecRange func(x []T, base, s, kLo, kHi int)
@@ -325,7 +315,7 @@ type kernelSet[T Float] struct {
 // the assertions through any are exact.
 //
 // simd selects the vector backend for the streaming slots (il, ilFused,
-// ilRange, soa) — exactly the kernels whose unit-stride
+// ilRange) — exactly the kernels whose unit-stride
 // inner sweeps the vector unit consumes, and bitwise-equal to their
 // scalar forms by the codelet package's contract.  It additionally
 // populates the stridedVec slots (wide strided rows stream gather-free,
@@ -339,7 +329,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 		il:      func(x []T, base, s int) { codelet.GenericIL(x, base, s, m) },
 		ilFused: func(x []T, base, s int) { codelet.GenericILFused(x, base, s, m) },
 		ilRange: func(x []T, base, s, kLo, kHi int) { codelet.GenericILRange(x, base, s, kLo, kHi, m) },
-		soa:     func(x []T, base, stride, lane int) { codelet.GenericSoA(x, base, stride, lane, m) },
 	}
 	switch ks := any(&ks).(type) {
 	case *kernelSet[float64]:
@@ -358,9 +347,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 		ks.ilFused = ks.il
 		ks.ilRange = func(x []float64, base, s, kLo, kHi int) {
 			codelet.SIMDILRange(x, base, s, kLo, kHi, m)
-		}
-		ks.soa = func(x []float64, base, stride, lane int) {
-			codelet.SIMDSoA(x, base, stride, lane, m)
 		}
 		ks.stridedVec = func(x []float64, base, s int) { codelet.SIMDStrided(x, base, s, m) }
 		ks.stridedVecRange = func(x []float64, base, s, kLo, kHi int) {
@@ -387,9 +373,6 @@ func kernelsFor[T Float](m int, simd bool) kernelSet[T] {
 		ks.ilFused = ks.il
 		ks.ilRange = func(x []float32, base, s, kLo, kHi int) {
 			codelet.SIMDILRange32(x, base, s, kLo, kHi, m)
-		}
-		ks.soa = func(x []float32, base, stride, lane int) {
-			codelet.SIMDSoA32(x, base, stride, lane, m)
 		}
 		ks.stridedVec = func(x []float32, base, s int) { codelet.SIMDStrided32(x, base, s, m) }
 		ks.stridedVecRange = func(x []float32, base, s, kLo, kHi int) {

@@ -19,7 +19,7 @@ import (
 // grouping of the sums; every other output is an exact integer or an
 // infinity.  The grid runs each injection through a generated-kernel
 // stage, every loop the scalar bank routes a shape to, the vector tier,
-// the SoA batch tier and the segmented executor, in both element types,
+// the batch path and the segmented executor, in both element types,
 // against wht.Reference.
 func TestNaNInfContractAcrossTiers(t *testing.T) {
 	nanInfTiers[float64](t)
@@ -59,11 +59,10 @@ func nanInfTiers[T Float](t *testing.T) {
 			}
 		}
 	}
-	soa := func(p *plan.Node, pol codelet.Policy) func(*testing.T, [][]T) {
+	batch := func(p *plan.Node, pol codelet.Policy) func(*testing.T, [][]T) {
 		s := CompileWith(p, pol)
-		s.SetSoAMinBatch(1)
 		return func(t *testing.T, xs [][]T) {
-			if err := RunBatch(context.Background(), s, xs, 1); err != nil {
+			if err := RunBatch(context.Background(), s, xs, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,10 +99,8 @@ func nanInfTiers[T Float](t *testing.T) {
 		{"simd il", 10, seq(p55, codelet.Policy{Backend: codelet.SIMDBackend, ILMinS: 2})},
 		{"simd contig m=8", 10, seq(p82, simd)},
 		{"simd parallel", 17, par(wide, simd)},
-		{"soa fused scalar", 10, soa(p55, scalar)},
-		{"soa lanes scalar", 10, soa(p55, codelet.Policy{Backend: codelet.ScalarBackend, StridedOnly: true})},
-		{"soa fused simd", 10, soa(p55, simd)},
-		{"soa lanes simd", 10, soa(p55, codelet.Policy{Backend: codelet.SIMDBackend, StridedOnly: true})},
+		{"batch scalar", 10, batch(p55, scalar)},
+		{"batch simd", 10, batch(p55, simd)},
 		{"segmented scalar", 10, seg(p55, scalar)},
 		{"segmented simd", 10, seg(p55, simd)},
 	}

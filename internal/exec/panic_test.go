@@ -103,7 +103,7 @@ func TestPanicBarrierNonCtx(t *testing.T) {
 func TestPanicBatchVector(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 14
-	s := layoutSched(t, n, false)
+	s := ctxSched(t, n)
 	faultinject.Set(faultinject.ExecBatchVector, faultinject.PanicAfter(5, "injected kernel fault"))
 	xs := ctxBatch(n)
 	err := RunBatch(context.Background(), s, xs, 4)
@@ -121,53 +121,23 @@ func TestPanicBatchVector(t *testing.T) {
 	}
 }
 
-func TestPanicSoALane(t *testing.T) {
-	defer faultinject.Reset()
-	const n = 14
-	s := layoutSched(t, n, true)
-	faultinject.Set(faultinject.ExecSoALane, faultinject.PanicAfter(1, "injected kernel fault"))
-	xs := ctxBatch(n)
-	err := RunBatch(context.Background(), s, xs, 1)
-	assertPanicError(t, err, "soa")
-	faultinject.Reset()
-	xs2 := ctxBatch(n)
-	want := ctxRef(t, s, xs2[0])
-	if err := RunBatch(context.Background(), s, xs2, 4); err != nil {
-		t.Fatalf("soa rerun after panic: %v", err)
-	}
-	for i, v := range want {
-		if xs2[0][i] != v {
-			t.Fatalf("soa rerun: vector 0 wrong at %d", i)
-		}
-	}
-}
-
 // A nil ctx turns off polling, never containment: a kernel panic in a
 // one-worker RunBatch on the caller's goroutine comes back as a
-// *PanicError under either layout, and the schedule stays usable.
+// *PanicError, and the schedule stays usable.
 func TestPanicBatchNilCtx(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 12
-	for _, c := range []struct {
-		name  string
-		soa   bool
-		point string
-	}{
-		{"per-vector", false, faultinject.ExecBatchVector},
-		{"soa", true, faultinject.ExecSoALane},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer faultinject.Reset()
-			s := layoutSched(t, n, c.soa)
-			faultinject.Set(c.point, faultinject.PanicAfter(1, "injected kernel fault"))
-			err := RunBatch(nil, s, ctxBatch(n), 1)
-			assertPanicError(t, err, c.name)
-			faultinject.Reset()
-			rerunClean(t, s, n, func(y []float64) error {
-				return RunBatch(nil, s, [][]float64{y}, 1)
-			})
+	t.Run("per-vector", func(t *testing.T) {
+		defer faultinject.Reset()
+		s := ctxSched(t, n)
+		faultinject.Set(faultinject.ExecBatchVector, faultinject.PanicAfter(1, "injected kernel fault"))
+		err := RunBatch(nil, s, ctxBatch(n), 1)
+		assertPanicError(t, err, "per-vector")
+		faultinject.Reset()
+		rerunClean(t, s, n, func(y []float64) error {
+			return RunBatch(nil, s, [][]float64{y}, 1)
 		})
-	}
+	})
 }
 
 // A panic on one tier must not leak an abort signal or poisoned scratch

@@ -135,27 +135,11 @@ func runBarrier[T Float](ctx context.Context, s *Schedule, x []T, workers int) e
 	return nil
 }
 
-// runBatchParallel is RunBatch's body once the arguments are
-// validated: the SoA lanes when soaSelect picks them, otherwise the
-// per-vector path.
-func runBatchParallel[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if s.soaSelect(len(xs)) {
-		// The SoA tier's per-worker lanes serve the same fan-out shape
-		// (whole transforms per worker, no barriers) with each stage pass
-		// amortized across the worker's lane.
-		return runBatchSoAParallel(ctx, s, xs, workers)
-	}
-	return runBatchVectors(ctx, s, xs, workers)
-}
-
-// runBatchVectors is RunBatch's per-vector path: a fanOut over the
-// vectors, each containing its own panics (runVectorCtx) and the first
-// error aborting the remaining hand-outs.  Fanning out across whole
-// vectors needs no barriers: each worker streams through its own
-// transforms.
+// runBatchVectors is RunBatch's body once the arguments are validated:
+// a fanOut over the vectors, each containing its own panics
+// (runVectorCtx) and the first error aborting the remaining hand-outs.
+// Fanning out across whole vectors needs no barriers: each worker
+// streams through its own transforms.
 func runBatchVectors[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	kt := newKernelTable[T](s)
 	return fanOut(ctx, workers, len(xs), func(_, i int) error {

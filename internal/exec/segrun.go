@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 )
 
 // The segmented streaming executor.
@@ -35,8 +36,45 @@ import (
 // of float64 per store call).
 const segMinRunLog = 7
 
+// scratchPool recycles scratch slices, one pool per element type, so
+// steady-state traffic allocates nothing.
+type scratchPool struct {
+	f64 sync.Pool // *[]float64
+	f32 sync.Pool // *[]float32
+}
+
 // segPool holds the segmented executor's window buffers across calls.
 var segPool scratchPool
+
+// getScratch returns a pooled scratch slice of at least n elements,
+// sliced to exactly n.
+func getScratch[T Float](sp *scratchPool, n int) *[]T {
+	var zero T
+	if _, ok := any(zero).(float64); ok {
+		if p, _ := sp.f64.Get().(*[]float64); p != nil && cap(*p) >= n {
+			*p = (*p)[:n]
+			return any(p).(*[]T)
+		}
+		buf := make([]float64, n)
+		return any(&buf).(*[]T)
+	}
+	if p, _ := sp.f32.Get().(*[]float32); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return any(p).(*[]T)
+	}
+	buf := make([]float32, n)
+	return any(&buf).(*[]T)
+}
+
+// putScratch returns a scratch slice to its pool.
+func putScratch[T Float](sp *scratchPool, p *[]T) {
+	switch q := any(p).(type) {
+	case *[]float64:
+		sp.f64.Put(q)
+	case *[]float32:
+		sp.f32.Put(q)
+	}
+}
 
 // SegOptions tunes one RunSegmented call.  The zero value uses
 // GOMAXPROCS workers and no resident cap.

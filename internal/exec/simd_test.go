@@ -23,6 +23,61 @@ func simdBasePolicies() []codelet.Policy {
 	}
 }
 
+// leafTestPlan returns a plan for size n whose rightmost leaf is the
+// largest unrolled codelet whenever n admits one: a contiguous 2^8
+// stage under interleaved stages at large S.
+func leafTestPlan(n int) *plan.Node {
+	if n > plan.MaxLeafLog {
+		return plan.Split(plan.Balanced(n-plan.MaxLeafLog, plan.MaxLeafLog), plan.Leaf(plan.MaxLeafLog))
+	}
+	return plan.Balanced(n, plan.MaxLeafLog)
+}
+
+func randomBatch[T Float](rng *rand.Rand, lane, size int) [][]T {
+	xs := make([][]T, lane)
+	for b := range xs {
+		xs[b] = make([]T, size)
+		for j := range xs[b] {
+			xs[b][j] = T(rng.Float64()*2 - 1)
+		}
+	}
+	return xs
+}
+
+func cloneBatch[T Float](xs [][]T) [][]T {
+	out := make([][]T, len(xs))
+	for i, x := range xs {
+		out[i] = append([]T(nil), x...)
+	}
+	return out
+}
+
+func assertBatchEqual[T Float](t *testing.T, label string, got, want [][]T) {
+	t.Helper()
+	for b := range want {
+		for j := range want[b] {
+			if got[b][j] != want[b][j] {
+				t.Fatalf("%s: vector %d element %d = %v, want %v (bitwise)", label, b, j, got[b][j], want[b][j])
+			}
+		}
+	}
+}
+
+// checkBatchEquivalence runs a batch of three vectors through RunBatch
+// on two workers and demands bitwise equality with ref's per-vector Run.
+func checkBatchEquivalence[T Float](t *testing.T, s, ref *Schedule, rng *rand.Rand, label string) {
+	t.Helper()
+	xs := randomBatch[T](rng, 3, s.Size())
+	want := cloneBatch(xs)
+	for _, v := range want {
+		MustRun(ref, v)
+	}
+	if err := RunBatch(nil, s, xs, 2); err != nil {
+		t.Fatal(err)
+	}
+	assertBatchEqual(t, label+"/batch", xs, want)
+}
+
 // withBackend returns pol with the backend pinned.
 func withBackend(pol codelet.Policy, b codelet.Backend) codelet.Policy {
 	pol.Backend = b
@@ -31,11 +86,10 @@ func withBackend(pol codelet.Policy, b codelet.Backend) codelet.Policy {
 
 // checkSIMDEquivalence demands bitwise equality between the
 // scalar-pinned and SIMD-pinned compilations of one (plan, policy)
-// pair across the sequential, strided, parallel, batch, and SoA batch
-// engines.  On hosts without the vector tier the SIMD schedule resolves
+// pair across the sequential, strided, parallel and batch engines.  On hosts without the vector tier the SIMD schedule resolves
 // scalar and the check degenerates to self-consistency — exactly the
 // fallback contract.
-func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Policy, lanes []int, rng *rand.Rand, label string) {
+func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Policy, rng *rand.Rand, label string) {
 	t.Helper()
 	scalar, err := NewScheduleWith(p, withBackend(pol, codelet.ScalarBackend))
 	if err != nil {
@@ -92,61 +146,45 @@ func checkSIMDEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Polic
 		assertBatchEqual(t, fmt.Sprintf("%s/parallel-%d", label, workers), [][]T{got}, [][]T{want})
 	}
 
-	// The SoA batch tier at the swept lane widths (including widths that
-	// are not multiples of the vector width, so the masked tails run).
-	for _, lane := range lanes {
-		xs := randomBatch[T](rng, lane, n)
-		wantBatch := cloneBatch(xs)
-		for _, v := range wantBatch {
-			MustRun(scalar, v)
-		}
-		gotBatch := cloneBatch(xs)
-		simd.SetSoAMinBatch(1)
-		if err := RunBatch(nil, simd, gotBatch, 1); err != nil {
-			t.Fatal(err)
-		}
-		assertBatchEqual(t, fmt.Sprintf("%s/soa-%d", label, lane), gotBatch, wantBatch)
-	}
+	checkBatchEquivalence[T](t, simd, scalar, rng, label)
 }
 
 // TestSIMDBackendBitwiseEqualsScalar is the acceptance property of the
 // SIMD backend: pinning Policy.Backend to the vector tier never changes
 // a single output bit relative to the scalar kernels, across transform
-// sizes from the codelet range through the out-of-cache regime, lane
-// widths around and off the vector width, unaligned strided access,
+// sizes from the codelet range through the out-of-cache regime,
+// unaligned strided access,
 // both element types, and every engine.  Dense small sizes sweep the
 // full grid; the large sizes spot-check the out-of-cache regime with
 // thinned axes to bound the suite's runtime.
 func TestSIMDBackendBitwiseEqualsScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 103))
-	fullLanes := []int{1, 3, 4, 7, 8, 16}
 	for n := 1; n <= 12; n++ {
-		p := soaTestPlan(n)
+		p := leafTestPlan(n)
 		for _, pol := range simdBasePolicies() {
 			label := fmt.Sprintf("n=%d/pol=%+v", n, pol)
-			checkSIMDEquivalence[float64](t, p, pol, fullLanes, rng, label+"/f64")
-			checkSIMDEquivalence[float32](t, p, pol, fullLanes, rng, label+"/f32")
+			checkSIMDEquivalence[float64](t, p, pol, rng, label+"/f64")
+			checkSIMDEquivalence[float32](t, p, pol, rng, label+"/f32")
 		}
 	}
 	if testing.Short() {
 		return
 	}
 	spot := []struct {
-		n     int
-		lanes []int
-		f32   bool
+		n   int
+		f32 bool
 	}{
-		{16, []int{1, 3, 8}, true},
-		{18, []int{1, 3}, false},
-		{20, []int{3}, false},
+		{16, true},
+		{18, false},
+		{20, false},
 	}
 	for _, sc := range spot {
-		p := soaTestPlan(sc.n)
+		p := leafTestPlan(sc.n)
 		for _, pol := range []codelet.Policy{codelet.DefaultPolicy(), {ILFuse: true}} {
 			label := fmt.Sprintf("n=%d/pol=%+v", sc.n, pol)
-			checkSIMDEquivalence[float64](t, p, pol, sc.lanes, rng, label+"/f64")
+			checkSIMDEquivalence[float64](t, p, pol, rng, label+"/f64")
 			if sc.f32 {
-				checkSIMDEquivalence[float32](t, p, pol, sc.lanes, rng, label+"/f32")
+				checkSIMDEquivalence[float32](t, p, pol, rng, label+"/f32")
 			}
 		}
 	}
@@ -176,9 +214,9 @@ func mixedBackendVectors(nStages int) [][]codelet.Backend {
 
 // checkMixedPinEquivalence pins a schedule's stages to the given
 // backend vector and demands bitwise equality with the scalar-pinned
-// compilation across the sequential, strided, parallel, and SoA batch
+// compilation across the sequential, strided, parallel and batch
 // engines.
-func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Policy, bs []codelet.Backend, lanes []int, rng *rand.Rand, label string) {
+func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.Policy, bs []codelet.Backend, rng *rand.Rand, label string) {
 	t.Helper()
 	scalar, err := NewScheduleWith(p, withBackend(pol, codelet.ScalarBackend))
 	if err != nil {
@@ -233,19 +271,7 @@ func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.P
 		assertBatchEqual(t, fmt.Sprintf("%s/parallel-%d", label, workers), [][]T{run}, [][]T{want})
 	}
 
-	for _, lane := range lanes {
-		xs := randomBatch[T](rng, lane, n)
-		wantBatch := cloneBatch(xs)
-		for _, v := range wantBatch {
-			MustRun(scalar, v)
-		}
-		gotBatch := cloneBatch(xs)
-		mixed.SetSoAMinBatch(1)
-		if err := RunBatch(nil, mixed, gotBatch, 1); err != nil {
-			t.Fatal(err)
-		}
-		assertBatchEqual(t, fmt.Sprintf("%s/soa-%d", label, lane), gotBatch, wantBatch)
-	}
+	checkBatchEquivalence[T](t, mixed, scalar, rng, label)
 }
 
 // TestMixedStageBackendsBitwiseEqualsScalar extends the backend
@@ -257,24 +283,19 @@ func checkMixedPinEquivalence[T Float](t *testing.T, p *plan.Node, pol codelet.P
 // degenerates to self-consistency — the fallback contract.
 func TestMixedStageBackendsBitwiseEqualsScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(211, 223))
-	lanes := []int{1, 3, 8}
 	sizes := []int{1, 2, 3, 5, 7, 9, 12}
 	if !testing.Short() {
 		sizes = append(sizes, 16, 18, 20)
 	}
 	for _, n := range sizes {
-		p := soaTestPlan(n)
+		p := leafTestPlan(n)
 		for _, pol := range []codelet.Policy{codelet.DefaultPolicy(), {ILMinS: 2, ILFuse: true}} {
 			nStages := len(CompileWith(p, pol).Stages())
 			for vi, bs := range mixedBackendVectors(nStages) {
 				label := fmt.Sprintf("n=%d/pol=%+v/mix=%d", n, pol, vi)
-				l := lanes
-				if n >= 16 {
-					l = []int{3}
-				}
-				checkMixedPinEquivalence[float64](t, p, pol, bs, l, rng, label+"/f64")
+				checkMixedPinEquivalence[float64](t, p, pol, bs, rng, label+"/f64")
 				if n <= 12 {
-					checkMixedPinEquivalence[float32](t, p, pol, bs, l, rng, label+"/f32")
+					checkMixedPinEquivalence[float32](t, p, pol, bs, rng, label+"/f32")
 				}
 			}
 		}
@@ -289,7 +310,7 @@ func TestMixedStageBackendsBitwiseEqualsScalar(t *testing.T) {
 // tier) — the forced-SIMD-on-scalar-host fallback.
 func TestSetStageBackendsSemantics(t *testing.T) {
 	defer codelet.SetBackend(codelet.AutoBackend)
-	p := soaTestPlan(10)
+	p := leafTestPlan(10)
 	s := CompileWith(p, codelet.DefaultPolicy())
 	nStages := s.NumStages()
 	if nStages < 2 {
@@ -361,7 +382,7 @@ func TestSIMDProcessOverrideForcedOnAndOff(t *testing.T) {
 	defer codelet.SetBackend(codelet.AutoBackend)
 	rng := rand.New(rand.NewPCG(107, 109))
 	const n = 13
-	p := soaTestPlan(n)
+	p := leafTestPlan(n)
 	s, err := NewScheduleWith(p, codelet.DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -393,10 +414,9 @@ func TestSIMDProcessOverrideForcedOnAndOff(t *testing.T) {
 		assertSame(t, fmt.Sprintf("forced-%v/parallel", backend), n, p, got, want)
 
 		batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-		s.SetSoAMinBatch(1)
 		if err := RunBatch(nil, s, batch, 1); err != nil {
 			t.Fatal(err)
 		}
-		assertBatchEqual(t, fmt.Sprintf("forced-%v/soa", backend), batch, [][]float64{want, want})
+		assertBatchEqual(t, fmt.Sprintf("forced-%v/batch", backend), batch, [][]float64{want, want})
 	}
 }

@@ -211,14 +211,10 @@ func TimeSegmented(s *Schedule, segOpt SegOptions, opt TimingOptions) float64 {
 
 // TimeBatch measures the real latency of transforming a batch of lane
 // float64 vectors with the schedule, in nanoseconds per whole batch,
-// forcing either the SoA tier (soa true) or the per-vector path (soa
-// false) regardless of the schedule's crossover setting — the
-// measurement primitive behind the tuner's SoA-vs-AoS batch sweep.
-// Either path is the one RunBatch runs at one worker, containment
-// included, so the sweep prices what the serving path pays.  The batch
-// scratch is reinitialized between timed chunks exactly like
+// through the path RunBatch runs at one worker, containment included.
+// The batch scratch is reinitialized between timed chunks exactly like
 // TimeSchedule's vector.
-func TimeBatch(s *Schedule, lane int, soa bool, opt TimingOptions) float64 {
+func TimeBatch(s *Schedule, lane int, opt TimingOptions) float64 {
 	if lane < 1 {
 		lane = 1
 	}
@@ -229,13 +225,7 @@ func TimeBatch(s *Schedule, lane int, soa bool, opt TimingOptions) float64 {
 	}
 	run := func(k int) {
 		for i := 0; i < k; i++ {
-			var err error
-			if soa {
-				err = runBatchSoAParallel(nil, s, xs, 1)
-			} else {
-				err = runBatchVectors(nil, s, xs, 1)
-			}
-			if err != nil {
+			if err := runBatchVectors(nil, s, xs, 1); err != nil {
 				panic(err)
 			}
 		}

@@ -39,8 +39,7 @@ func TestTimeScheduleParallelTimesFanOut(t *testing.T) {
 	}
 }
 
-// TestTimeBatchTimesRunBatchPath pins what TimeBatch's per-vector mode
-// measures: RunBatch's contained path at one worker, which fires the
+// TestTimeBatchTimesRunBatchPath pins what TimeBatch measures: RunBatch's contained path at one worker, which fires the
 // batch-vector fault point once per vector, not a bare stage loop.
 func TestTimeBatchTimesRunBatchPath(t *testing.T) {
 	defer faultinject.Reset()
@@ -49,7 +48,7 @@ func TestTimeBatchTimesRunBatchPath(t *testing.T) {
 	faultinject.Set(faultinject.ExecBatchVector, hook)
 	// One warmup run and one timed run: any run outlasts a nanosecond.
 	const runs, lane = 2, 8
-	TimeBatch(s, lane, false, TimingOptions{Warmup: 1, Repeat: 1, MinDuration: time.Nanosecond})
+	TimeBatch(s, lane, TimingOptions{Warmup: 1, Repeat: 1, MinDuration: time.Nanosecond})
 	if got := vectors(); got != runs*lane {
 		t.Fatalf("%d batch-vector firings over %d runs of %d vectors, want %d", got, runs, lane, runs*lane)
 	}
@@ -97,20 +96,19 @@ func TestMaxTimedRuns(t *testing.T) {
 	}
 }
 
-// TestTimeBatchPlausible covers the batch timing primitive behind the
-// tuner's SoA sweep: both forced paths produce positive, finite
-// per-batch latencies, and a larger batch costs more than a smaller one.
+// TestTimeBatchPlausible covers the batch timing primitive: it produces
+// positive, finite per-batch latencies, and a larger batch costs more
+// than a smaller one.
 func TestTimeBatchPlausible(t *testing.T) {
 	s := Compile(plan.Balanced(10, plan.MaxLeafLog))
 	opt := TimingOptions{Warmup: 1, Repeat: 3, MinDuration: 500 * time.Microsecond}
-	aos := TimeBatch(s, 4, false, opt)
-	soa := TimeBatch(s, 4, true, opt)
-	if aos <= 0 || soa <= 0 {
-		t.Fatalf("non-positive batch latencies: aos %g, soa %g", aos, soa)
+	four := TimeBatch(s, 4, opt)
+	if four <= 0 || math.IsInf(four, 0) || math.IsNaN(four) {
+		t.Fatalf("batch latency %g ns is not positive and finite", four)
 	}
-	one := TimeBatch(s, 1, false, opt)
-	if aos < one {
-		t.Fatalf("batch of 4 (%g ns) timed faster than batch of 1 (%g ns)", aos, one)
+	one := TimeBatch(s, 1, opt)
+	if four < one {
+		t.Fatalf("batch of 4 (%g ns) timed faster than batch of 1 (%g ns)", four, one)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package faultinject is the library's fault-injection harness: a
 // registry of named hook points that production code fires at failure-
-// containment boundaries (executor work chunks, SoA sub-lanes, batch
-// vectors, the serving daemon's admission and execution seams) and that
+// containment boundaries (executor work chunks, batch vectors, the serving daemon's admission and execution seams) and that
 // tests arm with panics, artificial latency, or any other misbehavior.
 //
 // The harness is hook-gated, not build-tag-gated, so the exact binaries
@@ -39,10 +38,6 @@ const (
 	// worker chunk.  A hook that panics here
 	// lands inside the executor's per-worker recovery.
 	ExecChunk = "exec.chunk"
-
-	// ExecSoALane fires before each SoA sub-lane transform (the
-	// transpose-run-transpose unit of the batch tier).
-	ExecSoALane = "exec.soa.lane"
 
 	// ExecBatchVector fires before each per-vector transform of the
 	// batch executors' per-vector path.

@@ -23,7 +23,7 @@ func TestSetFireClear(t *testing.T) {
 		t.Fatal("armed hook not reported enabled")
 	}
 	Fire(ExecChunk)
-	Fire(ExecSoALane) // different point: must not invoke the hook
+	Fire(ExecBatchVector) // different point: must not invoke the hook
 	Fire(ExecChunk)
 	if got := count(); got != 2 {
 		t.Fatalf("hook fired %d times, want 2", got)

@@ -192,131 +192,6 @@ func (c CostModel) StageOpsFused(m, r, s int, v codelet.Variant, fused bool) OpC
 	return ops
 }
 
-// SoAStageOps returns the instruction-class counts of one stage
-// I(R) (x) WHT(2^m) (x) I(S) executed by the SoA batch tier across a
-// lane of `lane` vectors: the batch axis rides as the innermost
-// unit-stride dimension, so the stage is exactly the fused interleaved
-// stage at effective inner factor S*lane — R radix-4 streaming calls of
-// ceil(m/2) passes each, every pass serving all `lane` vectors at once.
-// One stage pass per batch regardless of width is precisely the
-// amortization the tier exists for; the price of admission is the two
-// transposes (TransposeOps).
-// The effective inner factor uses the padded leading dimension
-// (SoALaneDim): a padded lane's streams carry the pad column through
-// every pass, and the model prices that real traffic.
-func (c CostModel) SoAStageOps(m, r, s, lane int) OpCounts {
-	return c.StageOpsFused(m, r, s*SoALaneDim(lane), codelet.Interleaved, true)
-}
-
-// SoAStageLoopInstances is the completed-loop count of one SoA-tier
-// stage (the branch-mispredict term), mirroring SoAStageOps.
-func SoAStageLoopInstances(m, r, s, lane int) int64 {
-	return StageLoopInstancesFused(m, r, s*SoALaneDim(lane), codelet.Interleaved, true)
-}
-
-// SoALaneStageOps prices one SoA-tier stage executed through the
-// per-position lane kernels instead of the fused streams — the mode
-// policies without interleaved forms (exec.Schedule.SoAUsesLaneKernels)
-// run: R*S kernel calls, each advancing a lane of `lane` vectors
-// through all m butterfly levels as unit-stride lane sweeps (the same
-// op classes as one interleaved call of width `lane`), plus the stage's
-// dispatch bookkeeping.
-func (c CostModel) SoALaneStageOps(m, r, s, lane int) OpCounts {
-	calls := int64(r) * int64(s)
-	ops := c.LeafOpsVariant(m, codelet.Interleaved, lane).Scale(calls)
-	ops.Loop += c.ChildSetup + c.MidIter*int64(r) + c.InnerIter*calls
-	return ops
-}
-
-// SoALaneStageLoopInstances is the completed-loop count of the
-// lane-kernel stage mode: per call, m level loops plus one lane sweep
-// per butterfly pair (2^m - 1 pairs across the levels).
-func SoALaneStageLoopInstances(m, r, s, lane int) int64 {
-	size := int64(1) << uint(m)
-	return 1 + int64(r)*int64(s)*(int64(m)+size-1)
-}
-
-// TransposeTile is the element tile of the SoA batch transposer (one
-// tile's SoA image stays cache-resident while per-vector reads remain
-// sequential); it mirrors exec.SoATransposeTile — the equality is
-// asserted by tests — so the cost model and the trace simulator price
-// the loop structure the executor actually runs.
-const TransposeTile = 128
-
-// TransposeOps prices one direction of the SoA batch transpose: lane
-// vectors of 2^n elements gathered into (or scattered out of) the SoA
-// buffer — one load, one store and one address update per element, plus
-// the tiled loop nest's bookkeeping.
-func (c CostModel) TransposeOps(n, lane int) OpCounts {
-	size := int64(1) << uint(n)
-	total := size * lane64(lane)
-	tiles := (size + TransposeTile - 1) / TransposeTile
-	return OpCounts{
-		Load:  total,
-		Store: total,
-		Addr:  total,
-		Loop:  c.ChildSetup + c.MidIter*tiles*lane64(lane) + c.InnerIter*total,
-	}
-}
-
-// TransposeLoopInstances is the completed-loop count of one transpose
-// direction: the tile loop plus one per-vector inner loop per tile.
-func TransposeLoopInstances(n, lane int) int64 {
-	size := int64(1) << uint(n)
-	tiles := (size + TransposeTile - 1) / TransposeTile
-	return 1 + tiles*(1+lane64(lane))
-}
-
-// SoAPadMinLane and SoALaneDim mirror the executor's SoA padding rule
-// (exec.SoAPadMinLane / exec.SoALaneDim; the equality is asserted by
-// tests): power-of-two lanes of at least SoAPadMinLane vectors get one
-// pad column, making the SoA leading dimension odd so transpose columns
-// and butterfly positions stop colliding on cache sets.
-const SoAPadMinLane = 8
-
-// SoALaneDim returns the leading dimension of the SoA buffer for a
-// lane of `lane` vectors (see SoAPadMinLane).
-func SoALaneDim(lane int) int {
-	if lane >= SoAPadMinLane && lane&(lane-1) == 0 {
-		return lane + 1
-	}
-	return lane
-}
-
-// TransposeInOps prices the gather direction of the SoA transpose: the
-// common gather/scatter traffic (TransposeOps) plus, for padded lanes,
-// one store and address update per vector element zeroing the pad
-// column tile by tile.
-func (c CostModel) TransposeInOps(n, lane int) OpCounts {
-	ops := c.TransposeOps(n, lane)
-	if SoALaneDim(lane) != lane {
-		size := int64(1) << uint(n)
-		ops.Store += size
-		ops.Addr += size
-		ops.Loop += c.InnerIter * size
-	}
-	return ops
-}
-
-// TransposeInLoopInstances is the completed-loop count of the gather
-// direction: the scatter count plus one pad-zeroing inner loop per tile
-// for padded lanes.
-func TransposeInLoopInstances(n, lane int) int64 {
-	li := TransposeLoopInstances(n, lane)
-	if SoALaneDim(lane) != lane {
-		size := int64(1) << uint(n)
-		li += (size + TransposeTile - 1) / TransposeTile
-	}
-	return li
-}
-
-func lane64(lane int) int64 {
-	if lane < 1 {
-		return 1
-	}
-	return int64(lane)
-}
-
 // SIMDLanes returns the elements per vector instruction the model
 // prices the vector backend at for the given element size: 32-byte YMM
 // registers carry 4 float64s or 8 float32s.  Element sizes that do not

@@ -1,9 +1,8 @@
 // Package serve is the library's batch-serving daemon: a long-running
 // server that accepts concurrent WHT transform requests over a
 // length-prefixed binary protocol (TCP or a unix socket), coalesces
-// same-size requests into SoA mega-batches — the serving shape the
-// batch tier was built for — and answers from warm per-size schedule
-// caches seeded by wisdom at boot.  A batch takes what is queued when
+// same-size requests into batches that run through exec.RunBatch, and
+// answers from warm per-size schedule caches seeded by wisdom at boot.  A batch takes what is queued when
 // it starts, up to Config.MaxLane, so lanes widen with load.
 //
 // The serving contract is:
@@ -54,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ProtocolVersion is the wire version this package speaks.
@@ -133,9 +133,17 @@ type responseFrame struct {
 // maxFrameLen bounds any frame this package will read.
 const maxFrameLen = headerLen + (8 << MaxLogN)
 
+// readChunk bounds how many payload bytes readFrame allocates ahead of
+// their arrival: a peer that announces a maxFrameLen frame and stalls
+// pins at most this much, not the announced 128 MiB.
+const readChunk = 1 << 20
+
 // readFrame reads one length-prefixed frame (header + raw payload
 // bytes) from r.  io.EOF before the first byte means a clean
-// end-of-stream; anything partial is an error.
+// end-of-stream; anything partial is an error.  The payload is read in
+// pieces of at most readChunk bytes, the slice growing as they arrive,
+// so memory follows the bytes a peer has sent, not the length it
+// claims.
 func readFrame(r io.Reader) (hdr [headerLen]byte, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
@@ -146,15 +154,32 @@ func readFrame(r io.Reader) (hdr [headerLen]byte, payload []byte, err error) {
 		return hdr, nil, fmt.Errorf("serve: frame length %d out of range", frameLen)
 	}
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return hdr, nil, fmt.Errorf("serve: short frame header: %w", err)
+		return hdr, nil, fmt.Errorf("serve: short frame header: %w", midFrame(err))
 	}
-	if n := int(frameLen) - headerLen; n > 0 {
-		payload = make([]byte, n)
-		if _, err = io.ReadFull(r, payload); err != nil {
-			return hdr, nil, fmt.Errorf("serve: short frame payload: %w", err)
+	n := int(frameLen) - headerLen
+	if n == 0 {
+		return hdr, nil, nil
+	}
+	payload = make([]byte, 0, min(n, readChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), readChunk)
+		payload = slices.Grow(payload, k)
+		if _, err = io.ReadFull(r, payload[len(payload):len(payload)+k]); err != nil {
+			return hdr, nil, fmt.Errorf("serve: short frame payload: %w", midFrame(err))
 		}
+		payload = payload[:len(payload)+k]
 	}
 	return hdr, payload, nil
+}
+
+// midFrame reports an end of stream inside a frame as
+// io.ErrUnexpectedEOF, so only a stream that ends on a frame boundary
+// reads as a clean io.EOF.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // decodeRequest validates a request frame.  A non-nil error is a
@@ -171,6 +196,9 @@ func decodeRequest(hdr [headerLen]byte, payload []byte) (requestFrame, error) {
 	}
 	if hdr[1] != OpTransform {
 		return rf, fmt.Errorf("serve: unknown op %d", hdr[1])
+	}
+	if hdr[3] != 0 {
+		return rf, fmt.Errorf("serve: reserved header byte is %d, want 0", hdr[3])
 	}
 	if rf.LogN < 1 || rf.LogN > MaxLogN {
 		return rf, fmt.Errorf("serve: transform log-size %d out of range [1, %d]", rf.LogN, MaxLogN)

@@ -750,22 +750,24 @@ func TestServeShutdownAnswersQueued(t *testing.T) {
 // is the identity for both directions.
 func TestProtocolRoundTrip(t *testing.T) {
 	rf := requestFrame{ID: 0xdeadbeef, LogN: 5, DeadlineUs: 12345, Data: randVec(32, 9)}
-	buf := encodeRequest(rf)
-	hdr, payload, err := readFrame(bytesReader(buf))
-	if err != nil {
-		t.Fatal(err)
+	// n = 18 is a 2 MiB payload, read in two chunks.
+	for _, req := range []requestFrame{rf, {ID: 3, LogN: 18, DeadlineUs: 9, Data: randVec(1<<18, 5)}} {
+		hdr, payload, err := readFrame(bytesReader(encodeRequest(req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeRequest(hdr, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != req.ID || got.LogN != req.LogN || got.DeadlineUs != req.DeadlineUs {
+			t.Fatalf("request header mangled: %+v", got)
+		}
+		assertVec(t, got.Data, req.Data)
 	}
-	got, err := decodeRequest(hdr, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != rf.ID || got.LogN != rf.LogN || got.DeadlineUs != rf.DeadlineUs {
-		t.Fatalf("request header mangled: %+v", got)
-	}
-	assertVec(t, got.Data, rf.Data)
 
 	resp := responseFrame{ID: 0xcafe, Status: StatusOK, LogN: 5, Data: rf.Data}
-	hdr, payload, err = readFrame(bytesReader(encodeResponse(resp)))
+	hdr, payload, err := readFrame(bytesReader(encodeResponse(resp)))
 	if err != nil {
 		t.Fatal(err)
 	}

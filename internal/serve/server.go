@@ -17,12 +17,16 @@ import (
 	"repro/internal/wisdom"
 )
 
+// DefaultMaxLane is the default cap on vectors per coalesced batch.  A
+// batch runs its vectors one by one (exec.RunBatch), so the cap bounds
+// how much queued work one batch takes on, not a kernel width.
+const DefaultMaxLane = 64
+
 // Config tunes one Server.  The zero value serves with the defaults
 // documented on each field.
 type Config struct {
 	// MaxLane caps a batch, which takes what is queued when it starts
-	// and never waits for more (default exec.SoAMaxLane: the width the
-	// SoA tier's amortization saturates at).
+	// and never waits for more (default DefaultMaxLane).
 	MaxLane int
 
 	// QueueDepth bounds each size class's admission queue (default 4 *
@@ -64,7 +68,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxLane <= 0 {
-		c.MaxLane = exec.SoAMaxLane
+		c.MaxLane = DefaultMaxLane
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxLane
@@ -121,7 +125,7 @@ func (m *metrics) snapshot() Metrics {
 // level up, and steps back up only when the canary completes cleanly —
 // client traffic never rides an unproven tier.
 //
-//	ladderFull       — tuned schedule, auto backends, SoA batch + parallel tiers
+//	ladderFull       — tuned schedule, auto backends, batch + parallel tiers
 //	ladderScalar     — scalar-pinned schedule, batch + barrier tiers (sheds the
 //	                   SIMD kernels)
 //	ladderSequential — scalar-pinned schedule, sequential per-vector execution

@@ -115,114 +115,3 @@ func (t *Tracer) stage(st exec.Stage) {
 func machineStageLoops(st exec.Stage) int64 {
 	return machine.StageLoopInstancesFused(st.M, st.R, st.S, st.V, st.Fused)
 }
-
-// RunScheduleSoA simulates one SoA batch evaluation of the schedule
-// over a lane of `lane` vectors on a cold hierarchy: the gather
-// transpose (sequential per-vector reads, lane-strided SoA writes, in
-// machine.TransposeTile tiles), every stage in the mode
-// the schedule's policy actually executes — R radix-4 fused
-// interleaved streams over its j-rows (ceil(m/2) read+write passes per
-// row, the whole (k, batch) space absorbed into unit stride), or, for
-// policies without interleaved forms (SoAUsesLaneKernels), R*S lane
-// kernel calls of m level sweeps over lane-wide strided positions —
-// and the scatter transpose back.  The address layout places the AoS
-// vectors at [0, lane*2^n) and the SoA scratch behind them, mirroring
-// the executor's pooled buffer.
-//
-// Instruction classes come from machine.SoAStageOps / TransposeOps and
-// the loop counts from their companions, so the model and the trace
-// price the batch tier identically — the model==trace exactness the
-// paper's methodology rests on, extended to batch plans.
-func (t *Tracer) RunScheduleSoA(s *exec.Schedule, lane int) Counters {
-	if lane < 1 {
-		lane = 1
-	}
-	t.hier.Reset()
-	t.counters = Counters{}
-	t.priceLanes = machine.SIMDLanes(t.mach.ElemSize)
-	defer func() { t.priceLanes = 1 }()
-	cost := &t.mach.Cost
-	n := s.Log2Size()
-	size := s.Size()
-	ld := machine.SoALaneDim(lane)
-	soaBase := size * lane // SoA scratch sits behind the batch vectors
-
-	// Gather: the shared gather/scatter traffic plus, for padded lanes,
-	// the tile-by-tile zeroing of the pad column.
-	t.transposeStream(size, lane, ld, soaBase, true)
-	t.counters.Ops.Add(cost.TransposeInOps(n, lane))
-	t.counters.LoopInstances += machine.TransposeInLoopInstances(n, lane)
-
-	useLane := s.SoAUsesLaneKernels()
-	for _, st := range s.Stages() {
-		rowLen := st.Blk * ld
-		if useLane {
-			// Lane-kernel mode (policies without interleaved forms): R*S
-			// calls, each making m read+write level sweeps over its 2^M
-			// lane-wide strided positions.  The lane runs are unit-stride
-			// streams, so SIMD-pinned stages price them at vector
-			// throughput like the interleaved forms.
-			t.counters.Ops.Add(cost.SIMDStageOps(cost.SoALaneStageOps(st.M, st.R, st.S, lane), t.stageLanes(st)))
-			t.counters.LoopInstances += machine.SoALaneStageLoopInstances(st.M, st.R, st.S, lane)
-			sEff := st.S * ld
-			for j := 0; j < st.R; j++ {
-				for k := 0; k < st.S; k++ {
-					base := soaBase + j*rowLen + k*ld
-					for lvl := 0; lvl < st.M; lvl++ {
-						t.soaLanePass(base, sEff, lane, 1<<uint(st.M))
-						t.soaLanePass(base, sEff, lane, 1<<uint(st.M))
-					}
-				}
-			}
-			continue
-		}
-		t.counters.Ops.Add(cost.SIMDStageOps(cost.SoAStageOps(st.M, st.R, st.S, lane), t.stageLanes(st)))
-		t.counters.LoopInstances += machine.SoAStageLoopInstances(st.M, st.R, st.S, lane)
-		passes := (st.M + 1) / 2
-		for j := 0; j < st.R; j++ {
-			base := soaBase + j*rowLen
-			for lvl := 0; lvl < passes; lvl++ {
-				t.leafPass(base, 1, rowLen)
-				t.leafPass(base, 1, rowLen)
-			}
-		}
-	}
-
-	t.transposeStream(size, lane, ld, soaBase, false)
-	t.counters.Ops.Add(cost.TransposeOps(n, lane))
-	t.counters.LoopInstances += machine.TransposeLoopInstances(n, lane)
-
-	t.counters.Mem = t.hier.Counters()
-	return t.counters
-}
-
-// soaLanePass feeds one lane-kernel level sweep into the hierarchy:
-// size positions spaced sEff elements apart, each a unit-stride run of
-// lane elements.
-func (t *Tracer) soaLanePass(base, sEff, lane, size int) {
-	for pos := 0; pos < size; pos++ {
-		t.leafPass(base+pos*sEff, 1, lane)
-	}
-}
-
-// transposeStream feeds one transpose direction into the hierarchy: per
-// tile, a sequential pass over each vector's slice and an ld-strided
-// pass over the tile's SoA image (ld is the padded leading dimension).
-// Gather and scatter touch the same addresses in the same order; the
-// gather additionally writes the pad column of each tile when the lane
-// is padded, so it carries one extra ld-strided stream.
-func (t *Tracer) transposeStream(size, lane, ld, soaBase int, gather bool) {
-	for j0 := 0; j0 < size; j0 += machine.TransposeTile {
-		tile := machine.TransposeTile
-		if j0+tile > size {
-			tile = size - j0
-		}
-		for b := 0; b < lane; b++ {
-			t.leafPass(b*size+j0, 1, tile)        // vector side, sequential
-			t.leafPass(soaBase+j0*ld+b, ld, tile) // SoA side, ld-strided
-		}
-		if gather && ld != lane {
-			t.leafPass(soaBase+j0*ld+lane, ld, tile) // pad column zeroing
-		}
-	}
-}

@@ -161,18 +161,6 @@ func TestRunScheduleSIMDPricing(t *testing.T) {
 			t.Fatal("mixed pins changed the reference stream")
 		}
 	}
-
-	// The SoA batch trace prices the same way: pinned SIMD below scalar,
-	// identical memory counters.
-	const lane = 8
-	scalar := tr.RunScheduleSoA(exec.CompileWith(p, codelet.Policy{Backend: codelet.ScalarBackend}), lane)
-	simd := tr.RunScheduleSoA(exec.CompileWith(p, codelet.Policy{Backend: codelet.SIMDBackend}), lane)
-	if simd.Instructions() >= scalar.Instructions() {
-		t.Fatalf("SoA SIMD pricing %d not below scalar %d", simd.Instructions(), scalar.Instructions())
-	}
-	if simd.Mem != scalar.Mem {
-		t.Fatalf("SoA SIMD pricing changed the reference stream")
-	}
 }
 
 // Fused interleaved stages halve the streamed references of their
@@ -188,107 +176,5 @@ func TestRunScheduleFusedILHalvesLoads(t *testing.T) {
 	}
 	if fused.Ops.Load >= single.Ops.Load {
 		t.Errorf("fused loads %d not below single-level %d", fused.Ops.Load, single.Ops.Load)
-	}
-}
-
-// The SoA batch tier's model==trace exactness: the instruction classes
-// and loop counts RunScheduleSoA accounts must equal the sum of the
-// machine model's SoAStageOps over the stage sequence plus the
-// gather (TransposeInOps — the gather also zeroes the pad column of
-// padded lanes) and scatter (TransposeOps) — for two- and three-stage
-// plans and several lane widths including a padded one, so model-guided
-// reasoning about batch serving sees exactly what the simulator
-// executes.
-func TestRunScheduleSoAInstructionsMatchModel(t *testing.T) {
-	m := machine.VirtualOpteron224()
-	tr := New(m)
-	for _, ps := range []string{
-		"split[small[6],small[8]]",
-		"split[small[2],split[small[4],small[8]]]",
-		"split[small[4],small[6],small[6]]",
-	} {
-		p := plan.MustParse(ps)
-		// Both SoA execution modes: the fused streams of the default
-		// policy and the lane kernels of the legacy strided-only engine.
-		for _, pol := range []codelet.Policy{codelet.DefaultPolicy(), {StridedOnly: true}} {
-			sched := exec.CompileWith(p, pol)
-			for _, lane := range []int{1, 3, 8} {
-				got := tr.RunScheduleSoA(sched, lane)
-				wantOps := m.Cost.TransposeInOps(sched.Log2Size(), lane)
-				wantOps.Add(m.Cost.TransposeOps(sched.Log2Size(), lane))
-				wantLoops := machine.TransposeInLoopInstances(sched.Log2Size(), lane) +
-					machine.TransposeLoopInstances(sched.Log2Size(), lane)
-				for _, st := range sched.Stages() {
-					if sched.SoAUsesLaneKernels() {
-						wantOps.Add(m.Cost.SoALaneStageOps(st.M, st.R, st.S, lane))
-						wantLoops += machine.SoALaneStageLoopInstances(st.M, st.R, st.S, lane)
-					} else {
-						wantOps.Add(m.Cost.SoAStageOps(st.M, st.R, st.S, lane))
-						wantLoops += machine.SoAStageLoopInstances(st.M, st.R, st.S, lane)
-					}
-				}
-				if got.Instructions() != wantOps.Total() {
-					t.Fatalf("plan %s pol %+v lane %d: traced %d instructions, model says %d",
-						ps, pol, lane, got.Instructions(), wantOps.Total())
-				}
-				if got.Ops != wantOps {
-					t.Fatalf("plan %s pol %+v lane %d: traced ops %+v, model says %+v", ps, pol, lane, got.Ops, wantOps)
-				}
-				if got.LoopInstances != wantLoops {
-					t.Fatalf("plan %s pol %+v lane %d: traced %d loop instances, model says %d",
-						ps, pol, lane, got.LoopInstances, wantLoops)
-				}
-			}
-		}
-	}
-}
-
-// The physical claim of the tier, visible in the simulator: at an
-// out-of-cache size, one SoA batch evaluation touches memory less than
-// the same batch run vector by vector (fewer L1 misses than lane times
-// the single-vector trace), because every fused stage pass is amortized
-// across the lane — even after paying for both transposes.
-func TestRunScheduleSoAAmortizesMisses(t *testing.T) {
-	m := machine.VirtualOpteron224()
-	tr := New(m)
-	sched := exec.Compile(plan.MustParse("split[small[8],small[8]]")) // 2^16: four times the virtual L1
-	const lane = 8
-	perVec := tr.RunSchedule(sched).Mem.L1Misses
-	soa := tr.RunScheduleSoA(sched, lane).Mem.L1Misses
-	if soa >= lane*perVec {
-		t.Fatalf("SoA batch misses %d do not amortize %d vectors x %d misses", soa, lane, perVec)
-	}
-}
-
-// The executor's transpose tile and the machine model's must agree, or
-// the priced loop structure would drift from the executed one.
-func TestTransposeTileMirrorsExecutor(t *testing.T) {
-	if machine.TransposeTile != exec.SoATransposeTile {
-		t.Fatalf("machine.TransposeTile %d != exec.SoATransposeTile %d",
-			machine.TransposeTile, exec.SoATransposeTile)
-	}
-}
-
-// The cost model's SoA padding rule must mirror the executor's, or the
-// model prices a layout the engine does not run.
-func TestSoALaneDimMirrorsExecutor(t *testing.T) {
-	if machine.SoAPadMinLane != exec.SoAPadMinLane {
-		t.Fatalf("machine.SoAPadMinLane %d != exec.SoAPadMinLane %d",
-			machine.SoAPadMinLane, exec.SoAPadMinLane)
-	}
-	for lane := 1; lane <= exec.SoAMaxLane+1; lane++ {
-		if m, e := machine.SoALaneDim(lane), exec.SoALaneDim(lane); m != e {
-			t.Fatalf("lane %d: machine.SoALaneDim %d != exec.SoALaneDim %d", lane, m, e)
-		}
-	}
-	for _, lane := range []int{8, 16, 32, 64} {
-		if exec.SoALaneDim(lane) != lane+1 {
-			t.Fatalf("power-of-two lane %d not padded: leading dim %d", lane, exec.SoALaneDim(lane))
-		}
-	}
-	for _, lane := range []int{1, 3, 4, 7, 12, 24} {
-		if exec.SoALaneDim(lane) != lane {
-			t.Fatalf("lane %d unexpectedly padded: leading dim %d", lane, exec.SoALaneDim(lane))
-		}
 	}
 }

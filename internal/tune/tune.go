@@ -26,7 +26,7 @@ import (
 // Options bounds a tuning run.  The zero value is a sensible quick
 // tune: the stage-sequence DP over live stage timings, the cheapest
 // planTopK sequences timed whole against the untuned default, and the
-// kernel-variant, backend and batch sweeps.
+// kernel-variant and backend sweeps.
 type Options struct {
 	Timing exec.TimingOptions // warmup/repeat/min-duration of each real measurement
 
@@ -37,16 +37,6 @@ type Options struct {
 	// scalar-pinned twin (see backendAxis), so the scalar-vs-SIMD choice
 	// is measured per stage shape rather than assumed.
 	Policies []codelet.Policy
-
-	// BatchWidths is the ascending set of batch widths the SoA-vs-AoS
-	// sweep measures for the winning (plan, policy) pair; the smallest
-	// width at which the SoA tier beats the per-vector path becomes the
-	// registered batch crossover (Result.SoAMinBatch; -1 when the
-	// per-vector path won everywhere).  Empty selects
-	// DefaultBatchWidths; NoBatchSweep skips the sweep and leaves the
-	// default shape heuristic in charge.
-	BatchWidths  []int
-	NoBatchSweep bool
 
 	// NoBackendSweep skips the per-stage backend sweep: on hosts with a
 	// SIMD kernel tier, each stage of the winning schedule is pinned to
@@ -61,12 +51,6 @@ type Options struct {
 // phase times whole: stage costs are not exactly additive, so the
 // runners-up get a measured chance against the DP's first pick.
 const planTopK = 4
-
-// DefaultBatchWidths is the batch-width grid the SoA sweep measures:
-// the default crossover width and one clearly-batched shape.
-func DefaultBatchWidths() []int {
-	return []int{exec.DefaultSoAMinBatch, 4 * exec.DefaultSoAMinBatch}
-}
 
 // DefaultPolicies is the variant-policy grid a tuning run sweeps for the
 // winning plan: the library default (contiguous + interleaved), the
@@ -97,13 +81,7 @@ type Result struct {
 	Policy     codelet.Policy // the variant policy it was fastest under
 	NsPerRun   float64        // its measured median latency
 	BaselineNs float64        // the untuned default's latency (exec.DefaultPlan), timed at NsPerRun's effort (the same timing when the default wins)
-	Measured   int            // real timings spent (stage timings, whole sequences, rematch, policy/backend/batch sweeps)
-
-	// SoAMinBatch is the measured batch crossover registered for the
-	// winner: the smallest swept width at which the SoA batch tier beat
-	// the per-vector path, -1 if the per-vector path won at every width,
-	// 0 if the sweep was skipped (default heuristic stays in charge).
-	SoAMinBatch int
+	Measured   int            // real timings spent (stage timings, whole sequences, rematch, policy/backend sweeps)
 
 	// StageBackends is the measured per-stage backend vector registered
 	// for the winner, nil when the sweep was skipped, moot (no SIMD
@@ -258,45 +236,13 @@ func Tune(n int, opt Options) (Result, error) {
 		res.Measured = measured
 	}
 
-	// Phase 5: batch-tier sweep — the serving shape the SoA engine was
-	// built for.  The winner is timed over whole batches through both
-	// batch paths at each swept width, ascending; the first width where
-	// the SoA tier's measured batch latency beats the per-vector path
-	// becomes the registered crossover, and a clean sweep for the
-	// per-vector path disables SoA selection for this size (the default
-	// shape heuristic cannot know what the measurement knows).
-	if !opt.NoBatchSweep {
-		widths := opt.BatchWidths
-		if len(widths) == 0 {
-			widths = DefaultBatchWidths()
-		}
-		sched, err := tunedSchedule(res)
-		if err != nil {
-			return Result{}, fmt.Errorf("tune: %w", err)
-		}
-		res.SoAMinBatch = -1
-		for _, w := range widths {
-			if w < 1 {
-				continue
-			}
-			aosNs := exec.TimeBatch(sched, w, false, opt.Timing)
-			soaNs := exec.TimeBatch(sched, w, true, opt.Timing)
-			measured += 2
-			if soaNs < aosNs {
-				res.SoAMinBatch = w
-				break
-			}
-		}
-		res.Measured = measured
-	}
-
 	if err := exec.UseTunedPlanWith(res.Plan, exec.TunedConfig{
-		Policy: res.Policy, SoAMinBatch: res.SoAMinBatch, StageBackends: res.StageBackends,
+		Policy: res.Policy, StageBackends: res.StageBackends,
 	}); err != nil {
 		return Result{}, fmt.Errorf("tune: %w", err)
 	}
 	store := processWisdom()
-	tuned := wisdom.Tuned{Policy: res.Policy, SoAMinBatch: res.SoAMinBatch, StageBackends: res.StageBackends}
+	tuned := wisdom.Tuned{Policy: res.Policy, StageBackends: res.StageBackends}
 	if _, err := store.RecordFull(wisdom.Float64, res.Plan, tuned, res.NsPerRun); err != nil {
 		return Result{}, fmt.Errorf("tune: %w", err)
 	}
@@ -306,10 +252,10 @@ func Tune(n int, opt Options) (Result, error) {
 // backendAxis widens a policy grid with the codelet-backend axis: on
 // hosts with a SIMD kernel tier, every Auto-backend policy gains a
 // scalar-pinned twin, so the sweep measures scalar-vs-SIMD per stage
-// shape instead of assuming the vector tier wins (narrow-lane SoA
-// stages and short streams can favor scalar).  Policies that already
-// pin a backend pass through unchanged; without a SIMD tier every
-// backend resolves scalar and the grid is returned as-is.
+// shape instead of assuming the vector tier wins (short streams can
+// favor scalar).  Policies that already pin a backend pass through
+// unchanged; without a SIMD tier every backend resolves scalar and the
+// grid is returned as-is.
 func backendAxis(policies []codelet.Policy) []codelet.Policy {
 	if !codelet.SIMDAvailable() {
 		return policies
@@ -330,22 +276,6 @@ func backendAxis(policies []codelet.Policy) []codelet.Policy {
 		}
 	}
 	return out
-}
-
-// tunedSchedule compiles the result's winning plan under its winning
-// policy and re-applies the measured per-stage backend pins, so every
-// later sweep times the configuration the registration will serve.
-func tunedSchedule(res Result) (*exec.Schedule, error) {
-	s, err := exec.NewScheduleWith(res.Plan, res.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if res.StageBackends != nil {
-		if err := s.SetStageBackends(res.StageBackends); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // sweepStageBackends measures a mixed per-stage backend vector for the
@@ -474,7 +404,7 @@ func LoadWisdom(path string) error {
 		}
 		tc := e.Tuned()
 		p := plan.MustParse(e.Plan)
-		cfg := exec.TunedConfig{Policy: tc.Policy, SoAMinBatch: tc.SoAMinBatch, StageBackends: tc.StageBackends}
+		cfg := exec.TunedConfig{Policy: tc.Policy, StageBackends: tc.StageBackends}
 		s, err := exec.NewScheduleWith(p, tc.Policy)
 		if err != nil {
 			return fmt.Errorf("tune: wisdom entry n=%d: %w", e.N, err)

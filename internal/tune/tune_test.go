@@ -66,7 +66,7 @@ func TestTuneBaselineMatchesDefaultResult(t *testing.T) {
 	defer Reset()
 	opt := quickOpt()
 	opt.Policies = []codelet.Policy{codelet.DefaultPolicy()}
-	opt.NoBatchSweep, opt.NoBackendSweep = true, true
+	opt.NoBackendSweep = true
 	// At n = 1 every candidate is small[1], the untuned default; only
 	// the scalar-pinned policy twin can displace the default result.
 	checked := 0
@@ -140,7 +140,7 @@ func TestTunePlanPhaseStageBudget(t *testing.T) {
 	defer Reset()
 	opt := quickOpt()
 	opt.Policies = []codelet.Policy{codelet.DefaultPolicy()}
-	opt.NoBatchSweep, opt.NoBackendSweep = true, true
+	opt.NoBackendSweep = true
 	for _, n := range []int{10, 18} {
 		stages := len(exec.StageKeys(n))
 		if n > 16 {
@@ -201,6 +201,22 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 	}
 }
 
+// tunedSchedule compiles the result's winning plan under its winning
+// policy and re-applies the measured per-stage backend pins: the
+// schedule the registration serves.
+func tunedSchedule(res Result) (*exec.Schedule, error) {
+	s, err := exec.NewScheduleWith(res.Plan, res.Policy)
+	if err != nil {
+		return nil, err
+	}
+	if res.StageBackends != nil {
+		if err := s.SetStageBackends(res.StageBackends); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // A wisdom file written while the engine had a block-kernel leaf tier
 // holds a tuned block-leaf plan (with its block_parts) next to an
 // ordinary entry.  LoadWisdom accepts the file, registers and records
@@ -254,10 +270,11 @@ func refingerprint(t *testing.T, name string) string {
 	return path
 }
 
-// A wisdom file written while the engine had two parallel tiers pins
-// "barrier" or "pipelined" per entry.  LoadWisdom accepts it, serves
-// every float64 entry's plan and knobs, and SaveWisdom re-writes the
-// file without the retired field.
+// A wisdom file written while the engine had two parallel tiers and a
+// structure-of-arrays batch tier pins "barrier" or "pipelined" and a
+// batch crossover per entry.  LoadWisdom accepts it, serves every
+// float64 entry's plan and knobs, and SaveWisdom re-writes the file
+// without the retired fields.
 func TestLoadWisdomLegacyParallelMode(t *testing.T) {
 	Reset()
 	defer Reset()
@@ -269,14 +286,14 @@ func TestLoadWisdomLegacyParallelMode(t *testing.T) {
 		plan string
 		cfg  exec.TunedConfig
 	}{
-		{12, "split[small[6],small[6]]", exec.TunedConfig{Policy: codelet.DefaultPolicy(), SoAMinBatch: 8}},
-		{14, "split[small[6],small[8]]", exec.TunedConfig{Policy: codelet.Policy{ILMinS: 8, ILFuse: true}, SoAMinBatch: -1}},
+		{12, "split[small[6],small[6]]", exec.TunedConfig{Policy: codelet.DefaultPolicy()}},
+		{14, "split[small[6],small[8]]", exec.TunedConfig{Policy: codelet.Policy{ILMinS: 8, ILFuse: true}}},
 	} {
 		p := plan.MustParse(c.plan)
 		if got, _, ok := exec.TunedConfigFor(c.n); !ok || !got.Equal(p) {
 			t.Fatalf("TunedConfigFor(%d) plan = (%v, %v), want %s", c.n, got, ok, c.plan)
 		}
-		if _, cfg, ok := exec.TunedConfigFor(c.n); !ok || cfg.Policy != c.cfg.Policy || cfg.SoAMinBatch != c.cfg.SoAMinBatch {
+		if _, cfg, ok := exec.TunedConfigFor(c.n); !ok || cfg.Policy != c.cfg.Policy {
 			t.Fatalf("TunedConfigFor(%d) = (%+v, %v), want %+v", c.n, cfg, ok, c.cfg)
 		}
 		if got, want := exec.ForSize(c.n).String(), exec.CompileWith(p, c.cfg.Policy).String(); got != want {
@@ -294,76 +311,10 @@ func TestLoadWisdomLegacyParallelMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "parallel_mode") {
-		t.Fatalf("re-saved wisdom kept parallel_mode:\n%s", data)
-	}
-}
-
-// TestTuneBatchSweepRegistersCrossover drives phase 5: the sweep's
-// decision (some swept width, or -1 for a clean per-vector win) lands
-// on the serving schedule and in the wisdom entry, and NoBatchSweep
-// leaves the default heuristic (0) in charge.
-func TestTuneBatchSweepRegistersCrossover(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.BatchWidths = []int{2, 4}
-	res, err := Tune(12, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SoAMinBatch != -1 && res.SoAMinBatch != 2 && res.SoAMinBatch != 4 {
-		t.Fatalf("SoAMinBatch = %d, want a swept width or -1", res.SoAMinBatch)
-	}
-	if got := exec.ForSize(12).SoAMinBatch(); got != res.SoAMinBatch {
-		t.Fatalf("serving schedule carries crossover %d, tuner measured %d", got, res.SoAMinBatch)
-	}
-	if _, pol, _, ok := Wisdom().LookupPolicy(12, wisdom.Float64); !ok || pol != res.Policy {
-		t.Fatalf("wisdom lookup after batch sweep: pol %+v ok %v", pol, ok)
-	}
-	for _, e := range Wisdom().Entries() {
-		if e.N == 12 && e.Type == wisdom.Float64 && e.SoAMinBatch != res.SoAMinBatch {
-			t.Fatalf("wisdom entry records crossover %d, tuner measured %d", e.SoAMinBatch, res.SoAMinBatch)
+	for _, field := range []string{"parallel_mode", "soa_min_batch"} {
+		if strings.Contains(string(data), field) {
+			t.Fatalf("re-saved wisdom kept %s:\n%s", field, data)
 		}
-	}
-
-	Reset()
-	opt.NoBatchSweep = true
-	res, err = Tune(12, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SoAMinBatch != 0 {
-		t.Fatalf("NoBatchSweep produced crossover %d, want 0", res.SoAMinBatch)
-	}
-}
-
-// TestTunedBatchCrossoverSurvivesWisdomRoundTrip closes the loop: a
-// tuned batch crossover written to a wisdom file is re-registered on
-// the serving path by LoadWisdom in a "fresh process" (after Reset).
-func TestTunedBatchCrossoverSurvivesWisdomRoundTrip(t *testing.T) {
-	Reset()
-	defer Reset()
-	opt := quickOpt()
-	opt.BatchWidths = []int{3}
-	res, err := Tune(11, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "wisdom.json")
-	if err := SaveWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	Reset()
-	if got := exec.ForSize(11).SoAMinBatch(); got != 0 {
-		t.Fatalf("reset left crossover %d registered", got)
-	}
-	exec.ResetTunedPlans() // drop the balanced schedule the check above cached
-	if err := LoadWisdom(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := exec.ForSize(11).SoAMinBatch(); got != res.SoAMinBatch {
-		t.Fatalf("after LoadWisdom crossover = %d, tuner measured %d", got, res.SoAMinBatch)
 	}
 }
 
@@ -420,7 +371,6 @@ func TestTuneBackendSweepRoundTrip(t *testing.T) {
 	defer Reset()
 	const n = 10
 	opt := quickOpt()
-	opt.NoBatchSweep = true
 	opt.Policies = []codelet.Policy{
 		{Backend: codelet.ScalarBackend},
 		{Backend: codelet.SIMDBackend},

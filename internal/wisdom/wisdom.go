@@ -23,10 +23,9 @@
 // fields round-trip the kernel-variant selection policy (codelet.Policy)
 // the plan was measured under; files without them load with the default
 // policy, so pre-variant version-1 files remain valid.  Further
-// optional per-entry fields: "soa_min_batch" (the SoA batch crossover)
-// and the out-of-core pair "segments" / "resident_budget" (the measured
-// two-phase segmented form in the plan.ParseSeg grammar and the log2
-// resident-window budget it fits).  All are omitted when untuned, so
+// optional per-entry fields: the out-of-core pair "segments" /
+// "resident_budget" (the measured two-phase segmented form in the
+// plan.ParseSeg grammar and the log2 resident-window budget it fits).  All are omitted when untuned, so
 // older version-1 files keep loading.
 //
 // Version-1 files written while the engine had a looped block-kernel
@@ -35,8 +34,10 @@
 // unknown "block_parts" key, and LoadFor skips each such entry on its
 // own (see parseRetiredPlan), so the rest of the file still loads.
 // Files written while the engine had two parallel tiers may carry a
-// "parallel_mode" field; LoadFor checks its spelling and drops it (see
-// storedEntry), and Save never writes it.
+// "parallel_mode" field, and files written while it had a
+// structure-of-arrays batch tier a "soa_min_batch" crossover; LoadFor
+// checks both and drops them (see storedEntry), and Save never writes
+// them.
 //
 // The optional "stage_backends" field records the tuner's per-stage
 // backend pins (exec.Schedule.SetStageBackends): one spelling per
@@ -203,12 +204,6 @@ type Entry struct {
 	// means every stage runs the uniform Backend field.
 	StageBackends []string `json:"stage_backends,omitempty"`
 
-	// SoAMinBatch is the measured batch-width crossover of the SoA batch
-	// tier for this plan: 0 (absent) keeps the default heuristic, -1
-	// records that the per-vector path won at every swept width, k >= 1
-	// selects SoA for batches of at least k vectors.
-	SoAMinBatch int `json:"soa_min_batch,omitempty"`
-
 	// Segments records the measured-fastest two-phase segmented form for
 	// out-of-core execution of this size, in the plan.ParseSeg grammar
 	// ("phase[...]").  Absent means no out-of-core tuning was run.  The
@@ -238,18 +233,15 @@ func (e Entry) Policy() codelet.Policy {
 func (e Entry) Tuned() Tuned {
 	return Tuned{
 		Policy:        e.Policy(),
-		SoAMinBatch:   e.SoAMinBatch,
 		StageBackends: decodeStageBackends(e.StageBackends),
 	}
 }
 
 // Tuned bundles the tuning knobs beyond the plan itself that a
-// measurement was taken under: the kernel-variant policy, the SoA batch
-// crossover (Entry.SoAMinBatch), and the per-stage backend pins (nil
-// when the uniform policy backend governs).
+// measurement was taken under: the kernel-variant policy and the
+// per-stage backend pins (nil when the uniform policy backend governs).
 type Tuned struct {
 	Policy        codelet.Policy
-	SoAMinBatch   int
 	StageBackends []codelet.Backend
 }
 
@@ -315,13 +307,15 @@ func validBackend(s string) error {
 }
 
 // storedEntry is an Entry as a version-1 file may hold it.  Files
-// written while the engine had a second parallel tier
-// carry a "parallel_mode" pin per entry.  The engine now has one
-// parallel tier, so LoadFor ignores the pin; it still rejects a
-// spelling no healthy Save ever wrote.
+// written while the engine had a second parallel tier carry a
+// "parallel_mode" pin per entry, and files written while it had a
+// structure-of-arrays batch tier an integer "soa_min_batch" crossover.
+// Neither tier exists any more, so LoadFor ignores both; it still
+// rejects a spelling or a type no healthy Save ever wrote.
 type storedEntry struct {
 	Entry
 	ParallelMode string `json:"parallel_mode"`
+	SoAMinBatch  int    `json:"soa_min_batch"`
 }
 
 // validParallelMode accepts the spellings Save once wrote for the
@@ -463,16 +457,9 @@ func (w *Wisdom) Record(typ string, p *plan.Node, nsPerRun float64) (bool, error
 }
 
 // RecordPolicy stores a measured plan together with the variant-selection
-// policy it was measured under; see RecordTuned.
+// policy it was measured under; see RecordFull.
 func (w *Wisdom) RecordPolicy(typ string, p *plan.Node, pol codelet.Policy, nsPerRun float64) (bool, error) {
-	return w.RecordTuned(typ, p, pol, 0, nsPerRun)
-}
-
-// RecordTuned stores a measured plan together with the variant-selection
-// policy it was measured under and the measured SoA batch crossover
-// (soaMinBatch; see Entry.SoAMinBatch); see RecordFull.
-func (w *Wisdom) RecordTuned(typ string, p *plan.Node, pol codelet.Policy, soaMinBatch int, nsPerRun float64) (bool, error) {
-	return w.RecordFull(typ, p, Tuned{Policy: pol, SoAMinBatch: soaMinBatch}, nsPerRun)
+	return w.RecordFull(typ, p, Tuned{Policy: pol}, nsPerRun)
 }
 
 // RecordFull stores a measured plan together with every tuning knob it
@@ -505,7 +492,6 @@ func (w *Wisdom) RecordFull(typ string, p *plan.Node, tc Tuned, nsPerRun float64
 		N: p.Log2Size(), Type: typ, Plan: p.String(), NsPerRun: nsPerRun,
 		ILMinS: tc.Policy.ILMinS, StridedOnly: tc.Policy.StridedOnly, ILFuse: tc.Policy.ILFuse,
 		Backend:       encodeBackend(tc.Policy.Backend),
-		SoAMinBatch:   tc.SoAMinBatch,
 		StageBackends: sb,
 	}
 	w.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,67 +233,24 @@ func TestBlockPlanAndFusePolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordTunedRoundTripsSoAMinBatch pins the batch-crossover field:
-// the measured SoA threshold survives a save/load cycle, and files
-// written before the field existed (it serializes omitempty) load with
-// the default-heuristic value 0.
-func TestRecordTunedRoundTripsSoAMinBatch(t *testing.T) {
-	w := New()
-	p := plan.MustParse("split[small[6],small[8]]")
-	if _, err := w.RecordTuned(Float64, p, codelet.Policy{ILFuse: true}, 8, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.RecordTuned(Float32, p, codelet.DefaultPolicy(), -1, 900); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "w.json")
-	if err := w.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es := r.Entries()
-	if len(es) != 2 {
-		t.Fatalf("round-tripped %d entries, want 2", len(es))
-	}
-	for _, e := range es {
-		switch e.Type {
-		case Float64:
-			if e.SoAMinBatch != 8 || !e.Policy().ILFuse {
-				t.Fatalf("float64 entry lost tuning data: %+v", e)
-			}
-		case Float32:
-			if e.SoAMinBatch != -1 {
-				t.Fatalf("float32 entry lost SoAMinBatch=-1: %+v", e)
-			}
-		}
-	}
-	// RecordPolicy (the pre-batch API) records the default crossover.
-	w2 := New()
-	if _, err := w2.RecordPolicy(Float64, p, codelet.DefaultPolicy(), 1000); err != nil {
-		t.Fatal(err)
-	}
-	if e := w2.Entries()[0]; e.SoAMinBatch != 0 {
-		t.Fatalf("RecordPolicy entry carries SoAMinBatch %d, want 0", e.SoAMinBatch)
-	}
-}
-
-// A version-1 file written while the engine had two parallel tiers
-// loads with its "parallel_mode" pins ignored and every other knob
-// intact, and re-saves without the field; a "block_parts" field left by
-// the removed block-kernel tier is likewise read, ignored, and gone
-// after the next save.
+// A version-1 file written while the engine had two parallel tiers and
+// a structure-of-arrays batch tier loads with its "parallel_mode" pins
+// and "soa_min_batch" crossovers ignored and every plan, policy and
+// stage-backend pin intact, and re-saves without either field; a
+// "block_parts" field left by the removed block-kernel tier is likewise
+// read, ignored, and gone after the next save.
 func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parallel_mode_v1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(fixture), `"pipelined"`) || !strings.Contains(string(fixture), `"barrier"`) {
-		t.Fatal("fixture lost its parallel_mode pins")
+	for _, want := range []string{`"pipelined"`, `"barrier"`, `"soa_min_batch": 8`, `"soa_min_batch": -1`} {
+		if !strings.Contains(string(fixture), want) {
+			t.Fatalf("fixture lost its %s field", want)
+		}
 	}
 	data := []byte(strings.Replace(string(fixture), `"parallel_mode"`, `"block_parts": {"13": [5, 8]}, "parallel_mode"`, 1))
+	data = []byte(strings.Replace(string(data), `"soa_min_batch": -1`, `"stage_backends": ["scalar", "simd"], "soa_min_batch": -1`, 1))
 	path := filepath.Join(t.TempDir(), "w.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -308,11 +266,14 @@ func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	for _, e := range r.Entries() {
 		byN[e.N] = e
 	}
-	if got := byN[14].Tuned(); got.SoAMinBatch != -1 || !got.Policy.ILFuse || got.Policy.ILMinS != 8 {
-		t.Fatalf("pipelined entry tuning = %+v", got)
+	pins := []codelet.Backend{codelet.ScalarBackend, codelet.SIMDBackend}
+	if e, got := byN[14], byN[14].Tuned(); e.Plan != "split[small[6],small[8]]" ||
+		got.Policy != (codelet.Policy{ILMinS: 8, ILFuse: true}) || !slices.Equal(got.StageBackends, pins) {
+		t.Fatalf("pipelined entry = %+v, tuning %+v", e, got)
 	}
-	if got := byN[12].Tuned(); got.SoAMinBatch != 8 || got.Policy != codelet.DefaultPolicy() {
-		t.Fatalf("barrier entry tuning = %+v", got)
+	if e, got := byN[12], byN[12].Tuned(); e.Plan != "split[small[6],small[6]]" ||
+		got.Policy != codelet.DefaultPolicy() || got.StageBackends != nil {
+		t.Fatalf("barrier entry = %+v, tuning %+v", e, got)
 	}
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
@@ -320,10 +281,13 @@ func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	if data, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"parallel_mode", "block_parts"} {
+	for _, key := range []string{"parallel_mode", "soa_min_batch", "block_parts"} {
 		if strings.Contains(string(data), key) {
 			t.Fatalf("re-saved file kept %s:\n%s", key, data)
 		}
+	}
+	if !strings.Contains(string(data), `"stage_backends"`) {
+		t.Fatalf("re-saved file lost the stage-backend pins:\n%s", data)
 	}
 
 	// Untuned entries omit the optional fields on disk (version-1 compat
@@ -339,8 +303,10 @@ func TestRecordFullRoundTripsParallelMode(t *testing.T) {
 	if data, err = os.ReadFile(p2); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "soa_min_batch") {
-		t.Fatalf("untuned entry serialized optional fields:\n%s", data)
+	for _, key := range []string{"il_min_s", "strided_only", "il_fuse", "backend", "stage_backends", "segments", "resident_budget"} {
+		if strings.Contains(string(data), key) {
+			t.Fatalf("untuned entry serialized optional field %s:\n%s", key, data)
+		}
 	}
 }
 
@@ -359,8 +325,9 @@ func TestRecordFullRejectsBadTuning(t *testing.T) {
 	}
 }
 
-// A bad spelling of the retired "parallel_mode" field is corrupt; the
-// spellings Save once wrote are ignored.  A "block_parts" field,
+// A bad spelling of the retired "parallel_mode" field, or a non-integer
+// value of the retired "soa_min_batch" field, is corrupt; the values
+// Save once wrote are ignored.  A "block_parts" field,
 // whatever it holds, is a leftover of the removed block-kernel tier and
 // is ignored.
 func TestLoadRejectsBadParallelMode(t *testing.T) {
@@ -382,6 +349,11 @@ func TestLoadRejectsBadParallelMode(t *testing.T) {
 	if _, err := Load(write("mode.json", good+`,"parallel_mode":"windowed"`)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown parallel mode: err = %v, want ErrCorrupt", err)
 	}
+	for _, v := range []string{`"8"`, `1.5`, `true`, `[8]`} {
+		if _, err := Load(write("soa.json", good+`,"soa_min_batch":`+v)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("soa_min_batch %s: err = %v, want ErrCorrupt", v, err)
+		}
+	}
 	// The valid spellings, including explicit "auto", load fine; so do a
 	// file without the new fields (a pre-parallel version-1 file) and
 	// every block_parts shape the block tier's validation once rejected.
@@ -390,6 +362,8 @@ func TestLoadRejectsBadParallelMode(t *testing.T) {
 		"barrier.json":   good + `,"parallel_mode":"barrier"`,
 		"pipelined.json": good + `,"parallel_mode":"pipelined","block_parts":{"13":[5,8]}`,
 		"old.json":       good,
+		"soa.json":       good + `,"soa_min_batch":8`,
+		"soa-off.json":   good + `,"soa_min_batch":-1,"parallel_mode":"barrier"`,
 		"tier.json":      good + `,"block_parts":{"8":[4,4]}`,
 		"key.json":       good + `,"block_parts":{"thirteen":[5,8]}`,
 		"empty.json":     good + `,"block_parts":{"13":[]}`,

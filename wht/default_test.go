@@ -27,10 +27,8 @@ func TestDefaultScheduleBitwise(t *testing.T) {
 		ref.Reference(want)
 
 		s := exec.ForSize(n)
-		soa := exec.Compile(exec.DefaultPlan(n, codelet.AutoBackend))
-		soa.SetSoAMinBatch(1)
-		if soa.String() != s.String() {
-			t.Fatalf("n=%d: ForSize serves %s, DefaultPlan compiles to %s", n, s, soa)
+		if def := exec.Compile(exec.DefaultPlan(n, codelet.AutoBackend)); def.String() != s.String() {
+			t.Fatalf("n=%d: ForSize serves %s, DefaultPlan compiles to %s", n, s, def)
 		}
 		check := func(path string, got []float64) {
 			t.Helper()
@@ -70,26 +68,21 @@ func TestDefaultScheduleBitwise(t *testing.T) {
 			func(x []float32) error { return exec.RunCtx(nil, s, x, 2) })
 		run("RunStrided", func(x []float64) error { return runStrided2(s, x) },
 			func(x []float32) error { return runStrided2(s, x) })
-		for _, b := range []struct {
-			name string
-			s    *exec.Schedule
-		}{{"RunBatch", s}, {"RunBatch/SoA", soa}} {
-			run(b.name, func(x []float64) error {
-				y := append([]float64(nil), x...)
-				if err := exec.RunBatch(nil, b.s, [][]float64{x, y}, 0); err != nil {
-					return err
-				}
-				check(b.name+" second vector", y)
-				return nil
-			}, func(x []float32) error {
-				y := append([]float32(nil), x...)
-				if err := exec.RunBatch(nil, b.s, [][]float32{x, y}, 0); err != nil {
-					return err
-				}
-				check32(b.name+" second vector", y)
-				return nil
-			})
-		}
+		run("RunBatch", func(x []float64) error {
+			y := append([]float64(nil), x...)
+			if err := exec.RunBatch(nil, s, [][]float64{x, y}, 0); err != nil {
+				return err
+			}
+			check("RunBatch second vector", y)
+			return nil
+		}, func(x []float32) error {
+			y := append([]float32(nil), x...)
+			if err := exec.RunBatch(nil, s, [][]float32{x, y}, 0); err != nil {
+				return err
+			}
+			check32("RunBatch second vector", y)
+			return nil
+		})
 		if n < 2 {
 			continue
 		}

@@ -35,15 +35,12 @@
 // or hand the whole batch over: wht.RunBatch(ctx, sched, vectors, 0).
 // Run is the bare call on the caller's goroutine; RunCtx (one vector)
 // and RunBatch (many) add cancellation, kernel-panic containment and a
-// worker count (0: GOMAXPROCS, 1: the caller's goroutine).  Wide
-// batches with favorable schedule shapes are served by the SoA tier
-// (one stage pass across the whole lane of vectors, bitwise-equal to
-// per-vector evaluation); Schedule.SetSoAMinBatch (or a tuned wisdom
-// entry) sets the crossover, 1 forcing the tier and -1 disabling it.
+// worker count (0: GOMAXPROCS, 1: the caller's goroutine).  A batch
+// runs vector by vector, its workers taking whole vectors.
 //
 // On amd64 hosts with AVX2 (and arm64 with NEON) the streaming kernel
-// forms (interleaved, fused interleaved, and the SoA lane sweeps), wide
-// strided stages and large contiguous leaves execute through
+// forms (interleaved and fused interleaved), wide strided stages and
+// large contiguous leaves execute through
 // hand-written vector assembly, bitwise-identical to the scalar tier
 // because unit-stride vectorization never reorders any element's
 // add/sub chain.  The scalar tier runs unrolled codelets for strided
@@ -273,12 +270,8 @@ func RunCtx[T Float](ctx context.Context, s *Schedule, x []T, workers int) error
 
 // RunBatch executes one schedule over many vectors in place, with
 // RunCtx's cancellation, containment and worker count; a kernel panic
-// poisons only its batch call.  When the batch width and the
-// schedule's shape favor it (see DefaultSoAMinBatch and
-// Schedule.SetSoAMinBatch), the batch runs through the SoA tier — one
-// stage pass across a whole lane of vectors instead of per vector —
-// computing bitwise the same results.  Workers take whole vectors or
-// contiguous lanes, with no stage barriers.
+// poisons only its batch call.  Workers take whole vectors, with no
+// stage barriers.
 func RunBatch[T Float](ctx context.Context, s *Schedule, xs [][]T, workers int) error {
 	return exec.RunBatch(ctx, s, xs, workers)
 }
@@ -312,12 +305,6 @@ type PanicError = exec.PanicError
 // *wisdom.CorruptError naming the path and damage shape; the serving
 // daemon quarantines on exactly this match.
 var ErrCorruptWisdom = wisdom.ErrCorrupt
-
-// DefaultSoAMinBatch is the batch width at which the batch executors
-// switch to the SoA tier by default when the schedule's shape favors it;
-// Schedule.SetSoAMinBatch (or a tuned wisdom entry) overrides the
-// crossover per schedule.
-const DefaultSoAMinBatch = exec.DefaultSoAMinBatch
 
 // Definition is the O(N^2) transform straight from the matrix definition
 // (the correctness reference).
@@ -437,8 +424,7 @@ var (
 	// per-run growth into Inf/NaN arithmetic.
 	TimeSchedule = exec.TimeSchedule
 	// TimeBatch measures the median latency of transforming a whole
-	// batch of lane vectors, forcing either the SoA tier or the
-	// per-vector path — the primitive behind the tuner's batch sweep.
+	// batch of lane vectors through RunBatch's path at one worker.
 	TimeBatch = exec.TimeBatch
 	// Tune finds a measured-fast plan for WHT(2^n), serves it from the
 	// schedule cache behind Transform, and records it in the process

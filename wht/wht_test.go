@@ -221,74 +221,6 @@ func TestCompiledFacade(t *testing.T) {
 	}
 }
 
-// TestBatchSoAFacade drives the SoA batch tier through the public API:
-// the crossover knob routes RunBatch through SoA, sequential and
-// parallel, bitwise-equal to per-vector evaluation.
-func TestBatchSoAFacade(t *testing.T) {
-	p := wht.Balanced(12, wht.MaxLeafLog)
-	sched, err := wht.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lane = 5
-	batch := make([][]float64, lane)
-	want := make([][]float64, lane)
-	for b := range batch {
-		batch[b] = make([]float64, 1<<12)
-		for j := range batch[b] {
-			batch[b][j] = float64((b*j)%13) - 6
-		}
-		want[b] = append([]float64(nil), batch[b]...)
-		if err := wht.Run(sched, want[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The knob: forcing the crossover to 1 routes RunBatch through SoA.
-	s2, err := wht.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.SetSoAMinBatch(1)
-	if got := s2.SoAMinBatch(); got != 1 {
-		t.Fatalf("SoAMinBatch = %d after SetSoAMinBatch(1)", got)
-	}
-	if err := wht.RunBatch(nil, s2, batch, 1); err != nil {
-		t.Fatal(err)
-	}
-	for b := range batch {
-		for j := range batch[b] {
-			if batch[b][j] != want[b][j] {
-				t.Fatalf("RunBatch via SoA diverges at vector %d element %d", b, j)
-			}
-		}
-	}
-
-	// Float32 parallel form.
-	b32 := make([][]float32, 4)
-	w32 := make([][]float32, 4)
-	for b := range b32 {
-		b32[b] = make([]float32, 1<<12)
-		for j := range b32[b] {
-			b32[b][j] = float32(j%7) - 3
-		}
-		w32[b] = append([]float32(nil), b32[b]...)
-		if err := wht.Run(sched, w32[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wht.RunBatch(context.Background(), s2, b32, 2); err != nil {
-		t.Fatal(err)
-	}
-	for b := range b32 {
-		for j := range b32[b] {
-			if b32[b][j] != w32[b][j] {
-				t.Fatalf("parallel RunBatch via SoA diverges at vector %d element %d", b, j)
-			}
-		}
-	}
-}
-
 // The backend axis through the facade: parse/format round-trips, pinned
 // compilation, the process override, and bitwise equality between the
 // scalar and SIMD tiers — exercised exactly as a downstream user would.
